@@ -12,8 +12,8 @@ class GridError(VaisflowError):
 class PositivityLost(VaisflowError):
     """A Hermitian field that must be positive-definite is not.
 
-    Carries the offending minimum eigenvalue and the flat grid index where
-    it was attained, when known.
+    Carries the offending minimum eigenvalue and the grid index (a tuple,
+    one entry per grid axis) where it was attained, when known.
     """
 
     def __init__(self, message, min_eigenvalue=None, location=None):

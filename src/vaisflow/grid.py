@@ -10,10 +10,23 @@ makes leaf-constancy structural rather than numerical.
 All derivative stencils are fourth-order central differences with periodic
 wraparound, written in difference form (weighted sums of f(i+k) - f(i)) so
 that constant fields are annihilated exactly in floating point.
+
+One slice engine evaluates them.  It views an array as (outer, N, inner)
+with the differentiated axis in the middle; each shifted difference is one
+contiguous subtract over the flattened array plus one subtract that
+overwrites the few wrapped planes, so no shifted copy of the array is ever
+made.  :func:`diff1` and :func:`diff2` accept an ``out=`` array, and
+:func:`diff2_into` also takes the caller's scratch arrays and can sweep a
+large array block by block from a halo of neighbouring planes.  Every route
+applies the same operations to the same operands in the same order, so
+results are bit-identical whichever route, block size or output buffer is
+used.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -31,6 +44,7 @@ __all__ = [
     "norms",
     "diff1",
     "diff2",
+    "diff2_into",
 ]
 
 _MIN_RESOLUTION = 8
@@ -272,38 +286,170 @@ _C1_NEAR = 2.0 / 3.0   # first derivative, +-1 neighbours
 _C1_FAR = -1.0 / 12.0  # first derivative, +-2 neighbours
 _C2_NEAR = 4.0 / 3.0   # second derivative, +-1 neighbours
 _C2_FAR = -1.0 / 12.0  # second derivative, +-2 neighbours
+_MIN_STENCIL_POINTS = 5
 
 
-def diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order periodic first derivative along an array axis."""
-    near = np.roll(values, -1, axis=axis)
-    np.subtract(near, np.roll(values, 1, axis=axis), out=near)
-    far = np.roll(values, -2, axis=axis)
-    np.subtract(far, np.roll(values, 2, axis=axis), out=far)
-    near *= _C1_NEAR
-    far *= _C1_FAR
-    np.add(near, far, out=near)
-    near /= h
-    return near
+class _Plan(NamedTuple):
+    """How one stencil sweep indexes its operands; see :func:`_plan`."""
+
+    src_shape: tuple[int, int, int]
+    out_shape: tuple[int, int, int]
+    # (a, b) -> slices (src a, src b, out) of the flattened arrays, or None
+    flat: dict
+    # (a, b) -> tuple of index pairs (src a, src b, out) into the 3-D views
+    planes: dict
 
 
-def diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order periodic second derivative along an array axis."""
-    near = np.roll(values, -1, axis=axis)
-    np.subtract(near, values, out=near)
-    tmp = np.roll(values, 1, axis=axis)
-    np.subtract(tmp, values, out=tmp)
-    np.add(near, tmp, out=near)
-    far = np.roll(values, -2, axis=axis)
-    np.subtract(far, values, out=far)
-    tmp2 = np.roll(values, 2, axis=axis)
-    np.subtract(tmp2, values, out=tmp2)
-    np.add(far, tmp2, out=far)
-    near *= _C2_NEAR
-    far *= _C2_FAR
-    np.add(near, far, out=near)
-    near /= h * h
-    return near
+# The (a, b) pairs of f(i + a) - f(i + b) that the two stencils use.
+_SHIFTS = ((1, -1), (2, -2), (1, 0), (-1, 0), (2, 0), (-2, 0))
+
+
+def _wrapped(offset: int, start: int, stop: int, n: int) -> slice:
+    """Planes ``start + offset .. stop - 1 + offset`` taken modulo ``n`` (no crossing)."""
+    first = (start + offset) % n
+    return slice(first, first + stop - start)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
+    """The plan of every shift difference f(i + a) - f(i + b) along ``axis``.
+
+    Operands are viewed as (outer, N, inner) with ``axis`` in the middle, so
+    each plane of the axis is one contiguous run of ``inner`` elements and a
+    shift by k planes is a shift by ``k * inner`` in the flattened array.
+    One contiguous subtract over the flattened arrays then covers every
+    plane; the few planes whose neighbours wrap, which that subtract filled
+    from the adjacent outer block, are overwritten by one subtract at each
+    end of the axis.  With ``halo > 0`` the source carries ``halo`` extra
+    planes at both ends of the axis (``shape`` is the source's shape) and
+    nothing wraps.  The plan holds only index objects, never array data.
+    """
+    outer, n_src, inner = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+    n = n_src - 2 * halo
+    every = slice(None)
+    flat, planes = {}, {}
+    for a, b in _SHIFTS:
+        if halo:
+            flat[a, b] = None
+            planes[a, b] = (
+                ((every, slice(halo + a, halo + a + n)), (every, slice(halo + b, halo + b + n)), every),
+            )
+            continue
+        low, high = max(0, -a, -b), max(0, a, b)
+        start, stop = low * inner, (outer * n - high) * inner
+        flat[a, b] = (
+            slice(start + a * inner, stop + a * inner),
+            slice(start + b * inner, stop + b * inner),
+            slice(start, stop),
+        )
+        planes[a, b] = tuple(
+            ((every, _wrapped(a, i0, i1, n)), (every, _wrapped(b, i0, i1, n)), (every, slice(i0, i1)))
+            for i0, i1 in ((0, low), (n - high, n))
+            if i1 > i0
+        )
+    return _Plan((outer, n_src, inner), (outer, n, inner), flat, planes)
+
+
+def _shift_diff(plan: _Plan, src: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
+    """out = f(i + a) - f(i + b) along the plan's axis, for contiguous ``src`` and ``out``."""
+    indices = plan.flat[a, b]
+    if indices is not None:
+        ia, ib, io = indices
+        flat_src = src.reshape(-1)
+        np.subtract(flat_src[ia], flat_src[ib], out=out.reshape(-1)[io])
+    src3, out3 = src.reshape(plan.src_shape), out.reshape(plan.out_shape)
+    for ia, ib, io in plan.planes[a, b]:
+        np.subtract(src3[ia], src3[ib], out=out3[io])
+
+
+# The operands and their order below are the stencils' contract: every
+# caller's result must be bit-identical to every other's, so do not regroup.
+def _first_difference(plan, src, out, tmp, h):
+    _shift_diff(plan, src, 1, -1, out)
+    _shift_diff(plan, src, 2, -2, tmp)
+    out *= _C1_NEAR
+    tmp *= _C1_FAR
+    out += tmp
+    out /= h
+
+
+def _second_difference(plan, src, out, tmp1, tmp2, h):
+    _shift_diff(plan, src, 1, 0, out)
+    _shift_diff(plan, src, -1, 0, tmp1)
+    out += tmp1
+    _shift_diff(plan, src, 2, 0, tmp1)
+    _shift_diff(plan, src, -2, 0, tmp2)
+    tmp1 += tmp2
+    out *= _C2_NEAR
+    tmp1 *= _C2_FAR
+    out += tmp1
+    out /= h * h
+
+
+def _prepare(values: np.ndarray, axis: int, out: np.ndarray | None) -> tuple[np.ndarray, int, np.ndarray]:
+    """Contiguous operand, normalised axis and a checked (or new) output array."""
+    src = np.ascontiguousarray(values)
+    if not -src.ndim <= axis < src.ndim:
+        raise GridError(f"axis {axis} out of range for a {src.ndim}-d array")
+    axis %= src.ndim
+    if src.shape[axis] < _MIN_STENCIL_POINTS:
+        raise GridError(
+            f"the periodic stencils need at least {_MIN_STENCIL_POINTS} points along an axis, "
+            f"got {src.shape[axis]}"
+        )
+    if out is None:
+        return src, axis, np.empty(src.shape, dtype=src.dtype)
+    if out.shape != src.shape or not out.flags.c_contiguous:
+        raise GridError("out must be a C-contiguous array of the input's shape")
+    if np.may_share_memory(out, values):
+        raise GridError("out must not overlap the input")
+    return src, axis, out
+
+
+def diff1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order periodic first derivative along an array axis.
+
+    The result is written into ``out`` when it is given (a C-contiguous
+    array of the input's shape that does not overlap it) and returned.
+    """
+    src, axis, out = _prepare(values, axis, out)
+    _first_difference(_plan(src.shape, axis, 0), src, out, np.empty_like(out), h)
+    return out
+
+
+def diff2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order periodic second derivative along an array axis.
+
+    ``out`` works as in :func:`diff1`.
+    """
+    src, axis, out = _prepare(values, axis, out)
+    diff2_into(src, axis, h, out, np.empty_like(out), np.empty_like(out))
+    return out
+
+
+def diff2_into(
+    values: np.ndarray,
+    axis: int,
+    h: float,
+    out: np.ndarray,
+    tmp1: np.ndarray,
+    tmp2: np.ndarray,
+    halo: int = 0,
+) -> None:
+    """:func:`diff2` into ``out`` with caller-owned scratch arrays ``tmp1``, ``tmp2``.
+
+    All arrays are C-contiguous and ``axis`` is non-negative.  With
+    ``halo == 0`` ``values`` has the shape of ``out`` and wraps periodically.
+    With ``halo >= 2`` ``values`` carries ``halo`` extra planes at each end of
+    ``axis`` and ``out`` receives the derivative on the planes between them,
+    so a caller can sweep a large array in cache-sized blocks.
+    """
+    if 0 < halo < 2:
+        raise GridError(f"a halo must hold at least the stencil's 2 planes, got {halo}")
+    for a in (values, out, tmp1, tmp2):
+        if not a.flags.c_contiguous:
+            raise GridError("stencil operands must be C-contiguous arrays")
+    _second_difference(_plan(values.shape, axis, halo), values, out, tmp1, tmp2, h)
 
 
 def fd_derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:

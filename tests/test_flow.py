@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vaisflow.flow as flow_module
+from vaisflow._kernels import HAVE_NUMBA
 from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.exceptions import GridError, InexactClass, PositivityLost, StepFloor
 from vaisflow.flow import (
@@ -19,6 +20,7 @@ from vaisflow.flow import (
 )
 from vaisflow.grid import ScalarField
 from vaisflow.transverse import HermitianField, ddbar, metric_from_potential
+from test_stencils import reference_rhs
 
 
 def bump_state(res=64, amplitude=-0.4, chi=None, spec=None):
@@ -177,15 +179,24 @@ class TestMaRhsExtended:
         with pytest.raises(GridError):
             ma_rhs_extended(st)
 
-    def test_kernel_and_numpy_paths_agree(self, monkeypatch):
+    def test_kernel_and_numpy_paths_agree(self):
+        # The right-hand side that runs here (the numba kernel when numba is
+        # installed, the numpy stencil engine otherwise) against the stored
+        # whole-grid numpy formula on the np.roll reference stencils.  Without
+        # numba this is an exact check of the numpy path, not numpy vs numpy.
         spec = full_spec(res=16, leaf=8)
         h = ScalarField.from_function(spec, lambda x, y: -0.2 * np.cos(x), basic=True)
         g0 = metric_from_potential(h, HermitianField.identity(spec))
-        st = initial_state(g0)
-        with_kernel = ma_rhs_extended(st).values
-        monkeypatch.setattr(flow_module, "HAVE_NUMBA", False)
-        without = ma_rhs_extended(st).values
-        assert np.max(np.abs(with_kernel - without)) < 1e-13
+        phi = ScalarField.from_function(
+            spec, lambda x, y, u, v: 0.02 * np.sin(x + u) * np.cos(y - v), basic=False
+        )
+        st = initial_state(g0, phi=phi)
+        got = ma_rhs_extended(st).values
+        expected = reference_rhs(st.phi.values, st.t, st, extended=True, rescaled=False)
+        if HAVE_NUMBA:
+            assert np.max(np.abs(got - expected)) < 1e-13
+        else:
+            assert np.array_equal(got, expected)
 
 
 class TestLeafwiseDefect:

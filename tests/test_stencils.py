@@ -1,0 +1,383 @@
+"""Bit-identity of the slice stencil engine against np.roll reference stencils.
+
+``reference_diff1`` and ``reference_diff2`` are the np.roll stencils the
+engine replaced, kept verbatim.  The flow formulas below are rebuilt on
+them (whole-grid, one fresh array per intermediate), so every comparison
+is exact: the engine promises the same operands in the same order, not
+merely the same values to rounding.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import basic_spec, full_spec
+from vaisflow import flow
+from vaisflow.exceptions import GridError, PositivityLost
+from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
+from vaisflow.grid import ScalarField, diff1, diff2, diff2_into
+from vaisflow.transverse import HermitianField, metric_from_potential
+
+_C1_NEAR = 2.0 / 3.0
+_C1_FAR = -1.0 / 12.0
+_C2_NEAR = 4.0 / 3.0
+_C2_FAR = -1.0 / 12.0
+
+
+def reference_diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order periodic first derivative along an array axis."""
+    near = np.roll(values, -1, axis=axis)
+    np.subtract(near, np.roll(values, 1, axis=axis), out=near)
+    far = np.roll(values, -2, axis=axis)
+    np.subtract(far, np.roll(values, 2, axis=axis), out=far)
+    near *= _C1_NEAR
+    far *= _C1_FAR
+    np.add(near, far, out=near)
+    near /= h
+    return near
+
+
+def reference_diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order periodic second derivative along an array axis."""
+    near = np.roll(values, -1, axis=axis)
+    np.subtract(near, values, out=near)
+    tmp = np.roll(values, 1, axis=axis)
+    np.subtract(tmp, values, out=tmp)
+    np.add(near, tmp, out=near)
+    far = np.roll(values, -2, axis=axis)
+    np.subtract(far, values, out=far)
+    tmp2 = np.roll(values, 2, axis=axis)
+    np.subtract(tmp2, values, out=tmp2)
+    np.add(far, tmp2, out=far)
+    near *= _C2_NEAR
+    far *= _C2_FAR
+    np.add(near, far, out=near)
+    near /= h * h
+    return near
+
+
+# ---------------------------------------------------------------------------
+# The flow's formulas on the reference stencils
+# ---------------------------------------------------------------------------
+
+def reference_hesse(values, spec):
+    n = spec.n
+    hs = spec.spacings
+    out = np.zeros(values.shape + (n, n), dtype=np.complex128)
+    for j in range(n):
+        ax, ay = 2 * j, 2 * j + 1
+        out[..., j, j] = 0.25 * (
+            reference_diff2(values, ax, hs[ax]) + reference_diff2(values, ay, hs[ay])
+        )
+    for j in range(n):
+        for k in range(j + 1, n):
+            jx, jy = 2 * j, 2 * j + 1
+            kx, ky = 2 * k, 2 * k + 1
+            dk = 0.5 * (reference_diff1(values, kx, hs[kx]) + 1j * reference_diff1(values, ky, hs[ky]))
+            entry = 0.5 * (reference_diff1(dk, jx, hs[jx]) - 1j * reference_diff1(dk, jy, hs[jy]))
+            out[..., j, k] = entry
+            out[..., k, j] = np.conj(entry)
+    return out
+
+
+def reference_metric(phi_values, t, state, rescaled, extended):
+    """Evolving metric: scalar values for n = 1, matrices otherwise."""
+    spec = state.phi.spec
+    n = spec.n
+    ref = flow._reference_matrices(state, t, rescaled)
+    if n == 1:
+        ref = ref[..., 0, 0].real
+        if extended:
+            ref = ref.reshape(spec.transverse_shape + (1, 1))
+        hs = spec.spacings
+        return ref + 0.25 * (
+            reference_diff2(phi_values, 0, hs[0]) + reference_diff2(phi_values, 1, hs[1])
+        )
+    if extended:
+        ref = ref.reshape(spec.transverse_shape + (1, 1, n, n))
+    return ref + reference_hesse(phi_values, spec)
+
+
+def reference_min_eigenvalues(phi_values, t, state, rescaled, extended):
+    g = reference_metric(phi_values, t, state, rescaled, extended)
+    return g if state.phi.spec.n == 1 else np.linalg.eigvalsh(g)[..., 0]
+
+
+def reference_rhs(phi_values, t, state, *, extended, rescaled):
+    spec = state.phi.spec
+    n = spec.n
+    log_density = np.log(state.volume_density.values)
+    if extended:
+        log_density = log_density.reshape(spec.transverse_shape + (1, 1))
+    g = reference_metric(phi_values, t, state, rescaled, extended)
+    if n == 1:
+        assert np.min(g) > 1e-10
+        rhs = np.log(g) - log_density
+    else:
+        w = np.linalg.eigvalsh(g)
+        assert np.min(w) > 1e-10
+        rhs = np.sum(np.log(w), axis=-1) - log_density
+    if extended:
+        ax_x, ax_y = 2 * n, 2 * n + 1
+        hs = spec.spacings
+        rhs = (
+            rhs
+            + 0.5 * reference_diff2(phi_values, ax_x, hs[ax_x])
+            + 0.5 * reference_diff2(phi_values, ax_y, hs[ax_y])
+        )
+    if rescaled:
+        f = rhs - phi_values
+        return f - np.mean(f)
+    return rhs
+
+
+def reference_diagnostics(phi_values, t, state, config):
+    """(ricci_sup, min_eig, max_eig, leafwise_defect) on the full grid."""
+    spec = state.phi.spec
+    extended = phi_values.ndim > 2 * spec.n
+    g = reference_metric(phi_values, t, state, config.rescaled, extended)
+    hs = spec.spacings
+    if spec.n == 1:
+        lo, hi = np.min(g), np.max(g)
+        ld = np.log(g)
+        ric = -0.25 * (reference_diff2(ld, 0, hs[0]) + reference_diff2(ld, 1, hs[1]))
+    else:
+        w = np.linalg.eigvalsh(g)
+        lo, hi = np.min(w), np.max(w)
+        ric = -reference_hesse(np.linalg.slogdet(g)[1].real, spec)
+    ric_sup = np.max(np.abs(ric - config.class_k * g))
+    defect = 0.0
+    if extended:
+        ax_x, ax_y = 2 * spec.n, 2 * spec.n + 1
+        defect = np.max(np.abs(reference_diff1(phi_values, ax_x, hs[ax_x]))) + np.max(
+            np.abs(reference_diff1(phi_values, ax_y, hs[ax_y]))
+        )
+    return float(ric_sup), float(lo), float(hi), float(defect)
+
+
+def reference_step(state, config):
+    """(t1, phi1, dphidt_sup) of one RK4 step from a state without diagnostics."""
+    spec = state.phi.spec
+    extended = config.extended
+    phi0 = np.array(state.phi.as_full_values()) if extended else state.phi.values
+    g = reference_metric(phi0, state.t, state, config.rescaled, extended)
+    w = g if spec.n == 1 else np.linalg.eigvalsh(g)
+    lo, hi = float(np.min(w)), float(np.max(w))
+    h_min = min(spec.spacings)
+    dt = min(config.dt_initial, config.dt_safety * h_min * h_min * lo / hi)
+
+    def f(values, t):
+        return reference_rhs(values, t, state, extended=extended, rescaled=config.rescaled)
+
+    t0 = state.t
+    k1 = f(phi0, t0)
+    k2 = f(phi0 + 0.5 * dt * k1, t0 + 0.5 * dt)
+    k3 = f(phi0 + 0.5 * dt * k2, t0 + 0.5 * dt)
+    k4 = f(phi0 + dt * k3, t0 + dt)
+    phi1 = phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    phi1 = phi1 - np.mean(phi1)
+    return t0 + dt, phi1, float(np.max(np.abs(k1)))
+
+
+# ---------------------------------------------------------------------------
+# Stencil engine
+# ---------------------------------------------------------------------------
+
+SHAPES = [(64, 64), (32, 32, 8, 8), (16, 16, 16, 16)]
+
+
+def _operand(shape, dtype, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "broadcast":
+        # A basic field seen over the leaves: zero strides on the leaf axes.
+        base_shape = shape[:2] + (1, 1)
+    else:
+        base_shape = shape
+    values = rng.standard_normal(base_shape)
+    if dtype == "complex":
+        values = values + 1j * rng.standard_normal(base_shape)
+    return np.broadcast_to(values, shape) if layout == "broadcast" else values
+
+
+STENCIL_CASES = [
+    (shape, dtype, layout)
+    for shape in SHAPES
+    for dtype in ("real", "complex")
+    for layout in (("contiguous", "broadcast") if len(shape) == 4 else ("contiguous",))
+]
+
+
+@pytest.mark.parametrize("shape,dtype,layout", STENCIL_CASES)
+@pytest.mark.parametrize("with_out", [False, True])
+def test_engine_matches_roll_stencils(shape, dtype, layout, with_out):
+    values = _operand(shape, dtype, layout, seed=len(shape))
+    for axis in range(len(shape)):
+        h = 0.1 + 0.01 * axis
+        for engine, reference in ((diff1, reference_diff1), (diff2, reference_diff2)):
+            expected = reference(values, axis, h)
+            if with_out:
+                out = np.full(shape, np.nan, dtype=expected.dtype)
+                result = engine(values, axis, h, out=out)
+                assert result is out
+            else:
+                result = engine(values, axis, h)
+            assert result.dtype == expected.dtype
+            assert np.array_equal(result, expected), (engine.__name__, axis)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("c", [3.7182, -1.0e6 + 0.1, 1.0e-300, 2.5 - 7.25j])
+def test_constants_annihilated_exactly(shape, c):
+    values = np.full(shape, c)
+    for axis in range(len(shape)):
+        assert np.all(diff1(values, axis, 0.3) == 0.0)
+        assert np.all(diff2(values, axis, 0.3) == 0.0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_halo_blocks_match_the_periodic_sweep(axis):
+    values = _operand((16, 12, 8, 8), "real", "contiguous", seed=7)
+    h = 0.2
+    expected = reference_diff2(values, axis, h)
+    n = values.shape[axis]
+    for i0 in range(0, n, 2):
+        window = np.take(values, range(i0 - 2, i0 + 4), axis=axis, mode="wrap")
+        block_shape = list(values.shape)
+        block_shape[axis] = 2
+        out, tmp1, tmp2 = (np.empty(block_shape) for _ in range(3))
+        diff2_into(window, axis, h, out, tmp1, tmp2, halo=2)
+        assert np.array_equal(out, np.take(expected, [i0, i0 + 1], axis=axis))
+
+
+def test_out_is_validated():
+    values = np.zeros((16, 16))
+    with pytest.raises(GridError):
+        diff2(values, 0, 0.1, out=np.empty((16, 8)))
+    with pytest.raises(GridError):
+        diff1(values, 0, 0.1, out=np.empty((16, 32))[:, ::2])
+    with pytest.raises(GridError):
+        diff2(values, 0, 0.1, out=values)
+    with pytest.raises(GridError):
+        diff1(values, 2, 0.1)
+    with pytest.raises(GridError):
+        diff2(np.zeros((4, 16)), 0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Flow paths
+# ---------------------------------------------------------------------------
+
+def _n1_basic_state():
+    spec = basic_spec(res=32)
+    h = ScalarField.from_function(spec, lambda x, y: -0.3 * np.cos(x) + 0.1 * np.sin(2 * y))
+    phi = ScalarField.from_function(spec, lambda x, y: 0.05 * np.sin(x) * np.cos(2 * y))
+    return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
+
+
+def _n1_extended_state():
+    spec = full_spec(res=32, leaf=8)
+    h = ScalarField.from_function(spec, lambda x, y: -0.3 * np.cos(x) + 0.1 * np.sin(2 * y))
+    phi = ScalarField.from_function(
+        spec,
+        lambda x, y, u, v: 0.05 * np.sin(x) * np.cos(2 * y) + 0.02 * np.cos(u) * np.sin(x + v),
+        basic=False,
+    )
+    return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
+
+
+def _n2_state():
+    spec = basic_spec(n=2, res=8)
+    h = ScalarField.from_function(
+        spec, lambda a, b, c, d: -0.2 * np.cos(a) * np.cos(c) + 0.1 * np.sin(b + d)
+    )
+    phi = ScalarField.from_function(spec, lambda a, b, c, d: 0.03 * np.sin(a - d) * np.cos(b))
+    return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
+
+
+FLOW_CASES = {
+    "n1_basic": (_n1_basic_state, FlowConfig()),
+    "n1_basic_rescaled": (_n1_basic_state, FlowConfig(class_k=-1, rescaled=True)),
+    "n1_extended": (_n1_extended_state, FlowConfig(extended=True)),
+    "n1_extended_rescaled": (_n1_extended_state, FlowConfig(extended=True, rescaled=True)),
+    "n2": (_n2_state, FlowConfig()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_CASES))
+def test_rhs_step_and_residual_bit_identical(case):
+    make_state, config = FLOW_CASES[case]
+    state = make_state()
+    phi_values = np.array(state.phi.as_full_values())
+    for t in (0.0, 0.3):
+        if config.extended:
+            got = ma_rhs_extended(state, t=t).values
+        else:
+            got = ma_rhs(state, t=t).values
+        expected = reference_rhs(phi_values, t, state, extended=config.extended, rescaled=False)
+        assert np.array_equal(got, expected)
+    assert np.array_equal(
+        flow._rhs_values(
+            phi_values, 0.3, state, extended=config.extended, rescaled=config.rescaled,
+            positivity_floor=1e-10,
+        ),
+        reference_rhs(phi_values, 0.3, state, extended=config.extended, rescaled=config.rescaled),
+    )
+
+    new = flow.step(state, config)
+    t1, phi1, dphidt_sup = reference_step(state, config)
+    assert new.t == t1
+    assert np.array_equal(new.phi.values, phi1)
+    d = new.diagnostics
+    assert d.dphidt_sup == dphidt_sup
+    ric_sup, lo, hi, defect = reference_diagnostics(phi1, t1, state, config)
+    assert (d.ricci_sup, d.min_eig, d.max_eig, d.leafwise_defect) == (ric_sup, lo, hi, defect)
+    assert flow.ricci_residual(new, config) == ric_sup
+
+
+def _state_with_phi(case, amplitude):
+    """A state whose metric has its minimum away from the first axis-0 planes.
+
+    The metric is about 1 - amplitude/4 sin x, so an amplitude above 4 makes
+    it negative near x = pi/2; initial_state would refuse that, so the state
+    is assembled directly.
+    """
+    if case == "n2":
+        spec = basic_spec(n=2, res=8)
+        fn = lambda a, b, c, d: amplitude * np.sin(a) + 0.5 * np.cos(c)  # noqa: E731
+    elif case == "n1_basic":
+        spec = basic_spec(res=32)
+        fn = lambda x, y: amplitude * np.sin(x) + 0.5 * np.cos(y)  # noqa: E731
+    else:
+        spec = full_spec(res=32, leaf=8)
+        fn = lambda x, y, u, v: (  # noqa: E731
+            (amplitude + np.cos(u) + 0.5 * np.sin(v)) * np.sin(x) + 0.5 * np.cos(y)
+        )
+    extended = case == "n1_extended"
+    base = initial_state(HermitianField.identity(spec))
+    phi = ScalarField.from_function(spec, fn, basic=not extended)
+    return FlowState(0.0, phi, base.omega_hat_0, base.chi, base.volume_density), extended
+
+
+@pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n2"])
+@pytest.mark.parametrize("forced_by_floor", [False, True])
+def test_breach_reports_global_minimum_and_location(case, forced_by_floor):
+    state, extended = _state_with_phi(case, amplitude=1.0 if forced_by_floor else 8.0)
+    phi_values = np.array(state.phi.as_full_values())
+    w = reference_min_eigenvalues(phi_values, 0.0, state, False, extended)
+    if forced_by_floor:
+        assert np.min(w) > 0
+        floor = 0.5 * (float(np.min(w)) + float(np.max(w)))
+    else:
+        assert np.min(w) < 0
+        floor = 1e-10
+    location = tuple(int(i) for i in np.unravel_index(np.argmin(w), w.shape))
+    if extended:
+        assert location[0] >= 4  # beyond the first blocks of the sweep
+    # A log of the breaching values would warn; the check must come first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityLost) as err:
+            (ma_rhs_extended if extended else ma_rhs)(state, positivity_floor=floor)
+    assert err.value.min_eigenvalue == float(np.min(w))
+    assert err.value.location == location
