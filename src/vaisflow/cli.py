@@ -46,12 +46,14 @@ from .convergence import fitted_order
 from .exceptions import (
     ConfigError,
     DegenerateScale,
+    GridError,
     IdentityViolation,
+    InexactClass,
     PositivityLost,
     SnapshotError,
 )
 from .forms import CoefficientForm
-from .grid import GridSpec, ScalarField
+from .grid import ScalarField
 from .presets import chi_field, potential_field
 from .snapshots import load_metric_bundle, save_snapshot
 from .transverse import HermitianField, metric_from_potential, ricci
@@ -128,7 +130,11 @@ def _build_initial_state(cfg: ExperimentConfig) -> fl.FlowState:
     except PositivityLost as exc:
         raise ConfigError(f"chart.potential: inadmissible potential ({exc})") from exc
     chi = chi_field(spec, cfg.chi, cfg.chi_amplitude)
-    return fl.initial_state(g0, chi)
+    try:
+        return fl.initial_state(g0, chi)
+    except (GridError, InexactClass) as exc:
+        # e.g. a volume density that under- or overflows on an extreme chart
+        raise ConfigError(f"chart, flow.chi: no admissible initial state ({exc})") from exc
 
 
 def _prepare_outdir(cfg: ExperimentConfig) -> Path:
@@ -174,6 +180,7 @@ def cmd_flow(config_path: Path) -> int:
         "final_t": report.final_t,
         "steps": report.steps,
         "final_ricci_sup": report.history[-1]["ricci_sup"] if report.history else None,
+        "failure": report.failure,
         "history": str(history_path),
     }
     (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -202,12 +209,7 @@ def cmd_check_structure(config_path: Path) -> int:
     results = []
     failures: list[str] = []
     r1_values = []
-    for res in checks.resolutions:
-        spec = GridSpec(
-            1, (res, res), (2 * np.pi, 2 * np.pi),
-            leaf_resolution=checks.leaf_resolution,
-            leaf_periods=(2 * np.pi, 2 * np.pi),
-        )
+    for res, spec in zip(checks.resolutions, checks.grid_specs()):
         h = potential_field(spec, checks.potential, checks.amplitude)
         try:
             chart = vm.build_chart(spec, h)

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, GridError
 from .flow import FlowConfig
 from .grid import GridSpec
 from .presets import POTENTIAL_PRESETS
@@ -47,19 +47,7 @@ _KNOWN_KEYS = {
         "potential",
         "amplitude",
     },
-    "flow": {
-        "class_k",
-        "dt_initial",
-        "dt_safety",
-        "max_steps",
-        "ricci_tolerance",
-        "rescaled",
-        "extended",
-        "positivity_floor",
-        "chi",
-        "chi_amplitude",
-        "t_final",
-    },
+    "flow": {f.name for f in fields(FlowConfig)} | {"chi", "chi_amplitude", "t_final"},
     "checks": {
         "resolutions",
         "leaf_resolution",
@@ -100,6 +88,13 @@ class ChecksSection:
     amplitude: float = -0.4
     deform_amplitude: float = -0.2
     inject_defect: bool = False
+
+    def grid_specs(self) -> list[GridSpec]:
+        """One n = 1 spec per resolution, all with 2 pi periods."""
+        return [
+            GridSpec(1, (res, res), (_TWO_PI, _TWO_PI), self.leaf_resolution, (_TWO_PI, _TWO_PI))
+            for res in self.resolutions
+        ]
 
 
 @dataclass(frozen=True)
@@ -153,6 +148,9 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+_CASTS = {"int": int, "float": float, "bool": _bool}  # by FlowConfig field annotation
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)
@@ -170,7 +168,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
 
-    n = _get(cp, "chart", "n", int, 1, lambda v: v >= 1 or _fail("chart", "n", "must be >= 1"))
+    n = _get(cp, "chart", "n", int, 1)
     res = _get(cp, "chart", "transverse_resolution", _ints, (64,) * (2 * n))
     per = _get(cp, "chart", "transverse_periods", _floats, (_TWO_PI,) * (2 * n))
     leaf_res = _get(cp, "chart", "leaf_resolution", _ints, None)
@@ -186,34 +184,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except Exception as exc:
         raise ConfigError(f"chart: {exc}") from exc
 
-    fc_kwargs = {}
-    fc_kwargs["class_k"] = _get(
-        cp, "flow", "class_k", int, 0,
-        lambda v: v in (-1, 0) or _fail("flow", "class_k", "must be -1 or 0"),
-    )
-    fc_kwargs["dt_initial"] = _get(
-        cp, "flow", "dt_initial", float, 0.05,
-        lambda v: v > 0 or _fail("flow", "dt_initial", "must be positive"),
-    )
-    fc_kwargs["dt_safety"] = _get(
-        cp, "flow", "dt_safety", float, 0.5,
-        lambda v: 0 < v <= 1 or _fail("flow", "dt_safety", "must lie in (0, 1]"),
-    )
-    fc_kwargs["max_steps"] = _get(
-        cp, "flow", "max_steps", int, 100_000,
-        lambda v: v >= 1 or _fail("flow", "max_steps", "must be >= 1"),
-    )
-    fc_kwargs["ricci_tolerance"] = _get(
-        cp, "flow", "ricci_tolerance", float, 1e-6,
-        lambda v: v > 0 or _fail("flow", "ricci_tolerance", "must be positive"),
-    )
-    fc_kwargs["rescaled"] = _get(cp, "flow", "rescaled", _bool, False)
-    fc_kwargs["extended"] = _get(cp, "flow", "extended", _bool, False)
-    fc_kwargs["positivity_floor"] = _get(
-        cp, "flow", "positivity_floor", float, 1e-10,
-        lambda v: v > 0 or _fail("flow", "positivity_floor", "must be positive"),
-    )
-    flow_cfg = FlowConfig(**fc_kwargs)
+    flow_kwargs = {
+        f.name: _get(cp, "flow", f.name, _CASTS[f.type], None)
+        for f in fields(FlowConfig)
+        if cp.has_option("flow", f.name)
+    }
+    try:
+        flow_cfg = FlowConfig(**flow_kwargs)
+    except GridError as exc:
+        raise ConfigError(f"flow.{exc}") from exc
     if flow_cfg.extended and chart.leaf_resolution is None:
         raise ConfigError("flow.extended: needs chart.leaf_resolution / chart.leaf_periods")
 
@@ -235,6 +214,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         deform_amplitude=_get(cp, "checks", "deform_amplitude", float, -0.2),
         inject_defect=_get(cp, "checks", "inject_defect", _bool, False),
     )
+    try:
+        checks.grid_specs()
+    except GridError as exc:
+        raise ConfigError(f"checks.resolutions: {exc}") from exc
 
     output = OutputSection(
         directory=_get(cp, "output", "directory", str, "out"),

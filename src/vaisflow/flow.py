@@ -27,8 +27,8 @@ import numpy as np
 
 from ._kernels import HAVE_NUMBA, rhs_n1
 from .exceptions import GridError, InexactClass, PositivityLost, StepFloor
-from .grid import GridSpec, ScalarField, diff1, diff2, diff2_into, integrate
-from .transverse import HermitianField, ddbar, log_det, ricci
+from .grid import GridSpec, ScalarField, diff1, diff2_into, integrate
+from .transverse import HermitianField, _ddbar_matrices, ddbar, log_det, ricci
 
 __all__ = [
     "FlowConfig",
@@ -86,18 +86,19 @@ class FlowConfig:
     positivity_floor: float = 1e-10
 
     def __post_init__(self):
+        # Messages start with the field name, which config errors report as flow.<field>.
         if self.class_k not in (-1, 0):
-            raise GridError(f"class_k must be -1 or 0, got {self.class_k}")
+            raise GridError(f"class_k: must be -1 or 0, got {self.class_k}")
         if not self.dt_initial > 0:
-            raise GridError("dt_initial must be positive")
+            raise GridError(f"dt_initial: must be positive, got {self.dt_initial}")
         if not 0 < self.dt_safety <= 1:
-            raise GridError("dt_safety must lie in (0, 1]")
+            raise GridError(f"dt_safety: must lie in (0, 1], got {self.dt_safety}")
         if self.max_steps < 1:
-            raise GridError("max_steps must be >= 1")
+            raise GridError(f"max_steps: must be >= 1, got {self.max_steps}")
         if not self.ricci_tolerance > 0:
-            raise GridError("ricci_tolerance must be positive")
+            raise GridError(f"ricci_tolerance: must be positive, got {self.ricci_tolerance}")
         if not self.positivity_floor > 0:
-            raise GridError("positivity_floor must be positive")
+            raise GridError(f"positivity_floor: must be positive, got {self.positivity_floor}")
 
 
 @dataclass(frozen=True)
@@ -241,32 +242,20 @@ def reference_form(state: FlowState, t: float) -> HermitianField:
     )
 
 
-def _reference_matrices(state: FlowState, t: float, rescaled: bool) -> np.ndarray:
+def _reference_matrices(
+    state: FlowState, t: float, rescaled: bool, full: bool = False
+) -> np.ndarray:
+    """The reference metric's matrices at ``t``, with unit leaf axes when ``full``."""
     if rescaled:
         w = np.exp(-t)
-        return state.chi.matrices + w * (state.omega_hat_0.matrices - state.chi.matrices)
-    if t == 0.0:
-        return state.omega_hat_0.matrices
-    return state.omega_hat_0.matrices + t * state.chi.matrices
-
-
-def _hesse_matrices(phi_values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """ddbar coefficients of a raw real array; transverse axes only."""
-    n = spec.n
-    hs = spec.spacings
-    out = np.zeros(phi_values.shape + (n, n), dtype=np.complex128)
-    for j in range(n):
-        ax, ay = 2 * j, 2 * j + 1
-        out[..., j, j] = 0.25 * (diff2(phi_values, ax, hs[ax]) + diff2(phi_values, ay, hs[ay]))
-    for j in range(n):
-        for k in range(j + 1, n):
-            jx, jy = 2 * j, 2 * j + 1
-            kx, ky = 2 * k, 2 * k + 1
-            dk = 0.5 * (diff1(phi_values, kx, hs[kx]) + 1j * diff1(phi_values, ky, hs[ky]))
-            entry = 0.5 * (diff1(dk, jx, hs[jx]) - 1j * diff1(dk, jy, hs[jy]))
-            out[..., j, k] = entry
-            out[..., k, j] = np.conj(entry)
-    return out
+        m = state.chi.matrices + w * (state.omega_hat_0.matrices - state.chi.matrices)
+    elif t == 0.0:
+        m = state.omega_hat_0.matrices
+    else:
+        m = state.omega_hat_0.matrices + t * state.chi.matrices
+    if full:
+        m = m.reshape(m.shape[:-2] + (1, 1) + m.shape[-2:])
+    return m
 
 
 class _Scratch:
@@ -310,18 +299,6 @@ def _add_half_leaf_laplacian(phi, out, hs, tmp, tmp1, tmp2):
         diff2_into(phi, axis, hs[axis], tmp, tmp1, tmp2)
         tmp *= 0.5
         out += tmp
-
-
-def _metric_values_n1(
-    phi_values: np.ndarray, t: float, state: FlowState, rescaled: bool, extended: bool,
-    scratch: _Scratch,
-) -> np.ndarray:
-    """Values of the evolving n = 1 metric, in an array taken from ``scratch``."""
-    spec = state.phi.spec
-    ref = _reference_matrices(state, t, rescaled)[..., 0, 0].real
-    if extended:
-        ref = ref.reshape(spec.transverse_shape + (1, 1))
-    return _whole_metric_n1(phi_values, ref, spec.spacings, scratch)
 
 
 def _whole_metric_n1(phi, ref, hs, scratch):
@@ -433,16 +410,14 @@ def _rhs_values(
         scratch = _Scratch()
     if extended:
         log_density = log_density.reshape(spec.transverse_shape + (1, 1))
+    ref = _reference_matrices(state, t, rescaled, extended)
     if n == 1:
-        ref = _reference_matrices(state, t, rescaled)[..., 0, 0].real
-        if extended:
-            ref = ref.reshape(spec.transverse_shape + (1, 1))
-        _rhs_n1(phi_values, ref, log_density, spec.spacings, positivity_floor, extended, out, scratch)
+        _rhs_n1(
+            phi_values, ref[..., 0, 0].real, log_density, spec.spacings, positivity_floor,
+            extended, out, scratch,
+        )
     else:
-        ref = _reference_matrices(state, t, rescaled)
-        if extended:
-            ref = ref.reshape(spec.transverse_shape + (1, 1, n, n))
-        gt = ref + _hesse_matrices(phi_values, spec)
+        gt = ref + _ddbar_matrices(phi_values, spec)
         np.subtract(_log_det_positive(gt, n, positivity_floor), log_density, out=out)
         if extended:
             temps = [scratch.take(out.shape) for _ in range(3)]
@@ -500,11 +475,9 @@ def transverse_metric(
     """The evolving transverse metric ghat(t) + phi_{j kbar}."""
     spec = state.phi.spec
     tt = state.t if t is None else t
-    phi_values = state.phi.values if state.phi.basic else state.phi.as_full_values()
-    ref = _reference_matrices(state, tt, rescaled)
-    if not state.phi.basic:
-        ref = ref.reshape(spec.transverse_shape + (1, 1, spec.n, spec.n))
-    return HermitianField(spec, ref + _hesse_matrices(phi_values, spec), basic=state.phi.basic)
+    basic = state.phi.basic
+    ref = _reference_matrices(state, tt, rescaled, full=not basic)
+    return HermitianField(spec, ref + _ddbar_matrices(state.phi.values, spec), basic=basic)
 
 
 def leafwise_defect(state: FlowState) -> float:
@@ -528,37 +501,21 @@ def leafwise_defect(state: FlowState) -> float:
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _metric_eig_range(
-    state: FlowState, t: float, rescaled: bool, phi_values: np.ndarray
-) -> tuple[float, float]:
-    spec = state.phi.spec
-    if spec.n == 1:
-        g = _metric_values_n1(phi_values, t, state, rescaled, not state.phi.basic, _Scratch())
-        return float(np.min(g)), float(np.max(g))
-    ref = _reference_matrices(state, t, rescaled)
-    if not state.phi.basic:
-        ref = ref.reshape(spec.transverse_shape + (1, 1, spec.n, spec.n))
-    w = np.linalg.eigvalsh(ref + _hesse_matrices(phi_values, spec))
-    return float(np.min(w)), float(np.max(w))
-
-
 def _select_dt(state: FlowState, config: FlowConfig) -> float:
-    spec = state.phi.spec
+    """The CFL step from the eigenvalue range of the state's diagnostics.
+
+    They are computed when none are attached; a breach of the positivity
+    floor raises :class:`PositivityLost` with its grid location.
+    """
     d = state.diagnostics
-    # Diagnostics attached by a previous step() already hold this metric's
-    # eigenvalue range; the initial state (dt == 0) recomputes.
-    if d is not None and d.dt > 0.0 and d.min_eig > 0.0:
-        lo, hi = d.min_eig, d.max_eig
-    else:
-        phi_values = state.phi.values if state.phi.basic else state.phi.as_full_values()
-        lo, hi = _metric_eig_range(state, state.t, config.rescaled, phi_values)
-    if not lo > config.positivity_floor:
-        raise PositivityLost(
-            f"metric eigenvalue {lo:.6e} at or below the positivity floor",
-            min_eigenvalue=lo,
+    if d is None:
+        d = _diagnostics(state, config, dphidt_sup=0.0, dt=0.0)
+    if not d.min_eig > config.positivity_floor:
+        transverse_metric(state, rescaled=config.rescaled).checked_positive(
+            config.positivity_floor
         )
-    h_min = min(spec.spacings)
-    return min(config.dt_initial, config.dt_safety * h_min * h_min * lo / hi)
+    h_min = min(state.phi.spec.spacings)
+    return min(config.dt_initial, config.dt_safety * h_min * h_min * d.min_eig / d.max_eig)
 
 
 def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> FlowState:
@@ -630,8 +587,7 @@ def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> F
 
 def ricci_residual(state: FlowState, config: FlowConfig) -> float:
     """sup || Ric(omega(t)) - k omega(t) ||, the convergence functional."""
-    d = _diagnostics(state, config, dphidt_sup=0.0, dt=0.0)
-    return d.ricci_sup
+    return _diagnostics(state, config, dphidt_sup=0.0, dt=0.0).ricci_sup
 
 
 def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
@@ -664,13 +620,11 @@ def _diagnostics(
             )
             inner = _diagnostics(reduced, replace(config, extended=False), dphidt_sup, dt, scratch)
             return replace(inner, leafwise_defect=defect)
-    phi_values = state.phi.values if state.phi.basic else state.phi.as_full_values()
     if spec.n == 1:
         if scratch is None:
             scratch = _Scratch()
-        g = _metric_values_n1(
-            phi_values, state.t, state, config.rescaled, not state.phi.basic, scratch
-        )
+        ref = _reference_matrices(state, state.t, config.rescaled, full=not state.phi.basic)
+        g = _whole_metric_n1(state.phi.values, ref[..., 0, 0].real, spec.spacings, scratch)
         lo, hi = float(np.min(g)), float(np.max(g))
         hs = spec.spacings
         ld, ric, tmp, tmp1, tmp2 = (scratch.take(g.shape) for _ in range(5))
@@ -686,7 +640,7 @@ def _diagnostics(
         scratch.give(g, ld, ric, tmp, tmp1, tmp2)
     else:
         g = transverse_metric(state, rescaled=config.rescaled)
-        lo, hi = _metric_eig_range(state, state.t, config.rescaled, phi_values)
+        lo, hi = g.eig_range()
         r = ricci(g)
         ric_sup = float(np.max(np.abs(r.matrices - config.class_k * g.matrices)))
     return FlowDiagnostics(
@@ -701,7 +655,11 @@ def _diagnostics(
 
 @dataclass
 class FlowReport:
-    """Outcome of a flow run, with one history row per recorded step."""
+    """Outcome of a flow run, with one history row per recorded step.
+
+    After ``positivity_lost``, ``failure`` holds the breach's ``min_eigenvalue``
+    and grid ``location`` (None where unknown); otherwise it is None.
+    """
 
     converged: bool
     reason: str  # converged | not_converged | positivity_lost | step_floor | diverged
@@ -709,6 +667,7 @@ class FlowReport:
     steps: int
     history: list[dict]
     final_state: FlowState
+    failure: dict | None = None
 
     def history_csv_lines(self) -> list[str]:
         lines = [",".join(HISTORY_COLUMNS)]
@@ -738,8 +697,8 @@ def run(
     state = initial
     try:
         rhs0 = _initial_dphidt(state, config)
-    except PositivityLost:
-        return FlowReport(False, "positivity_lost", state.t, 0, [], state)
+    except PositivityLost as exc:
+        return FlowReport(False, "positivity_lost", state.t, 0, [], state, _failure(exc))
     diag = _diagnostics(state, config, dphidt_sup=rhs0, dt=0.0)
     state = replace(state, diagnostics=diag)
     history = [_history_row(0, state)]
@@ -758,8 +717,10 @@ def run(
                 return FlowReport(False, "not_converged", state.t, k - 1, history, state)
         try:
             state = step(state, config, dt_cap=dt_cap)
-        except PositivityLost:
-            return FlowReport(False, "positivity_lost", state.t, k - 1, history, state)
+        except PositivityLost as exc:
+            return FlowReport(
+                False, "positivity_lost", state.t, k - 1, history, state, _failure(exc)
+            )
         except StepFloor:
             return FlowReport(False, "step_floor", state.t, k - 1, history, state)
         row = _history_row(k, state)
@@ -776,6 +737,10 @@ def run(
     return FlowReport(False, "not_converged", state.t, config.max_steps, history, state)
 
 
+def _failure(exc: PositivityLost) -> dict:
+    return {"min_eigenvalue": exc.min_eigenvalue, "location": exc.location}
+
+
 def _initial_dphidt(state: FlowState, config: FlowConfig) -> float:
     phi0 = (
         np.ascontiguousarray(state.phi.as_full_values()) if config.extended else state.phi.values
@@ -789,14 +754,4 @@ def _initial_dphidt(state: FlowState, config: FlowConfig) -> float:
 
 
 def _history_row(k: int, state: FlowState) -> dict:
-    d = state.diagnostics
-    return {
-        "step": k,
-        "t": state.t,
-        "dt": d.dt,
-        "ricci_sup": d.ricci_sup,
-        "dphidt_sup": d.dphidt_sup,
-        "min_eig": d.min_eig,
-        "max_eig": d.max_eig,
-        "leafwise_defect": d.leafwise_defect,
-    }
+    return {"step": k, "t": state.t, **vars(state.diagnostics)}

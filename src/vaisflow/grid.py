@@ -61,7 +61,7 @@ class GridSpec:
     transverse_resolution : tuple of int
         Point counts for the 2n transverse axes; each >= 8 and even.
     transverse_periods : tuple of float
-        Period lengths for the transverse axes; each > 0.
+        Period lengths for the transverse axes; each > 0 and finite.
     leaf_resolution, leaf_periods : optional pairs
         Present together for a "full" spec with the two leaf axes (x, y);
         absent for a basic-only spec.
@@ -100,8 +100,8 @@ class GridSpec:
             if r < _MIN_RESOLUTION or r % 2 != 0:
                 raise GridError(f"every resolution must be even and >= {_MIN_RESOLUTION}, got {r}")
         for p in self.periods:
-            if not p > 0:
-                raise GridError(f"every period must be positive, got {p}")
+            if not 0 < p < math.inf:
+                raise GridError(f"every period must be positive and finite, got {p}")
 
     @property
     def has_leaf(self) -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import SnapshotError
+from .exceptions import GridError, PositivityLost, SnapshotError
 from .grid import GridSpec, ScalarField
 from .transverse import HermitianField
 
@@ -49,7 +49,7 @@ def spec_from_dict(d: dict) -> GridSpec:
             leaf_resolution=tuple(d["leaf_resolution"]) if d.get("leaf_resolution") else None,
             leaf_periods=tuple(d["leaf_periods"]) if d.get("leaf_periods") else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, GridError) as exc:
         raise SnapshotError(f"malformed grid spec: {exc}") from exc
 
 
@@ -66,7 +66,7 @@ def _decode_values(raw: list, complex_: bool) -> np.ndarray:
             arr = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
         else:
             arr = np.array([float(v) for v in raw], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"malformed values array: {exc}") from exc
     return arr
 
@@ -90,6 +90,8 @@ def field_to_dict(field: ScalarField | HermitianField) -> dict:
 
 
 def field_from_dict(d: dict) -> ScalarField | HermitianField:
+    if not isinstance(d, dict):
+        raise SnapshotError("a field snapshot must be a JSON object")
     try:
         kind = d["kind"]
         spec = spec_from_dict(d["spec"])
@@ -97,30 +99,37 @@ def field_from_dict(d: dict) -> ScalarField | HermitianField:
         raw = d["values"]
     except KeyError as exc:
         raise SnapshotError(f"snapshot is missing key {exc}") from exc
-    shape = spec.shape(basic)
-    if kind == "scalar":
-        complex_ = bool(raw) and isinstance(raw[0], list)
-        values = _decode_values(raw, complex_).reshape(shape)
-        return ScalarField(spec, values, basic)
-    if kind == "hermitian":
+    if kind not in ("scalar", "hermitian"):
+        raise SnapshotError(f"unknown snapshot kind {kind!r}")
+    if not isinstance(raw, list):
+        raise SnapshotError("values must be a list")
+    try:
+        shape = spec.shape(basic)
+        if kind == "scalar":
+            complex_ = bool(raw) and isinstance(raw[0], list)
+            return ScalarField(spec, _decode_values(raw, complex_).reshape(shape), basic)
         n = spec.n
-        values = _decode_values(raw, True).reshape(shape + (n, n))
-        return HermitianField(spec, values, basic)
-    raise SnapshotError(f"unknown snapshot kind {kind!r}")
+        return HermitianField(spec, _decode_values(raw, True).reshape(shape + (n, n)), basic)
+    except (ValueError, GridError) as exc:
+        raise SnapshotError(f"invalid {kind} field: {exc}") from exc
 
 
 def save_snapshot(field, path: str | Path):
     Path(path).write_text(json.dumps(field_to_dict(field)))
 
 
-def load_snapshot(path: str | Path):
+def _read_object(path: str | Path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SnapshotError("snapshot must be a JSON object")
-    return field_from_dict(data)
+    return data
+
+
+def load_snapshot(path: str | Path):
+    return field_from_dict(_read_object(path))
 
 
 def load_metric_bundle(path: str | Path) -> tuple[HermitianField, HermitianField | None]:
@@ -128,14 +137,10 @@ def load_metric_bundle(path: str | Path) -> tuple[HermitianField, HermitianField
 
     The optional explicit Ricci field supports synthetic transversally
     Einstein data, which cannot arise from differentiating any periodic
-    metric on the chart.
+    metric on the chart.  Both fields must be finite, the metric positive
+    definite, and the Ricci field on the metric's grid.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SnapshotError("snapshot must be a JSON object")
+    data = _read_object(path)
     if "metric" in data:
         metric = field_from_dict(data["metric"])
         ricci_f = field_from_dict(data["ricci"]) if data.get("ricci") else None
@@ -146,6 +151,14 @@ def load_metric_bundle(path: str | Path) -> tuple[HermitianField, HermitianField
         ricci_f is not None and not isinstance(ricci_f, HermitianField)
     ):
         raise SnapshotError("metric snapshots must hold Hermitian fields")
+    if ricci_f is not None and (ricci_f.spec, ricci_f.basic) != (metric.spec, metric.basic):
+        raise SnapshotError("the Ricci field must live on the metric's grid")
+    if not all(np.all(np.isfinite(f.matrices)) for f in (metric, ricci_f) if f is not None):
+        raise SnapshotError("metric snapshots must hold finite values")
+    try:
+        metric.checked_positive()
+    except PositivityLost as exc:
+        raise SnapshotError(f"the metric is not positive definite: {exc}") from exc
     return metric, ricci_f
 
 

@@ -165,23 +165,26 @@ def ddbar(f: ScalarField) -> HermitianField:
     """
     if f.is_complex:
         raise GridError("ddbar expects a real-valued field")
-    spec = f.spec
+    return HermitianField(f.spec, _ddbar_matrices(f.values, f.spec), basic=f.basic)
+
+
+def _ddbar_matrices(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The coefficient matrices of :func:`ddbar` for a raw real array."""
     n = spec.n
     hs = spec.spacings
-    vals = f.values
-    out = np.zeros(vals.shape + (n, n), dtype=np.complex128)
+    out = np.zeros(values.shape + (n, n), dtype=np.complex128)
     for j in range(n):
         ax, ay = 2 * j, 2 * j + 1
-        out[..., j, j] = 0.25 * (diff2(vals, ax, hs[ax]) + diff2(vals, ay, hs[ay]))
+        out[..., j, j] = 0.25 * (diff2(values, ax, hs[ax]) + diff2(values, ay, hs[ay]))
     for j in range(n):
         for k in range(j + 1, n):
             jx, jy = 2 * j, 2 * j + 1
             kx, ky = 2 * k, 2 * k + 1
-            dk = 0.5 * (diff1(vals, kx, hs[kx]) + 1j * diff1(vals, ky, hs[ky]))
+            dk = 0.5 * (diff1(values, kx, hs[kx]) + 1j * diff1(values, ky, hs[ky]))
             entry = 0.5 * (diff1(dk, jx, hs[jx]) - 1j * diff1(dk, jy, hs[jy]))
             out[..., j, k] = entry
             out[..., k, j] = np.conj(entry)
-    return HermitianField(spec, out, basic=f.basic)
+    return out
 
 
 def metric_from_potential(h: ScalarField, base: HermitianField) -> HermitianField:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vaisflow.grid import GridSpec
+
+# Every hypothesis test draws the same examples on every run, so Tier-1
+# stays reproducible; tests that set max_examples themselves keep theirs.
+settings.register_profile(
+    "vaisflow", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("vaisflow")
 
 TWO_PI = 2.0 * np.pi
 

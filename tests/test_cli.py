@@ -107,6 +107,18 @@ class TestCmdFlow:
         )
         cfg = write_config(tmp_path / "broken.cfg", body)
         assert main(["flow", cfg]) == 3
+        failure = json.loads((tmp_path / "out" / "report.json").read_text())["failure"]
+        assert failure["min_eigenvalue"] <= 0.95
+        assert len(failure["location"]) == 2
+
+    def test_infinite_period_is_a_config_error(self, tmp_path, capsys):
+        body = FLAT_FLOW.format(out=tmp_path / "out").replace(
+            "transverse_periods = 6.283185307179586 6.283185307179586",
+            "transverse_periods = inf 6.283185307179586",
+        )
+        cfg = write_config(tmp_path / "inf.cfg", body)
+        assert main(["flow", cfg]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_reproducible_history(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.cfg", BUMP_FLOW.format(out=tmp_path / "out_a"))
@@ -155,6 +167,14 @@ class TestCmdCheckStructure:
         payload = json.loads((tmp_path / "out" / "checks.json").read_text())
         assert all(row["r1"] < 1e-12 for row in payload["results"])
 
+    def test_invalid_resolution_is_a_config_error(self, tmp_path, capsys):
+        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+            "resolutions = 32 64", "resolutions = 63 64"
+        )
+        cfg = write_config(tmp_path / "odd.cfg", body)
+        assert main(["check-structure", cfg]) == 1
+        assert "checks.resolutions" in capsys.readouterr().err
+
     def test_injected_defect_detected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "checks.cfg", CHECKS.format(defect="true", out=tmp_path / "out")
@@ -196,6 +216,22 @@ class TestCmdFitEinstein:
         path = tmp_path / "junk.json"
         path.write_text("{ nope")
         assert main(["fit-einstein", str(path)]) == 1
+
+    @pytest.mark.parametrize("fault", ["value_count", "non_hermitian", "bad_spec", "values_type"])
+    def test_invalid_snapshot_exits_1(self, tmp_path, capsys, fault):
+        d = field_to_dict(HermitianField.identity(basic_spec(n=2, res=8)))
+        if fault == "value_count":
+            d["values"].pop()
+        elif fault == "non_hermitian":
+            d["values"][1] = [0.5, 0.0]
+        elif fault == "bad_spec":
+            d["spec"]["transverse_resolution"][0] = 7
+        else:
+            d["kind"], d["values"] = "scalar", 1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert main(["fit-einstein", str(path)]) == 1
+        assert "snapshot error" in capsys.readouterr().err
 
 
 class TestCmdReport:

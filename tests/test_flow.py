@@ -32,16 +32,17 @@ def bump_state(res=64, amplitude=-0.4, chi=None, spec=None):
 
 class TestFlowConfig:
     def test_validation(self):
-        with pytest.raises(GridError):
-            FlowConfig(class_k=1)
-        with pytest.raises(GridError):
-            FlowConfig(dt_initial=-1.0)
-        with pytest.raises(GridError):
-            FlowConfig(dt_safety=0.0)
-        with pytest.raises(GridError):
-            FlowConfig(max_steps=0)
-        with pytest.raises(GridError):
-            FlowConfig(ricci_tolerance=0.0)
+        for field, value in (
+            ("class_k", 1),
+            ("dt_initial", -1.0),
+            ("dt_safety", 0.0),
+            ("max_steps", 0),
+            ("ricci_tolerance", 0.0),
+            ("positivity_floor", 0.0),
+        ):
+            with pytest.raises(GridError) as err:
+                FlowConfig(**{field: value})
+            assert str(err.value).startswith(f"{field}:")
 
 
 class TestReferenceForm:
@@ -270,9 +271,19 @@ class TestStep:
         # An admissibility floor above the current minimum eigenvalue is a
         # non-retryable breakdown, reported rather than raised.
         spec, st = bump_state(res=16)  # min eigenvalue 0.9
-        report = run(st, FlowConfig(positivity_floor=0.95, ricci_tolerance=1e-30))
+        config = FlowConfig(positivity_floor=0.95, ricci_tolerance=1e-30)
+        report = run(st, config)
         assert not report.converged
         assert report.reason == "positivity_lost"
+        g = transverse_metric(st).matrices[..., 0, 0].real
+        argmin = tuple(int(i) for i in np.unravel_index(np.argmin(g), g.shape))
+        assert report.failure["location"] == argmin
+        assert report.failure["min_eigenvalue"] <= 0.95
+        # step's own CFL check reports the same breach.
+        with pytest.raises(PositivityLost) as err:
+            step(st, config)
+        assert err.value.location == argmin
+        assert err.value.min_eigenvalue == report.failure["min_eigenvalue"]
 
     def test_step_floor_guard(self, monkeypatch):
         # The halving loop's hard floor; stage failures that persist at any

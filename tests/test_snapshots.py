@@ -96,6 +96,68 @@ class TestMalformed:
         with pytest.raises(SnapshotError):
             field_from_dict(d)
 
+    def test_wrong_number_of_values(self):
+        d = field_to_dict(ScalarField.zeros(basic_spec(res=16)))
+        d["values"] = d["values"][:-1]
+        with pytest.raises(SnapshotError, match="invalid scalar field"):
+            field_from_dict(d)
+
+    def test_non_hermitian_matrices(self):
+        spec = basic_spec(n=2, res=8)
+        d = field_to_dict(HermitianField.identity(spec))
+        d["values"][1] = [0.5, 0.0]  # g_{1 2bar} = 0.5 but g_{2 1bar} = 0
+        with pytest.raises(SnapshotError, match="not Hermitian"):
+            field_from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("transverse_resolution", [7, 8]),
+        ("transverse_periods", [6.0, float("inf")]),
+        ("n", 2),
+    ])
+    def test_invalid_spec(self, key, value):
+        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        d["spec"][key] = value
+        with pytest.raises(SnapshotError, match="malformed grid spec"):
+            field_from_dict(d)
+
+    @pytest.mark.parametrize("values", [5, "abc", {"a": 1}, None])
+    def test_values_not_a_list(self, values):
+        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        d["values"] = values
+        with pytest.raises(SnapshotError, match="values must be a list"):
+            field_from_dict(d)
+
+    def test_field_not_an_object(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"metric": [1, 2, 3]}))
+        with pytest.raises(SnapshotError, match="JSON object"):
+            load_metric_bundle(path)
+
+    def test_metric_not_positive(self, tmp_path):
+        spec = basic_spec(res=8)
+        path = tmp_path / "neg.json"
+        save_snapshot(HermitianField.identity(spec).scaled(-1.0), path)
+        with pytest.raises(SnapshotError, match="not positive definite"):
+            load_metric_bundle(path)
+
+    @pytest.mark.parametrize("field", ["metric", "ricci"])
+    def test_non_finite_values(self, tmp_path, field):
+        g = field_to_dict(HermitianField.identity(basic_spec(res=8)))
+        bundle = {"metric": g, "ricci": json.loads(json.dumps(g))}
+        bundle[field]["values"][5] = [float("inf"), 0.0]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(bundle))
+        with pytest.raises(SnapshotError, match="finite"):
+            load_metric_bundle(path)
+
+    def test_ricci_on_another_grid(self, tmp_path):
+        g = HermitianField.identity(basic_spec(res=8))
+        ric = HermitianField.identity(basic_spec(res=16))
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"metric": field_to_dict(g), "ricci": field_to_dict(ric)}))
+        with pytest.raises(SnapshotError, match="metric's grid"):
+            load_metric_bundle(path)
+
     def test_scalar_not_a_metric(self, tmp_path):
         spec = basic_spec(res=16)
         path = tmp_path / "scalar.json"
