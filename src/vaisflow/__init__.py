@@ -31,6 +31,7 @@ from .exceptions import (
     GridError,
     IdentityViolation,
     InexactClass,
+    NonFinitePotential,
     NonPositiveDeterminant,
     NonPositiveScale,
     PositivityLost,

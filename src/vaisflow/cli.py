@@ -6,13 +6,14 @@ Commands
     Run the transverse flow described by the config; writes ``history.csv``,
     checkpoint snapshots, a final metric snapshot, and ``report.json`` into
     the output directory.  Exit code 0 on convergence, 2 when the step or
-    time budget ran out, 3 on positivity loss / step floor / divergence,
-    1 on a configuration error.
+    time budget ran out, 3 on positivity loss / step floor / divergence /
+    a non-finite potential, 1 on a configuration error.
 
 ``vaisflow check-structure <config>``
-    Build charts at the configured resolutions, run the structure identity
-    suite, and report residuals plus the fitted convergence order.  Exit 0
-    when everything passes, 4 when an identity fails (named on stderr).
+    Build charts at the configured resolutions (at least two), run the
+    structure identity suite, and report residuals plus the fitted
+    convergence order.  Exit 0 when everything passes, 4 when an identity
+    fails (named on stderr).
 
 ``vaisflow fit-einstein <snapshot> [-o out.json]``
     Fit the quasi-Einstein decomposition to a metric snapshot (optionally
@@ -127,13 +128,12 @@ def _build_initial_state(cfg: ExperimentConfig) -> fl.FlowState:
     base = HermitianField.identity(spec)
     try:
         g0 = metric_from_potential(h, base)
-    except PositivityLost as exc:
+    except (GridError, PositivityLost) as exc:  # GridError: non-finite coefficients
         raise ConfigError(f"chart.potential: inadmissible potential ({exc})") from exc
-    chi = chi_field(spec, cfg.chi, cfg.chi_amplitude)
     try:
-        return fl.initial_state(g0, chi)
+        return fl.initial_state(g0, chi_field(spec, cfg.chi, cfg.chi_amplitude))
     except (GridError, InexactClass) as exc:
-        # e.g. a volume density that under- or overflows on an extreme chart
+        # e.g. a non-finite chi, or a volume density that under- or overflows
         raise ConfigError(f"chart, flow.chi: no admissible initial state ({exc})") from exc
 
 
@@ -216,7 +216,7 @@ def cmd_check_structure(config_path: Path) -> int:
             deformed = vm.deform(
                 chart, potential_field(spec, "cos_bump", checks.deform_amplitude)
             )
-        except (IdentityViolation, PositivityLost) as exc:
+        except (GridError, IdentityViolation, PositivityLost) as exc:
             failures.append(f"chart construction at {res}: {exc}")
             continue
 
@@ -282,9 +282,12 @@ def cmd_check_structure(config_path: Path) -> int:
 def cmd_fit_einstein(snapshot_path: Path, output: Path | None) -> int:
     metric, ricci_T = load_metric_bundle(snapshot_path)
     n = metric.spec.n
-    if ricci_T is None:
-        ricci_T = ricci(metric)
-    block = es.assemble_full_ricci(ricci_T, metric, n)
+    try:
+        if ricci_T is None:
+            ricci_T = ricci(metric)
+        block = es.assemble_full_ricci(ricci_T, metric, n)
+    except GridError as exc:  # e.g. a Ricci field that overflows on a tiny grid spacing
+        raise SnapshotError(f"no finite Ricci field for this snapshot: {exc}") from exc
     fit = es.quasi_einstein_fit(block, metric, n)
     weyl = es.weyl_ricci_residual(block, metric, n)
     try:

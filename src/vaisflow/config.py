@@ -90,7 +90,14 @@ class ChecksSection:
     inject_defect: bool = False
 
     def grid_specs(self) -> list[GridSpec]:
-        """One n = 1 spec per resolution, all with 2 pi periods."""
+        """One n = 1 spec per resolution, all with 2 pi periods.
+
+        The convergence-order check needs at least two resolutions.
+        """
+        if len(self.resolutions) < 2:
+            raise ConfigError(
+                f"checks.resolutions: needs at least two resolutions, got {list(self.resolutions)}"
+            )
         return [
             GridSpec(1, (res, res), (_TWO_PI, _TWO_PI), self.leaf_resolution, (_TWO_PI, _TWO_PI))
             for res in self.resolutions

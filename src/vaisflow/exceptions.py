@@ -38,6 +38,10 @@ class StepFloor(VaisflowError):
     """Adaptive time step fell below the hard floor while retrying."""
 
 
+class NonFinitePotential(VaisflowError):
+    """The flow's potential holds a NaN or an infinity."""
+
+
 class IdentityViolation(VaisflowError):
     """A structural identity required of a chart construction failed."""
 

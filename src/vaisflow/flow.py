@@ -20,13 +20,13 @@ onto the unrescaled one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from ._kernels import HAVE_NUMBA, rhs_n1
-from .exceptions import GridError, InexactClass, PositivityLost, StepFloor
+from .exceptions import GridError, InexactClass, NonFinitePotential, PositivityLost, StepFloor
 from .grid import GridSpec, ScalarField, diff1, diff2_into, integrate
 from .transverse import HermitianField, _ddbar_matrices, ddbar, log_det, ricci
 
@@ -126,6 +126,9 @@ class FlowState:
     chi: HermitianField
     volume_density: ScalarField
     diagnostics: FlowDiagnostics | None = None
+    # (phi, t, extended, rescaled, f(phi, t)) from the diagnostics pass, which
+    # attaches it; ``replace`` and the constructor leave it None.
+    _stage: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.volume_density.values <= 0):
@@ -263,8 +266,8 @@ class _Scratch:
 
     :meth:`take` hands out a free float64 array of the requested shape,
     allocating only when none is free, and :meth:`give` returns arrays for
-    reuse.  A step thereby runs its four stages and its diagnostics on the
-    same few buffers.
+    reuse.  A step thereby runs its stages and its diagnostics on the same
+    few buffers.
     """
 
     def __init__(self):
@@ -279,16 +282,54 @@ class _Scratch:
             self._free.setdefault(a.shape, []).append(a)
 
 
+def _blocks(values, blocked, scratch):
+    """Yield ``(rows, src, halo)`` for the axis-0 blocks of ``values``.
+
+    Unblocked, the one block is the whole array, which wraps periodically
+    (``halo`` 0).  Blocked, each block holds ``_SLAB_PLANES`` planes and
+    ``src`` carries ``_HALO`` more on each side: a view of ``values`` inside
+    the axis, or a wrapped copy at its two ends, valid until the next block.
+    """
+    if not blocked:
+        yield slice(None), values, 0
+        return
+    n0 = values.shape[0]
+    window = scratch.take((_SLAB_PLANES + 2 * _HALO,) + values.shape[1:])
+    for i0 in range(0, n0, _SLAB_PLANES):
+        i1 = i0 + _SLAB_PLANES
+        if _HALO <= i0 and i1 + _HALO <= n0:
+            src = values[i0 - _HALO:i1 + _HALO]
+        else:
+            src = np.take(values, range(i0 - _HALO, i1 + _HALO), axis=0, out=window, mode="wrap")
+        yield slice(i0, i1), src, _HALO
+    scratch.give(window)
+
+
+def _block_temps(shape, blocked, scratch, count):
+    """``count`` scratch arrays of the shape of one block of :func:`_blocks`."""
+    block = (_SLAB_PLANES,) + shape[1:] if blocked else shape
+    return [scratch.take(block) for _ in range(count)]
+
+
+def _core(src, halo):
+    """The planes of a block, without its halo."""
+    return src[halo:src.shape[0] - halo]
+
+
+def _laplacian_n1(src, halo, hs, out, tmp, tmp1, tmp2):
+    """out = f_xx + f_yy along the two transverse axes of the block ``src``."""
+    diff2_into(src, 0, hs[0], out, tmp1, tmp2, halo)
+    diff2_into(_core(src, halo), 1, hs[1], tmp, tmp1, tmp2)
+    out += tmp
+
+
 def _metric_n1(src, halo, ref, hs, out, tmp, tmp1, tmp2):
     """out = ref + 0.25 (phi_xx + phi_yy), the n = 1 evolving metric.
 
     ``src`` holds phi with ``halo`` extra axis-0 planes at each end (none
     for a whole-grid evaluation, which wraps periodically).
     """
-    diff2_into(src, 0, hs[0], out, tmp1, tmp2, halo)
-    core = src[halo:src.shape[0] - halo] if halo else src
-    diff2_into(core, 1, hs[1], tmp, tmp1, tmp2)
-    out += tmp
+    _laplacian_n1(src, halo, hs, out, tmp, tmp1, tmp2)
     out *= 0.25
     out += ref
 
@@ -299,6 +340,14 @@ def _add_half_leaf_laplacian(phi, out, hs, tmp, tmp1, tmp2):
         diff2_into(phi, axis, hs[axis], tmp, tmp1, tmp2)
         tmp *= 0.5
         out += tmp
+
+
+def _leaf_slopes(values, hs, tmp):
+    """(sup |values_x|, sup |values_y|) along the two leaf axes, the last two."""
+    return tuple(
+        np.max(np.abs(diff1(values, axis, hs[axis], out=tmp), out=tmp))
+        for axis in (values.ndim - 2, values.ndim - 1)
+    )
 
 
 def _whole_metric_n1(phi, ref, hs, scratch):
@@ -326,8 +375,8 @@ def _floor_check(values_min: float, floor: float, values: np.ndarray | None = No
         )
 
 
-def _log_det_positive(matrices: np.ndarray, n: int, floor: float) -> np.ndarray:
-    w = np.linalg.eigvalsh(matrices)
+def _log_det_positive(w: np.ndarray, floor: float) -> np.ndarray:
+    """sum(log w) per point, after checking the eigenvalues ``w`` against the floor."""
     # eigvalsh sorts ascending, so w[..., 0] is the smallest eigenvalue per point.
     _floor_check(float(np.min(w)), floor, w[..., 0])
     return np.sum(np.log(w), axis=-1)
@@ -339,40 +388,24 @@ def _rhs_n1(phi, ref, log_density, hs, floor, extended, out, scratch):
     It computes g = ref + 0.25 (phi_xx + phi_yy), checks g against the
     floor, then takes log g - log_density and, when extended, adds
     0.5 phi_xx and 0.5 phi_yy along the leaves.  The basic grid is small and
-    is evaluated whole; the extended grid is swept in blocks of
-    ``_SLAB_PLANES`` axis-0 planes.  Each block reads its axis-0 halo from
-    phi itself, or from a wrapped copy at the two ends of the axis.  Every
-    value is bit-identical to a whole-grid evaluation.
+    is evaluated whole; the extended grid is swept in the blocks of
+    :func:`_blocks`.  Every value is bit-identical to a whole-grid
+    evaluation.
     """
-    if not extended:
-        tmp, tmp1, tmp2 = (scratch.take(phi.shape) for _ in range(3))
-        _metric_n1(phi, 0, ref, hs, out, tmp, tmp1, tmp2)
-        _floor_check(float(np.min(out)), floor, out)
-        np.log(out, out=out)
-        out -= log_density
-        scratch.give(tmp, tmp1, tmp2)
-        return
-    n0 = phi.shape[0]
-    block_shape = (_SLAB_PLANES,) + phi.shape[1:]
-    tmp, tmp1, tmp2 = (scratch.take(block_shape) for _ in range(3))
-    window = scratch.take((_SLAB_PLANES + 2 * _HALO,) + phi.shape[1:])
-    for i0 in range(0, n0, _SLAB_PLANES):
-        i1 = i0 + _SLAB_PLANES
-        if _HALO <= i0 and i1 + _HALO <= n0:
-            src = phi[i0 - _HALO:i1 + _HALO]
-        else:
-            src = np.take(phi, range(i0 - _HALO, i1 + _HALO), axis=0, out=window, mode="wrap")
-        block = out[i0:i1]
-        _metric_n1(src, _HALO, ref[i0:i1], hs, block, tmp, tmp1, tmp2)
+    temps = _block_temps(phi.shape, extended, scratch, 3)
+    for rows, src, halo in _blocks(phi, extended, scratch):
+        block = out[rows]
+        _metric_n1(src, halo, ref[rows], hs, block, *temps)
         if not float(np.min(block)) > floor:
             # Report the minimum and its location over the whole grid, as an
             # unblocked evaluation would, and take no log of the breach.
             whole = _whole_metric_n1(phi, ref, hs, scratch)
             _floor_check(float(np.min(whole)), floor, whole)
         np.log(block, out=block)
-        block -= log_density[i0:i1]
-        _add_half_leaf_laplacian(src[_HALO:_HALO + _SLAB_PLANES], block, hs, tmp, tmp1, tmp2)
-    scratch.give(tmp, tmp1, tmp2, window)
+        block -= log_density[rows]
+        if extended:
+            _add_half_leaf_laplacian(_core(src, halo), block, hs, *temps)
+    scratch.give(*temps)
 
 
 def _rhs_values(
@@ -417,8 +450,8 @@ def _rhs_values(
             extended, out, scratch,
         )
     else:
-        gt = ref + _ddbar_matrices(phi_values, spec)
-        np.subtract(_log_det_positive(gt, n, positivity_floor), log_density, out=out)
+        w = np.linalg.eigvalsh(ref + _ddbar_matrices(phi_values, spec))
+        np.subtract(_log_det_positive(w, positivity_floor), log_density, out=out)
         if extended:
             temps = [scratch.take(out.shape) for _ in range(3)]
             _add_half_leaf_laplacian(phi_values, out, spec.spacings, *temps)
@@ -489,33 +522,45 @@ def leafwise_defect(state: FlowState) -> float:
     spec = state.phi.spec
     if state.phi.basic or not spec.has_leaf:
         return 0.0
-    hs = spec.spacings
-    ax_x, ax_y = 2 * spec.n, 2 * spec.n + 1
     vals = state.phi.values
-    dx = diff1(vals, ax_x, hs[ax_x])
-    dy = diff1(vals, ax_y, hs[ax_y])
-    return float(np.max(np.abs(dx)) + np.max(np.abs(dy)))
+    dx, dy = _leaf_slopes(vals, spec.spacings, np.empty(vals.shape))
+    return float(dx + dy)
 
 
 # ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _select_dt(state: FlowState, config: FlowConfig) -> float:
-    """The CFL step from the eigenvalue range of the state's diagnostics.
+def _phi_operand(state: FlowState, extended: bool) -> np.ndarray:
+    """The array the flow steps: phi, on the full grid (C-contiguous) when extended."""
+    return np.ascontiguousarray(state.phi.as_full_values()) if extended else state.phi.values
 
-    They are computed when none are attached; a breach of the positivity
-    floor raises :class:`PositivityLost` with its grid location.
+
+def _select_dt(state: FlowState, config: FlowConfig) -> float:
+    """The CFL step from the eigenvalue range of the state's attached diagnostics.
+
+    A breach of the positivity floor raises :class:`PositivityLost` with its
+    grid location.
     """
     d = state.diagnostics
-    if d is None:
-        d = _diagnostics(state, config, dphidt_sup=0.0, dt=0.0)
     if not d.min_eig > config.positivity_floor:
         transverse_metric(state, rescaled=config.rescaled).checked_positive(
             config.positivity_floor
         )
     h_min = min(state.phi.spec.spacings)
     return min(config.dt_initial, config.dt_safety * h_min * h_min * d.min_eig / d.max_eig)
+
+
+def _attached_stage(state: FlowState, config: FlowConfig) -> np.ndarray | None:
+    """The read-only f(phi, t) attached to ``state`` for ``config``, or None."""
+    if state._stage is None:
+        return None
+    phi, t, extended, rescaled, values = state._stage
+    if phi is state.phi and t == state.t and (extended, rescaled) == (
+        config.extended, config.rescaled
+    ):
+        return values
+    return None
 
 
 def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> FlowState:
@@ -525,20 +570,28 @@ def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> F
     PositivityLost at any internal stage halves dt and retries, down to a
     floor of 1e-12 (then :class:`StepFloor`).  The potential is re-gauged to
     zero spatial mean after the step (a pure additive constant, invisible to
-    the metric).
+    the metric); a NaN or infinity in it raises :class:`NonFinitePotential`.
+
+    The first stage is the one the state's diagnostics pass attached for
+    ``config``, so a step evaluates the right-hand side three times (four
+    when none is attached); the returned state carries the first stage of
+    the next step.  A state without diagnostics gets them first.
     """
+    extended = config.extended
+    if extended and not state.phi.spec.has_leaf:
+        raise GridError("extended flow needs a spec with leaf axes")
+    # The stages, their arguments and the final combination all live in
+    # these buffers, which the diagnostics reuse afterwards.
+    scratch = _Scratch()
+    if state.diagnostics is None:
+        state = _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0, scratch=scratch)
     dt = _select_dt(state, config)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    extended = config.extended
-    if extended and not state.phi.spec.has_leaf:
-        raise GridError("extended flow needs a spec with leaf axes")
-    phi0 = np.ascontiguousarray(state.phi.as_full_values()) if extended else state.phi.values
-    # The stages, their arguments and the final combination all live in
-    # these buffers, which the diagnostics reuse afterwards.
-    scratch = _Scratch()
-    k1, k2, k3, k4, arg = (scratch.take(phi0.shape) for _ in range(5))
+    phi0 = _phi_operand(state, extended)
+    k1 = _attached_stage(state, config)  # read-only
+    k2, k3, k4, arg = (scratch.take(phi0.shape) for _ in range(4))
 
     def f(values: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         return _rhs_values(
@@ -555,7 +608,8 @@ def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> F
     t0 = state.t
     while True:
         try:
-            k1 = f(phi0, t0, k1)
+            if k1 is None:  # no stage attached for this config
+                k1 = f(phi0, t0, scratch.take(phi0.shape))
             k2 = f(stage_argument(k1, 0.5 * dt), t0 + 0.5 * dt, k2)
             k3 = f(stage_argument(k2, 0.5 * dt), t0 + 0.5 * dt, k3)
             k4 = f(stage_argument(k3, dt), t0 + dt, k4)
@@ -566,28 +620,31 @@ def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> F
                 raise StepFloor(f"time step fell below {DT_FLOOR:.0e} while retrying")
 
     dphidt_sup = float(np.max(np.abs(k1, out=arg)))
-    # phi0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), in that order of operations.
+    # phi0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), in that order of operations,
+    # summed into k2 so that k1 stays as it is.
     k2 *= 2.0
-    k1 += k2
+    np.add(k1, k2, out=k2)
     k3 *= 2.0
-    k1 += k3
-    k1 += k4
-    k1 *= dt / 6.0
-    k1 += phi0
-    k1 -= np.mean(k1)
-    new_phi = ScalarField(state.phi.spec, k1, basic=not extended and state.phi.basic)
-    scratch.give(k1, k2, k3, k4, arg)
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += phi0
+    mean = np.mean(k2)
+    if not np.isfinite(mean):  # as is any mean over a NaN or an infinity
+        raise NonFinitePotential(f"the step to t = {t0 + dt!r} made the potential non-finite")
+    k2 -= mean
+    new_phi = ScalarField(state.phi.spec, k2, basic=not extended and state.phi.basic)
+    scratch.give(k2, k3, k4, arg)
 
     new_state = FlowState(
         t0 + dt, new_phi, state.omega_hat_0, state.chi, state.volume_density
     )
-    diag = _diagnostics(new_state, config, dphidt_sup=dphidt_sup, dt=dt, scratch=scratch)
-    return replace(new_state, diagnostics=diag)
+    return _with_diagnostics(new_state, config, dphidt_sup=dphidt_sup, dt=dt, scratch=scratch)
 
 
 def ricci_residual(state: FlowState, config: FlowConfig) -> float:
     """sup || Ric(omega(t)) - k omega(t) ||, the convergence functional."""
-    return _diagnostics(state, config, dphidt_sup=0.0, dt=0.0).ricci_sup
+    return _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0).diagnostics.ricci_sup
 
 
 def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
@@ -602,55 +659,143 @@ def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
     vals = phi.values
     slice0 = vals[..., :1, :1]
     if np.array_equal(vals, np.broadcast_to(slice0, vals.shape)):
-        return vals[..., 0, 0]
+        return np.ascontiguousarray(vals[..., 0, 0])
     return None
 
 
-def _diagnostics(
-    state: FlowState, config: FlowConfig, dphidt_sup: float, dt: float,
-    scratch: _Scratch | None = None,
-) -> FlowDiagnostics:
-    spec = state.phi.spec
-    defect = leafwise_defect(state)
-    if not state.phi.basic:
-        slice_values = _leaf_constant_slice(state.phi)
-        if slice_values is not None:
-            reduced = replace(
-                state, phi=ScalarField(spec, slice_values, basic=True), diagnostics=None
-            )
-            inner = _diagnostics(reduced, replace(config, extended=False), dphidt_sup, dt, scratch)
-            return replace(inner, leafwise_defect=defect)
-    if spec.n == 1:
-        if scratch is None:
-            scratch = _Scratch()
-        ref = _reference_matrices(state, state.t, config.rescaled, full=not state.phi.basic)
-        g = _whole_metric_n1(state.phi.values, ref[..., 0, 0].real, spec.spacings, scratch)
-        lo, hi = float(np.min(g)), float(np.max(g))
-        hs = spec.spacings
-        ld, ric, tmp, tmp1, tmp2 = (scratch.take(g.shape) for _ in range(5))
-        np.log(g, out=ld)
-        # ric = -0.25 (ld_xx + ld_yy); ric_sup = sup |ric - k g|.
-        diff2_into(ld, 0, hs[0], ric, tmp1, tmp2)
-        diff2_into(ld, 1, hs[1], tmp, tmp1, tmp2)
-        ric += tmp
+def _sweep_metric_n1(phi, ref, log_density, hs, leaf_varying, scratch):
+    """The first n = 1 sweep: g, log g, the unshifted first stage, min/max g.
+
+    The stage is log g - log_density, plus 0.5 (phi_xx + phi_yy) along the
+    leaves when ``leaf_varying``; a leaf-varying phi is swept in blocks like
+    :func:`_rhs_n1`, which also yields its :func:`leafwise_defect` from the
+    leaf slopes of each block (None otherwise).  Returns
+    ``(g, log g, stage, min g, max g, defect)``.
+    """
+    g, ld, stage = (scratch.take(phi.shape) for _ in range(3))
+    temps = _block_temps(phi.shape, leaf_varying, scratch, 3)
+    lows, highs, slopes = [], [], []
+    for rows, src, halo in _blocks(phi, leaf_varying, scratch):
+        gb, lb, kb = g[rows], ld[rows], stage[rows]
+        _metric_n1(src, halo, ref[rows], hs, gb, *temps)
+        lows.append(np.min(gb))
+        highs.append(np.max(gb))
+        np.log(gb, out=lb)
+        np.subtract(lb, log_density[rows], out=kb)
+        if leaf_varying:
+            core = _core(src, halo)
+            _add_half_leaf_laplacian(core, kb, hs, *temps)
+            slopes.append(_leaf_slopes(core, hs, temps[0]))
+    scratch.give(*temps)
+    defect = None
+    if leaf_varying:
+        dx, dy = zip(*slopes)
+        defect = float(np.max(dx) + np.max(dy))
+    return g, ld, stage, float(np.min(lows)), float(np.max(highs)), defect
+
+
+def _sweep_ricci_n1(g, ld, hs, class_k, blocked, scratch):
+    """The second n = 1 sweep: sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy).
+
+    ``g`` and ``ld`` (log g) come from :func:`_sweep_metric_n1` and go back
+    to ``scratch``.
+    """
+    ric, tmp, tmp1, tmp2 = _block_temps(g.shape, blocked, scratch, 4)
+    sups = []
+    for rows, src, halo in _blocks(ld, blocked, scratch):
+        _laplacian_n1(src, halo, hs, ric, tmp, tmp1, tmp2)
         ric *= -0.25
-        np.multiply(g, config.class_k, out=tmp)
+        np.multiply(g[rows], class_k, out=tmp)
         ric -= tmp
-        ric_sup = float(np.max(np.abs(ric, out=ric)))
-        scratch.give(g, ld, ric, tmp, tmp1, tmp2)
+        sups.append(np.max(np.abs(ric, out=ric)))
+    scratch.give(g, ld, ric, tmp, tmp1, tmp2)
+    return float(np.max(sups))
+
+
+def _with_diagnostics(
+    state: FlowState, config: FlowConfig, dphidt_sup: float | None, dt: float,
+    scratch: _Scratch | None = None,
+) -> FlowState:
+    """``state`` with its diagnostics and, from the same pass, its first RK4 stage.
+
+    The stage f(phi, t) for ``config`` is built from the operands the
+    diagnostics already hold (log g for n = 1, the eigenvalues for n >= 2),
+    bit-identical to :func:`_rhs_values`, and is attached read-only for the
+    next :func:`step`.  None is attached when the metric is not above the
+    positivity floor, for a full phi that ``config`` does not extend, or on
+    the numba n = 1 path.  ``dphidt_sup=None`` (the step-0 row) takes
+    sup |f(phi, t)| from that stage; where there is none, f is evaluated
+    afresh, which raises :class:`PositivityLost` on a floor breach.
+    """
+    spec = state.phi.spec
+    n = spec.n
+    hs = spec.spacings
+    floor = config.positivity_floor
+    if scratch is None:
+        scratch = _Scratch()
+    values = _leaf_constant_slice(state.phi)
+    leaf_varying = values is None
+    if leaf_varying:
+        values = state.phi.values
+    ref = _reference_matrices(state, state.t, config.rescaled, full=leaf_varying)
+    log_density = np.log(state.volume_density.values)
+    if leaf_varying:
+        log_density = log_density.reshape(spec.transverse_shape + (1, 1))
+    if n == 1:
+        g, ld, k1, lo, hi, defect = _sweep_metric_n1(
+            values, ref[..., 0, 0].real, log_density, hs, leaf_varying, scratch
+        )
     else:
-        g = transverse_metric(state, rescaled=config.rescaled)
-        lo, hi = g.eig_range()
-        r = ricci(g)
-        ric_sup = float(np.max(np.abs(r.matrices - config.class_k * g.matrices)))
-    return FlowDiagnostics(
+        defect = None
+        g = HermitianField(spec, ref + _ddbar_matrices(values, spec), basic=not leaf_varying)
+        w = np.linalg.eigvalsh(g.matrices)
+        lo, hi = float(np.min(w)), float(np.max(w))
+        k1 = None
+        if lo > floor:
+            k1 = _log_det_positive(w, floor) - log_density
+            if leaf_varying:
+                temps = [scratch.take(values.shape) for _ in range(3)]
+                _add_half_leaf_laplacian(values, k1, hs, *temps)
+                scratch.give(*temps)
+    if defect is None:
+        defect = leafwise_defect(state)
+
+    stage = None
+    if lo > floor and not (n == 1 and HAVE_NUMBA) and (
+        spec.has_leaf if config.extended else state.phi.basic
+    ):
+        if config.extended and not leaf_varying:
+            # The leaf terms of a leaf-constant phi vanish bit for bit.
+            k1 = np.broadcast_to(k1.reshape(k1.shape + (1, 1)), spec.full_shape).copy()
+        if config.rescaled:
+            k1 -= _phi_operand(state, config.extended)
+            k1 -= np.mean(k1)
+        k1.flags.writeable = False
+        stage = k1
+    if dphidt_sup is None:
+        rhs = stage
+        if rhs is None:
+            rhs = _rhs_values(
+                _phi_operand(state, config.extended), state.t, state,
+                extended=config.extended, rescaled=config.rescaled, positivity_floor=floor,
+            )
+        dphidt_sup = float(np.max(np.abs(rhs)))
+
+    if n == 1:
+        ric_sup = _sweep_ricci_n1(g, ld, hs, config.class_k, leaf_varying, scratch)
+    else:
+        ric_sup = float(np.max(np.abs(ricci(g).matrices - config.class_k * g.matrices)))
+    new = replace(state, diagnostics=FlowDiagnostics(
         ricci_sup=ric_sup,
         dphidt_sup=dphidt_sup,
         min_eig=lo,
         max_eig=hi,
         leafwise_defect=defect,
         dt=dt,
-    )
+    ))
+    if stage is not None:
+        object.__setattr__(new, "_stage", (new.phi, new.t, config.extended, config.rescaled, stage))
+    return new
 
 
 @dataclass
@@ -662,7 +807,8 @@ class FlowReport:
     """
 
     converged: bool
-    reason: str  # converged | not_converged | positivity_lost | step_floor | diverged
+    # converged | not_converged | positivity_lost | step_floor | diverged | non_finite
+    reason: str
     final_t: float
     steps: int
     history: list[dict]
@@ -695,12 +841,13 @@ def run(
     so callers can tell them apart without exception handling.
     """
     state = initial
+    if not np.all(np.isfinite(state.phi.values)):
+        return FlowReport(False, "non_finite", state.t, 0, [], state)
     try:
-        rhs0 = _initial_dphidt(state, config)
+        state = _with_diagnostics(state, config, dphidt_sup=None, dt=0.0)
     except PositivityLost as exc:
         return FlowReport(False, "positivity_lost", state.t, 0, [], state, _failure(exc))
-    diag = _diagnostics(state, config, dphidt_sup=rhs0, dt=0.0)
-    state = replace(state, diagnostics=diag)
+    diag = state.diagnostics
     history = [_history_row(0, state)]
     if progress is not None:
         progress(0, history[0], state)
@@ -723,6 +870,8 @@ def run(
             )
         except StepFloor:
             return FlowReport(False, "step_floor", state.t, k - 1, history, state)
+        except NonFinitePotential:
+            return FlowReport(False, "non_finite", state.t, k - 1, history, state)
         row = _history_row(k, state)
         history.append(row)
         if progress is not None:
@@ -739,18 +888,6 @@ def run(
 
 def _failure(exc: PositivityLost) -> dict:
     return {"min_eigenvalue": exc.min_eigenvalue, "location": exc.location}
-
-
-def _initial_dphidt(state: FlowState, config: FlowConfig) -> float:
-    phi0 = (
-        np.ascontiguousarray(state.phi.as_full_values()) if config.extended else state.phi.values
-    )
-    vals = _rhs_values(
-        phi0, state.t, state,
-        extended=config.extended, rescaled=config.rescaled,
-        positivity_floor=config.positivity_floor,
-    )
-    return float(np.max(np.abs(vals)))
 
 
 def _history_row(k: int, state: FlowState) -> dict:

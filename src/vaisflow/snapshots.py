@@ -54,10 +54,10 @@ def spec_from_dict(d: dict) -> GridSpec:
 
 
 def _encode_values(values: np.ndarray) -> list:
-    flat = values.reshape(-1)
-    if np.iscomplexobj(flat):
-        return [[float(v.real), float(v.imag)] for v in flat]
-    return [float(v) for v in flat]
+    if np.iscomplexobj(values):
+        pairs = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+        return pairs.reshape(-1, 2).tolist()
+    return np.asarray(values, dtype=np.float64).reshape(-1).tolist()
 
 
 def _decode_values(raw: list, complex_: bool) -> np.ndarray:
@@ -137,8 +137,9 @@ def load_metric_bundle(path: str | Path) -> tuple[HermitianField, HermitianField
 
     The optional explicit Ricci field supports synthetic transversally
     Einstein data, which cannot arise from differentiating any periodic
-    metric on the chart.  Both fields must be finite, the metric positive
-    definite, and the Ricci field on the metric's grid.
+    metric on the chart.  Both fields must be finite (as every
+    :class:`HermitianField` is), the metric positive definite, and the Ricci
+    field on the metric's grid.
     """
     data = _read_object(path)
     if "metric" in data:
@@ -153,8 +154,6 @@ def load_metric_bundle(path: str | Path) -> tuple[HermitianField, HermitianField
         raise SnapshotError("metric snapshots must hold Hermitian fields")
     if ricci_f is not None and (ricci_f.spec, ricci_f.basic) != (metric.spec, metric.basic):
         raise SnapshotError("the Ricci field must live on the metric's grid")
-    if not all(np.all(np.isfinite(f.matrices)) for f in (metric, ricci_f) if f is not None):
-        raise SnapshotError("metric snapshots must hold finite values")
     try:
         metric.checked_positive()
     except PositivityLost as exc:

@@ -64,6 +64,8 @@ class HermitianField:
     Basic fields are stored on the transverse grid; full fields (which arise
     from the leafwise-extended Hesse coefficients of non-basic functions)
     carry the leaf axes as leading dimensions like :class:`ScalarField`.
+    Entries must be finite and Hermitian to within 1e-12 of the largest
+    entry (or of 1); otherwise construction raises :class:`GridError`.
     """
 
     spec: GridSpec
@@ -79,6 +81,8 @@ class HermitianField:
             raise GridError(
                 f"matrix field shape {self.matrices.shape} does not match {expected}"
             )
+        if not np.all(np.isfinite(self.matrices)):
+            raise GridError("matrix entries must be finite")
         defect = hermiticity_defect(self.matrices)
         if defect > _HERMITICITY_TOL * max(1.0, float(np.max(np.abs(self.matrices)))):
             raise GridError(f"matrices are not Hermitian (defect {defect:.3e})")
@@ -145,7 +149,15 @@ class HermitianField:
 
 
 def hermiticity_defect(matrices: np.ndarray) -> float:
-    return float(np.max(np.abs(matrices - np.conj(np.swapaxes(matrices, -1, -2)))))
+    """max |A - A^H| over all grid points and entries.
+
+    Only the diagonal and upper triangle are formed: |a - conj(b)| equals
+    |b - conj(a)| bit for bit, so the lower triangle repeats their values.
+    """
+    return float(np.max([
+        np.max(np.abs(matrices[..., i, i:] - np.conj(matrices[..., i:, i])))
+        for i in range(matrices.shape[-1])
+    ]))
 
 
 def _argmin_location(field: HermitianField) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import vaisflow.flow as flow_module
 from conftest import basic_spec
 from vaisflow.cli import main
 from vaisflow.grid import ScalarField
@@ -111,6 +112,31 @@ class TestCmdFlow:
         assert failure["min_eigenvalue"] <= 0.95
         assert len(failure["location"]) == 2
 
+    def test_non_finite_potential_exit_code(self, tmp_path, monkeypatch):
+        def nan_rhs(values, t, state, *, out=None, **kwargs):
+            out = np.empty(values.shape) if out is None else out
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(flow_module, "_rhs_values", nan_rhs)
+        cfg = write_config(tmp_path / "bump.cfg", BUMP_FLOW.format(out=tmp_path / "out"))
+        assert main(["flow", cfg]) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["reason"], report["steps"], report["failure"]) == ("non_finite", 0, None)
+
+    @pytest.mark.parametrize("key", ["amplitude", "chi_amplitude"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_amplitude_is_a_config_error(self, tmp_path, capsys, key, value):
+        body = BUMP_FLOW.format(out=tmp_path / "out")
+        if key == "amplitude":
+            body = body.replace("amplitude = -0.4", f"amplitude = {value}")
+        else:
+            body = body.replace("class_k = 0", f"class_k = 0\nchi = cos_bump\nchi_amplitude = {value}")
+        cfg = write_config(tmp_path / "nan.cfg", body)
+        with np.errstate(invalid="ignore"):
+            assert main(["flow", cfg]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_infinite_period_is_a_config_error(self, tmp_path, capsys):
         body = FLAT_FLOW.format(out=tmp_path / "out").replace(
             "transverse_periods = 6.283185307179586 6.283185307179586",
@@ -175,6 +201,24 @@ class TestCmdCheckStructure:
         assert main(["check-structure", cfg]) == 1
         assert "checks.resolutions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolutions", ["", "64"])
+    def test_fewer_than_two_resolutions_is_a_config_error(self, tmp_path, capsys, resolutions):
+        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+            "resolutions = 32 64", f"resolutions = {resolutions}"
+        )
+        cfg = write_config(tmp_path / "one.cfg", body)
+        assert main(["check-structure", cfg]) == 1
+        assert "checks.resolutions: needs at least two" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checks.json").exists()
+
+    def test_non_finite_amplitude_fails_construction(self, tmp_path, capsys):
+        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+            "amplitude = -0.4", "amplitude = nan"
+        )
+        cfg = write_config(tmp_path / "nan.cfg", body)
+        assert main(["check-structure", cfg]) == 4
+        assert "chart construction at 32" in capsys.readouterr().err
+
     def test_injected_defect_detected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "checks.cfg", CHECKS.format(defect="true", out=tmp_path / "out")
@@ -216,6 +260,16 @@ class TestCmdFitEinstein:
         path = tmp_path / "junk.json"
         path.write_text("{ nope")
         assert main(["fit-einstein", str(path)]) == 1
+
+    def test_non_finite_ricci_exits_1(self, tmp_path, capsys):
+        # Periods this small square to zero spacing, so the Ricci stencils overflow.
+        d = field_to_dict(HermitianField.identity(basic_spec(res=8)))
+        d["spec"]["transverse_periods"] = [1e-300, 1e-300]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(d))
+        with np.errstate(all="ignore"):
+            assert main(["fit-einstein", str(path)]) == 1
+        assert "no finite Ricci field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["value_count", "non_hermitian", "bad_spec", "values_type"])
     def test_invalid_snapshot_exits_1(self, tmp_path, capsys, fault):

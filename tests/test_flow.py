@@ -343,6 +343,29 @@ class TestRun:
         report = run(st, FlowConfig(max_steps=50, ricci_tolerance=1e-30))
         assert np.max(np.abs(report.final_state.phi.values)) < 1e-10
 
+    def test_non_finite_initial_phi(self):
+        spec, st = bump_state(res=16)
+        values = np.zeros(spec.transverse_shape)
+        values[3, 4] = np.nan
+        bad = FlowState(0.0, ScalarField(spec, values), st.omega_hat_0, st.chi, st.volume_density)
+        report = run(bad, FlowConfig())
+        assert (report.reason, report.steps, report.history) == ("non_finite", 0, [])
+        assert report.failure is None and report.final_state is bad
+
+    def test_non_finite_phi_from_a_step(self, monkeypatch):
+        spec, st = bump_state(res=16)
+
+        def nan_rhs(values, t, state, *, out=None, **kwargs):
+            out = np.empty(values.shape) if out is None else out
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(flow_module, "_rhs_values", nan_rhs)
+        report = run(st, FlowConfig(ricci_tolerance=1e-30))
+        assert (report.reason, report.steps, len(report.history)) == ("non_finite", 0, 1)
+        assert report.failure is None
+        assert np.all(np.isfinite(report.final_state.phi.values))
+
     def test_divergence_guard_reported(self, monkeypatch):
         # On the periodic chart an exact chi cannot move the class, so the
         # metric never actually blows up; drive the guard by tightening the

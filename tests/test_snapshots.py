@@ -7,6 +7,7 @@ from conftest import basic_spec, full_spec
 from vaisflow.exceptions import SnapshotError
 from vaisflow.grid import ScalarField
 from vaisflow.snapshots import (
+    _encode_values,
     chart_to_dict,
     field_from_dict,
     field_to_dict,
@@ -164,6 +165,24 @@ class TestMalformed:
         save_snapshot(ScalarField.zeros(spec), path)
         with pytest.raises(SnapshotError):
             load_metric_bundle(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+def test_encoding_matches_per_value_floats(dtype):
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 1 / 3]
+    values = np.array(specials, dtype=np.float64)
+    if np.issubdtype(dtype, np.complexfloating):
+        pairs = np.empty((len(specials),) * 2, dtype=np.complex128)
+        pairs.real, pairs.imag = values[:, None], values[None, ::-1]
+        values = pairs
+    with np.errstate(over="ignore"):  # 1e308 is infinite in single precision
+        values = values.astype(dtype)[::2]  # a strided view
+    flat = values.reshape(-1)
+    if np.iscomplexobj(flat):
+        expected = [[float(v.real), float(v.imag)] for v in flat]
+    else:
+        expected = [float(v) for v in flat]
+    assert json.dumps(_encode_values(values)) == json.dumps(expected)
 
 
 class TestChartSnapshot:

@@ -8,12 +8,14 @@ merely the same values to rounding.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import basic_spec, full_spec
 from vaisflow import flow
+from vaisflow._kernels import HAVE_NUMBA
 from vaisflow.exceptions import GridError, PositivityLost
 from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
 from vaisflow.grid import ScalarField, diff1, diff2, diff2_into
@@ -156,14 +158,20 @@ def reference_diagnostics(phi_values, t, state, config):
     return float(ric_sup), float(lo), float(hi), float(defect)
 
 
-def reference_step(state, config):
-    """(t1, phi1, dphidt_sup) of one RK4 step from a state without diagnostics."""
+def reference_step(state, config, eig_range=None):
+    """(t1, phi1, dphidt_sup) of one RK4 step.
+
+    dt comes from ``eig_range`` (min, max) when given, else from the
+    state's own metric.
+    """
     spec = state.phi.spec
     extended = config.extended
     phi0 = np.array(state.phi.as_full_values()) if extended else state.phi.values
-    g = reference_metric(phi0, state.t, state, config.rescaled, extended)
-    w = g if spec.n == 1 else np.linalg.eigvalsh(g)
-    lo, hi = float(np.min(w)), float(np.max(w))
+    if eig_range is None:
+        g = reference_metric(phi0, state.t, state, config.rescaled, extended)
+        w = g if spec.n == 1 else np.linalg.eigvalsh(g)
+        eig_range = float(np.min(w)), float(np.max(w))
+    lo, hi = eig_range
     h_min = min(spec.spacings)
     dt = min(config.dt_initial, config.dt_safety * h_min * h_min * lo / hi)
 
@@ -333,6 +341,103 @@ def test_rhs_step_and_residual_bit_identical(case):
     ric_sup, lo, hi, defect = reference_diagnostics(phi1, t1, state, config)
     assert (d.ricci_sup, d.min_eig, d.max_eig, d.leafwise_defect) == (ric_sup, lo, hi, defect)
     assert flow.ricci_residual(new, config) == ric_sup
+
+
+def _n1_leaf_constant_state():
+    """A basic phi on a full grid: the extended flow steps it leaf-constant."""
+    spec = full_spec(res=32, leaf=8)
+    h = ScalarField.from_function(spec, lambda x, y: -0.3 * np.cos(x) + 0.1 * np.sin(2 * y))
+    phi = ScalarField.from_function(spec, lambda x, y: 0.05 * np.sin(x) * np.cos(2 * y))
+    return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
+
+
+STAGE_CASES = dict(
+    FLOW_CASES,
+    n1_leaf_constant=(_n1_leaf_constant_state, FlowConfig(extended=True)),
+    n1_leaf_constant_rescaled=(
+        _n1_leaf_constant_state, FlowConfig(class_k=-1, extended=True, rescaled=True)
+    ),
+)
+
+
+def _full_phi(state, config):
+    return np.array(state.phi.as_full_values()) if config.extended else state.phi.values
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_attached_stage_is_the_right_hand_side(case):
+    """A step's diagnostics pass attaches f(phi, t); the next steps reuse it unchanged."""
+    make_state, config = STAGE_CASES[case]
+    first = flow.step(make_state(), config)
+    stage = flow._attached_stage(first, config)
+    assert stage is not None and not stage.flags.writeable
+    expected = reference_rhs(
+        _full_phi(first, config), first.t, first,
+        extended=config.extended, rescaled=config.rescaled,
+    )
+    assert np.array_equal(stage, expected)
+
+    fresh = FlowState(first.t, first.phi, first.omega_hat_0, first.chi, first.volume_density)
+    t2, phi2, dphidt_sup = reference_step(fresh, config)
+    second, again = flow.step(first, config), flow.step(first, config)
+    for new in (second, again):
+        assert new.t == t2
+        assert np.array_equal(new.phi.values, phi2)
+        assert new.diagnostics.dphidt_sup == dphidt_sup
+    assert second.diagnostics == again.diagnostics
+    assert np.array_equal(flow._attached_stage(first, config), expected)
+    assert "_stage" not in repr(first)
+
+
+def _count_rhs_calls(monkeypatch):
+    calls = []
+    evaluate = flow._rhs_values
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_rhs_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n2", "n1_leaf_constant"])
+def test_three_rhs_evaluations_per_accepted_step(case, monkeypatch):
+    make_state, config = STAGE_CASES[case]
+    state = make_state()
+    calls = _count_rhs_calls(monkeypatch)
+    seen = []
+    report = flow.run(
+        state, replace(config, ricci_tolerance=1e-30, max_steps=3),
+        progress=lambda k, row, current: seen.append(len(calls)),
+    )
+    assert report.steps == 3
+    # The numba n = 1 kernel attaches no stage, so it evaluates f afresh.
+    fresh = HAVE_NUMBA and state.phi.spec.n == 1
+    assert seen == [int(fresh) + k * (4 if fresh else 3) for k in range(4)]
+
+
+def test_stale_stage_is_never_reused(monkeypatch):
+    """A new phi or t, or another flow variant, evaluates the first stage afresh."""
+    first = flow.step(_n1_basic_state(), FlowConfig())
+    leaf_constant = flow.step(_n1_leaf_constant_state(), FlowConfig())
+    other_phi = ScalarField(first.phi.spec, 1.5 * first.phi.values)
+    cases = [
+        (replace(first, phi=other_phi), FlowConfig()),
+        (replace(first, t=first.t + 0.25), FlowConfig()),
+        (first, FlowConfig(rescaled=True)),
+        (leaf_constant, FlowConfig(extended=True)),
+    ]
+    calls = _count_rhs_calls(monkeypatch)
+    for state, config in cases:
+        assert flow._attached_stage(state, config) is None
+        del calls[:]
+        new = flow.step(state, config)
+        assert len(calls) == 4 and calls[0] == state.t
+        d = state.diagnostics
+        t1, phi1, _ = reference_step(state, config, eig_range=(d.min_eig, d.max_eig))
+        assert new.t == t1
+        assert np.array_equal(new.phi.values, phi1)
 
 
 def _state_with_phi(case, amplitude):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from vaisflow.transverse import (
     christoffel,
     connection_trace,
     ddbar,
+    hermiticity_defect,
     log_det,
     metric_from_potential,
     ricci,
@@ -40,6 +43,26 @@ class TestHermitianField:
         mats[..., 1, 0] = 1.0j  # should be -1j
         with pytest.raises(GridError):
             HermitianField(spec, mats)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, entry, where):
+        spec = basic_spec(n=2, res=8)
+        mats = np.array(HermitianField.identity(spec).matrices)
+        mats[(3, 4, 5, 6) + where] = entry
+        mats[(3, 4, 5, 6) + where[::-1]] = np.conj(entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no inf - inf on the way
+            with pytest.raises(GridError, match="finite"):
+                HermitianField(spec, mats)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_defect_matches_the_full_difference(self, n):
+        rng = np.random.default_rng(n)
+        shape = (6, 5, n, n)
+        mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
+        assert hermiticity_defect(mats) == float(full)
 
     def test_positivity_check(self):
         spec = basic_spec(res=16)
