@@ -34,6 +34,7 @@ import csv
 import json
 import logging
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -152,6 +153,7 @@ def cmd_flow(config_path: Path) -> int:
     state = _build_initial_state(cfg)
 
     cadence = cfg.output.checkpoint_every
+    last_checkpoint = {}  # the state and the file of the last checkpoint written
 
     def progress(k: int, row: dict, current: fl.FlowState):
         if k % 500 == 0:
@@ -160,18 +162,22 @@ def cmd_flow(config_path: Path) -> int:
                 k, row["t"], row["ricci_sup"], row["dt"],
             )
         if cadence > 0 and k % cadence == 0:
-            save_snapshot(
-                fl.transverse_metric(current, rescaled=cfg.flow.rescaled),
-                outdir / f"metric_{k:06d}.json",
-            )
+            path = outdir / f"metric_{k:06d}.json"
+            save_snapshot(fl.transverse_metric(current, rescaled=cfg.flow.rescaled), path)
+            last_checkpoint.update(state=current, path=path)
 
     report = fl.run(state, cfg.flow, t_final=cfg.t_final, progress=progress)
 
     history_path = outdir / "history.csv"
     history_path.write_text("\n".join(report.history_csv_lines()) + "\n")
 
-    save_snapshot(fl.transverse_metric(report.final_state, rescaled=cfg.flow.rescaled),
-                  outdir / "metric_final.json")
+    final_metric = outdir / "metric_final.json"
+    if last_checkpoint.get("state") is report.final_state:  # encoded already
+        shutil.copyfile(last_checkpoint["path"], final_metric)
+    else:
+        save_snapshot(
+            fl.transverse_metric(report.final_state, rescaled=cfg.flow.rescaled), final_metric
+        )
     save_snapshot(report.final_state.phi, outdir / "phi_final.json")
 
     payload = {

@@ -18,7 +18,9 @@ lines, ``#`` comments.  Example::
     directory = out
 
 Unknown keys are rejected so typos fail loudly; every validation error
-names the offending section.key.
+names the offending section.key.  A chart or check grid of dimension n may
+hold at most :data:`MAX_GRID_ENTRIES` / n^2 points (leaf axes included), so
+one n x n complex matrix field on it stays within 256 MiB.
 """
 
 from __future__ import annotations
@@ -33,9 +35,16 @@ from .flow import FlowConfig
 from .grid import GridSpec
 from .presets import POTENTIAL_PRESETS
 
-__all__ = ["ChartSection", "ChecksSection", "OutputSection", "ExperimentConfig", "load_config"]
+__all__ = [
+    "MAX_GRID_ENTRIES", "ChartSection", "ChecksSection", "OutputSection", "ExperimentConfig",
+    "load_config",
+]
 
 _TWO_PI = 2.0 * math.pi
+
+MAX_GRID_ENTRIES = 2**24  # grid points times n^2, the entries of one n x n matrix field
+# The largest chart.n whose coarsest grid, 8 points per axis, stays within the limit.
+_MAX_N = max(n for n in range(1, 64) if 8 ** (2 * n) * n * n <= MAX_GRID_ENTRIES)
 
 _KNOWN_KEYS = {
     "chart": {
@@ -71,13 +80,13 @@ class ChartSection:
     amplitude: float = 0.0
 
     def grid_spec(self) -> GridSpec:
-        return GridSpec(
+        return _bounded(GridSpec(
             self.n,
             self.transverse_resolution,
             self.transverse_periods,
             self.leaf_resolution,
             self.leaf_periods,
-        )
+        ), "chart")
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,22 @@ class ChecksSection:
             raise ConfigError(
                 f"checks.resolutions: needs at least two resolutions, got {list(self.resolutions)}"
             )
-        return [
+        specs = [
             GridSpec(1, (res, res), (_TWO_PI, _TWO_PI), self.leaf_resolution, (_TWO_PI, _TWO_PI))
             for res in self.resolutions
         ]
+        return [_bounded(spec, "checks.resolutions") for spec in specs]
+
+
+def _bounded(spec: GridSpec, key: str) -> GridSpec:
+    """``spec``, or a :class:`ConfigError` naming ``key`` when its grid is over the limit."""
+    points = math.prod(spec.full_shape)
+    if points * spec.n**2 > MAX_GRID_ENTRIES:
+        raise ConfigError(
+            f"{key}: the grid {' x '.join(map(str, spec.full_shape))} has {points} points, "
+            f"above the limit of {MAX_GRID_ENTRIES} / n^2 = {MAX_GRID_ENTRIES // spec.n**2}"
+        )
+    return spec
 
 
 @dataclass(frozen=True)
@@ -175,7 +196,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
 
-    n = _get(cp, "chart", "n", int, 1)
+    n = _get(
+        cp, "chart", "n", int, 1,
+        lambda v: v <= _MAX_N or _fail(
+            "chart", "n", f"{v} needs more than the limit of {MAX_GRID_ENTRIES} / n^2 grid points"
+        ),
+    )
     res = _get(cp, "chart", "transverse_resolution", _ints, (64,) * (2 * n))
     per = _get(cp, "chart", "transverse_periods", _floats, (_TWO_PI,) * (2 * n))
     leaf_res = _get(cp, "chart", "leaf_resolution", _ints, None)
@@ -188,7 +214,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     chart = ChartSection(n, res, per, leaf_res, leaf_per, potential, amplitude)
     try:
         chart.grid_spec()
-    except Exception as exc:
+    except GridError as exc:
         raise ConfigError(f"chart: {exc}") from exc
 
     flow_kwargs = {

@@ -27,8 +27,8 @@ import numpy as np
 
 from ._kernels import HAVE_NUMBA, rhs_n1
 from .exceptions import GridError, InexactClass, NonFinitePotential, PositivityLost, StepFloor
-from .grid import GridSpec, ScalarField, diff1, diff2_into, integrate
-from .transverse import HermitianField, _ddbar_matrices, ddbar, log_det, ricci
+from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2_into, integrate
+from .transverse import HermitianField, _ddbar_matrices, _ricci_matrices, ddbar, log_det
 
 __all__ = [
     "FlowConfig",
@@ -126,8 +126,8 @@ class FlowState:
     chi: HermitianField
     volume_density: ScalarField
     diagnostics: FlowDiagnostics | None = None
-    # (phi, t, extended, rescaled, f(phi, t)) from the diagnostics pass, which
-    # attaches it; ``replace`` and the constructor leave it None.
+    # (phi, t, extended, rescaled, f(phi, t) or None) from the diagnostics
+    # pass, which attaches it; ``replace`` and the constructor leave it None.
     _stage: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -245,10 +245,8 @@ def reference_form(state: FlowState, t: float) -> HermitianField:
     )
 
 
-def _reference_matrices(
-    state: FlowState, t: float, rescaled: bool, full: bool = False
-) -> np.ndarray:
-    """The reference metric's matrices at ``t``, with unit leaf axes when ``full``."""
+def _reference_matrices(state, t: float, rescaled: bool, full: bool = False) -> np.ndarray:
+    """omega_hat(t) of a FlowState or _Workspace, with unit leaf axes when ``full``."""
     if rescaled:
         w = np.exp(-t)
         m = state.chi.matrices + w * (state.omega_hat_0.matrices - state.chi.matrices)
@@ -261,75 +259,89 @@ def _reference_matrices(
     return m
 
 
-class _Scratch:
-    """Grid-sized arrays that one caller allocates and lends down its calls.
+def _core(src, halo):
+    """The planes of a block, without its halo."""
+    return src[halo:src.shape[0] - halo]
 
-    :meth:`take` hands out a free float64 array of the requested shape,
-    allocating only when none is free, and :meth:`give` returns arrays for
-    reuse.  A step thereby runs its stages and its diagnostics on the same
-    few buffers.
+
+def _laplacian(src, halo, hs, out, tmp, tmp1, tmp2):
+    """A call that sets out = f_xx + f_yy for f in the n = 1 block ``src``.
+
+    ``src`` has ``halo`` extra axis-0 planes at each end (none on a whole grid).
+    """
+    xx = _Stencil(2, src, 0, hs[0], out, tmp1, tmp2, halo)
+    yy = _Stencil(2, _core(src, halo), 1, hs[1], tmp, tmp1, tmp2)
+
+    def laplacian():
+        xx()
+        yy()
+        np.add(out, tmp, out=out)
+    return laplacian
+
+
+class _Workspace:
+    """What one flow run keeps from step to step, for one state's inputs and config.
+
+    log(volume_density), the reference metric at the last t asked for, the
+    step buffers ``k2``, ``k3``, ``k4``, ``arg`` (``x`` unless extended) and
+    those of the extended block sweeps, and for n = 1 the whole-grid
+    Laplacians of ``x`` into ``g`` and of ``ld`` into ``ric``, bound once.
+    No array it holds is attached to a state.
     """
 
-    def __init__(self):
-        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
+    def __init__(self, state: FlowState, config: FlowConfig):
+        spec = state.phi.spec
+        if config.extended and not spec.has_leaf:
+            raise GridError("extended flow needs a spec with leaf axes")
+        self.omega_hat_0, self.chi, self.rescaled = state.omega_hat_0, state.chi, config.rescaled
+        self.spec, self.hs = spec, spec.spacings
+        self.log_density = np.log(state.volume_density.values)
+        self.log_density_full = self.log_density.reshape(spec.transverse_shape + (1, 1))
+        self._ref_t = self._ref = self._ref_full = None
+        shape = spec.full_shape if config.extended else spec.transverse_shape
+        self.k2, self.k3, self.k4 = (np.empty(shape) for _ in range(3))
+        if spec.n == 1:
+            self.x, self.g, self.ld, self.ric, self.tmp, *tmp12 = (
+                np.empty(spec.transverse_shape) for _ in range(7)
+            )
+            self.metric_laplacian = _laplacian(self.x, 0, self.hs, self.g, self.tmp, *tmp12)
+            self.ricci_laplacian = _laplacian(self.ld, 0, self.hs, self.ric, self.tmp, *tmp12)
+        self.arg = self.x if spec.n == 1 and not config.extended else np.empty(shape)
+        if spec.has_leaf:  # buffers a run never writes take no memory
+            sweep = (_SLAB_PLANES,) + spec.full_shape[1:] if spec.n == 1 else spec.full_shape
+            self.temps = [np.empty(sweep) for _ in range(4)]
+            self.window = np.empty((_SLAB_PLANES + 2 * _HALO,) + spec.full_shape[1:])
 
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        free = self._free.get(shape)
-        return free.pop() if free else np.empty(shape)
+    def reference(self, t: float, full: bool = False) -> np.ndarray:
+        """The reference metric at ``t`` (real for n = 1), with unit leaf axes when ``full``."""
+        if t != self._ref_t:
+            m = _reference_matrices(self, t, self.rescaled)
+            self._ref = ref = np.ascontiguousarray(m[..., 0, 0].real) if self.spec.n == 1 else m
+            full_shape = self.log_density_full.shape + ref.shape[self.log_density.ndim:]
+            self._ref_full = ref.reshape(full_shape)  # unit leaf axes before any matrix axes
+            self._ref_t = t
+        return self._ref_full if full else self._ref
 
-    def give(self, *arrays: np.ndarray) -> None:
-        for a in arrays:
-            self._free.setdefault(a.shape, []).append(a)
 
+def _blocks(values, window):
+    """Yield ``(rows, src)`` for the ``_SLAB_PLANES``-plane axis-0 blocks of ``values``.
 
-def _blocks(values, blocked, scratch):
-    """Yield ``(rows, src, halo)`` for the axis-0 blocks of ``values``.
-
-    Unblocked, the one block is the whole array, which wraps periodically
-    (``halo`` 0).  Blocked, each block holds ``_SLAB_PLANES`` planes and
-    ``src`` carries ``_HALO`` more on each side: a view of ``values`` inside
-    the axis, or a wrapped copy at its two ends, valid until the next block.
+    ``src`` adds ``_HALO`` planes on each side: a view of ``values``, or at
+    the ends a wrapped copy in ``window``, valid until the next block.
     """
-    if not blocked:
-        yield slice(None), values, 0
-        return
     n0 = values.shape[0]
-    window = scratch.take((_SLAB_PLANES + 2 * _HALO,) + values.shape[1:])
     for i0 in range(0, n0, _SLAB_PLANES):
         i1 = i0 + _SLAB_PLANES
         if _HALO <= i0 and i1 + _HALO <= n0:
             src = values[i0 - _HALO:i1 + _HALO]
         else:
             src = np.take(values, range(i0 - _HALO, i1 + _HALO), axis=0, out=window, mode="wrap")
-        yield slice(i0, i1), src, _HALO
-    scratch.give(window)
+        yield slice(i0, i1), src
 
 
-def _block_temps(shape, blocked, scratch, count):
-    """``count`` scratch arrays of the shape of one block of :func:`_blocks`."""
-    block = (_SLAB_PLANES,) + shape[1:] if blocked else shape
-    return [scratch.take(block) for _ in range(count)]
-
-
-def _core(src, halo):
-    """The planes of a block, without its halo."""
-    return src[halo:src.shape[0] - halo]
-
-
-def _laplacian_n1(src, halo, hs, out, tmp, tmp1, tmp2):
-    """out = f_xx + f_yy along the two transverse axes of the block ``src``."""
-    diff2_into(src, 0, hs[0], out, tmp1, tmp2, halo)
-    diff2_into(_core(src, halo), 1, hs[1], tmp, tmp1, tmp2)
-    out += tmp
-
-
-def _metric_n1(src, halo, ref, hs, out, tmp, tmp1, tmp2):
-    """out = ref + 0.25 (phi_xx + phi_yy), the n = 1 evolving metric.
-
-    ``src`` holds phi with ``halo`` extra axis-0 planes at each end (none
-    for a whole-grid evaluation, which wraps periodically).
-    """
-    _laplacian_n1(src, halo, hs, out, tmp, tmp1, tmp2)
+def _metric_n1(laplacian, out, ref):
+    """out = ref + 0.25 (phi_xx + phi_yy), the n = 1 metric, from a :func:`_laplacian` into out."""
+    laplacian()
     out *= 0.25
     out += ref
 
@@ -348,13 +360,6 @@ def _leaf_slopes(values, hs, tmp):
         np.max(np.abs(diff1(values, axis, hs[axis], out=tmp), out=tmp))
         for axis in (values.ndim - 2, values.ndim - 1)
     )
-
-
-def _whole_metric_n1(phi, ref, hs, scratch):
-    g, tmp, tmp1, tmp2 = (scratch.take(phi.shape) for _ in range(4))
-    _metric_n1(phi, 0, ref, hs, g, tmp, tmp1, tmp2)
-    scratch.give(tmp, tmp1, tmp2)
-    return g
 
 
 def _floor_check(values_min: float, floor: float, values: np.ndarray | None = None):
@@ -382,30 +387,43 @@ def _log_det_positive(w: np.ndarray, floor: float) -> np.ndarray:
     return np.sum(np.log(w), axis=-1)
 
 
-def _rhs_n1(phi, ref, log_density, hs, floor, extended, out, scratch):
-    """n = 1 right-hand side into ``out``.
+def _metric_blocks(phi, ref, ws, g=None):
+    """Yield ``(rows, g block, phi block)`` with g = ref + 0.25 (phi_xx + phi_yy).
 
-    It computes g = ref + 0.25 (phi_xx + phi_yy), checks g against the
-    floor, then takes log g - log_density and, when extended, adds
-    0.5 phi_xx and 0.5 phi_yy along the leaves.  The basic grid is small and
-    is evaluated whole; the extended grid is swept in the blocks of
-    :func:`_blocks`.  Every value is bit-identical to a whole-grid
-    evaluation.
+    Without ``g``, phi is the whole transverse grid, one block on the bound
+    Laplacian into ``ws.g``; with it, the blocks of :func:`_blocks` into ``g``.
     """
-    temps = _block_temps(phi.shape, extended, scratch, 3)
-    for rows, src, halo in _blocks(phi, extended, scratch):
-        block = out[rows]
-        _metric_n1(src, halo, ref[rows], hs, block, *temps)
-        if not float(np.min(block)) > floor:
+    if g is None:
+        if phi is not ws.x:
+            np.copyto(ws.x, phi)
+        _metric_n1(ws.metric_laplacian, ws.g, ref)
+        yield slice(None), ws.g, ws.x
+        return
+    for rows, src in _blocks(phi, ws.window):
+        gb = g[rows]
+        _metric_n1(_laplacian(src, _HALO, ws.hs, gb, *ws.temps[:3]), gb, ref[rows])
+        yield rows, gb, _core(src, _HALO)
+
+
+def _rhs_n1(phi, ref, log_density, floor, extended, out, ws):
+    """n = 1 right-hand side into ``out``: log g - log_density for the metric g
+    checked against the floor, plus 0.5 (phi_xx + phi_yy) along the leaves
+    when extended, which is swept in blocks bit-identical to a whole grid.
+    """
+    for rows, g, core in _metric_blocks(phi, ref, ws, out if extended else None):
+        if not float(np.min(g)) > floor:
             # Report the minimum and its location over the whole grid, as an
             # unblocked evaluation would, and take no log of the breach.
-            whole = _whole_metric_n1(phi, ref, hs, scratch)
+            whole = g
+            if extended:
+                whole, *temps = (np.empty(phi.shape) for _ in range(4))
+                _metric_n1(_laplacian(phi, 0, ws.hs, whole, *temps), whole, ref)
             _floor_check(float(np.min(whole)), floor, whole)
-        np.log(block, out=block)
+        block = out[rows]
+        np.log(g, out=block)
         block -= log_density[rows]
         if extended:
-            _add_half_leaf_laplacian(_core(src, halo), block, hs, *temps)
-    scratch.give(*temps)
+            _add_half_leaf_laplacian(core, block, ws.hs, *ws.temps[:3])
 
 
 def _rhs_values(
@@ -417,17 +435,18 @@ def _rhs_values(
     rescaled: bool,
     positivity_floor: float,
     out: np.ndarray | None = None,
-    scratch: _Scratch | None = None,
+    workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """The flow's right-hand side, written into ``out`` (when given) and returned.
 
-    ``phi_values`` is C-contiguous and does not overlap ``out``; ``scratch``
-    lends the temporaries.
+    ``phi_values`` is C-contiguous and does not overlap ``out``.  Buffers and
+    invariants come from ``workspace``, built for ``state`` and this flow
+    variant, or from one made for the call.
     """
     spec = state.phi.spec
     n = spec.n
-    log_density = np.log(state.volume_density.values)
     if n == 1 and HAVE_NUMBA:
+        log_density = np.log(state.volume_density.values)
         ref = np.ascontiguousarray(_reference_matrices(state, t, rescaled)[..., 0, 0].real)
         rhs, min_g = rhs_n1(
             phi_values, ref, log_density, spec.spacings, positivity_floor, extended
@@ -437,25 +456,19 @@ def _rhs_values(
             f = rhs - phi_values
             return f - np.mean(f)
         return rhs
+    if workspace is None:
+        workspace = _Workspace(state, FlowConfig(extended=extended, rescaled=rescaled))
     if out is None:
         out = np.empty(phi_values.shape)
-    if scratch is None:
-        scratch = _Scratch()
-    if extended:
-        log_density = log_density.reshape(spec.transverse_shape + (1, 1))
-    ref = _reference_matrices(state, t, rescaled, extended)
+    ref = workspace.reference(t, extended)
+    log_density = workspace.log_density_full if extended else workspace.log_density
     if n == 1:
-        _rhs_n1(
-            phi_values, ref[..., 0, 0].real, log_density, spec.spacings, positivity_floor,
-            extended, out, scratch,
-        )
+        _rhs_n1(phi_values, ref, log_density, positivity_floor, extended, out, workspace)
     else:
         w = np.linalg.eigvalsh(ref + _ddbar_matrices(phi_values, spec))
         np.subtract(_log_det_positive(w, positivity_floor), log_density, out=out)
         if extended:
-            temps = [scratch.take(out.shape) for _ in range(3)]
-            _add_half_leaf_laplacian(phi_values, out, spec.spacings, *temps)
-            scratch.give(*temps)
+            _add_half_leaf_laplacian(phi_values, out, workspace.hs, *workspace.temps[:3])
     if rescaled:
         out -= phi_values
         out -= np.mean(out)
@@ -536,34 +549,32 @@ def _phi_operand(state: FlowState, extended: bool) -> np.ndarray:
     return np.ascontiguousarray(state.phi.as_full_values()) if extended else state.phi.values
 
 
-def _select_dt(state: FlowState, config: FlowConfig) -> float:
-    """The CFL step from the eigenvalue range of the state's attached diagnostics.
-
-    A breach of the positivity floor raises :class:`PositivityLost` with its
-    grid location.
-    """
+def _select_dt(state: FlowState, config: FlowConfig, h_min: float) -> float:
+    """The CFL step from the diagnostics' eigenvalue range; a floor breach raises, located."""
     d = state.diagnostics
     if not d.min_eig > config.positivity_floor:
         transverse_metric(state, rescaled=config.rescaled).checked_positive(
             config.positivity_floor
         )
-    h_min = min(state.phi.spec.spacings)
     return min(config.dt_initial, config.dt_safety * h_min * h_min * d.min_eig / d.max_eig)
+
+
+def _diagnosed(state: FlowState, config: FlowConfig) -> bool:
+    """Whether the state's diagnostics come from a pass over its own phi and t for ``config``."""
+    record = state._stage
+    return record is not None and record[0] is state.phi and record[1] == state.t and (
+        record[2:4] == (config.extended, config.rescaled)
+    )
 
 
 def _attached_stage(state: FlowState, config: FlowConfig) -> np.ndarray | None:
     """The read-only f(phi, t) attached to ``state`` for ``config``, or None."""
-    if state._stage is None:
-        return None
-    phi, t, extended, rescaled, values = state._stage
-    if phi is state.phi and t == state.t and (extended, rescaled) == (
-        config.extended, config.rescaled
-    ):
-        return values
-    return None
+    return state._stage[4] if _diagnosed(state, config) else None
 
 
-def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> FlowState:
+def step(
+    state: FlowState, config: FlowConfig, dt_cap: float | None = None, *, _workspace=None
+) -> FlowState:
     """One classical RK4 step with diffusive step-size control.
 
     dt = min(dt_initial, dt_safety * h_min^2 * lambda_min / lambda_max); a
@@ -574,31 +585,30 @@ def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> F
 
     The first stage is the one the state's diagnostics pass attached for
     ``config``, so a step evaluates the right-hand side three times (four
-    when none is attached); the returned state carries the first stage of
-    the next step.  A state without diagnostics gets them first.
+    on the numba path, which attaches none); the returned state carries
+    the first stage of the next step.  A state whose diagnostics that pass
+    did not attach for its own phi, t and flow variant gets them afresh.
+    :func:`run` passes its workspace, built for the same inputs and
+    config, as ``_workspace``; otherwise one is made for the call.
     """
-    extended = config.extended
-    if extended and not state.phi.spec.has_leaf:
-        raise GridError("extended flow needs a spec with leaf axes")
-    # The stages, their arguments and the final combination all live in
-    # these buffers, which the diagnostics reuse afterwards.
-    scratch = _Scratch()
-    if state.diagnostics is None:
-        state = _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0, scratch=scratch)
-    dt = _select_dt(state, config)
+    ws = _workspace or _Workspace(state, config)
+    if not _diagnosed(state, config):
+        state = _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0, workspace=ws)
+    dt = _select_dt(state, config, min(ws.hs))
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
+    extended = config.extended
     phi0 = _phi_operand(state, extended)
     k1 = _attached_stage(state, config)  # read-only
-    k2, k3, k4, arg = (scratch.take(phi0.shape) for _ in range(4))
+    k2, k3, k4, arg = ws.k2, ws.k3, ws.k4, ws.arg
 
-    def f(values: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    def f(values: np.ndarray, t: float, out: np.ndarray | None) -> np.ndarray:
         return _rhs_values(
             values, t, state,
             extended=extended, rescaled=config.rescaled,
             positivity_floor=config.positivity_floor,
-            out=out, scratch=scratch,
+            out=out, workspace=ws,
         )
 
     def stage_argument(k: np.ndarray, c: float) -> np.ndarray:
@@ -609,7 +619,7 @@ def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> F
     while True:
         try:
             if k1 is None:  # no stage attached for this config
-                k1 = f(phi0, t0, scratch.take(phi0.shape))
+                k1 = f(phi0, t0, None)
             k2 = f(stage_argument(k1, 0.5 * dt), t0 + 0.5 * dt, k2)
             k3 = f(stage_argument(k2, 0.5 * dt), t0 + 0.5 * dt, k3)
             k4 = f(stage_argument(k3, dt), t0 + dt, k4)
@@ -633,13 +643,10 @@ def step(state: FlowState, config: FlowConfig, dt_cap: float | None = None) -> F
     if not np.isfinite(mean):  # as is any mean over a NaN or an infinity
         raise NonFinitePotential(f"the step to t = {t0 + dt!r} made the potential non-finite")
     k2 -= mean
-    new_phi = ScalarField(state.phi.spec, k2, basic=not extended and state.phi.basic)
-    scratch.give(k2, k3, k4, arg)
+    new_phi = ScalarField(state.phi.spec, k2, basic=not extended and state.phi.basic)  # a copy
 
-    new_state = FlowState(
-        t0 + dt, new_phi, state.omega_hat_0, state.chi, state.volume_density
-    )
-    return _with_diagnostics(new_state, config, dphidt_sup=dphidt_sup, dt=dt, scratch=scratch)
+    new_state = FlowState(t0 + dt, new_phi, state.omega_hat_0, state.chi, state.volume_density)
+    return _with_diagnostics(new_state, config, dphidt_sup=dphidt_sup, dt=dt, workspace=ws)
 
 
 def ricci_residual(state: FlowState, config: FlowConfig) -> float:
@@ -648,11 +655,9 @@ def ricci_residual(state: FlowState, config: FlowConfig) -> float:
 
 
 def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
-    """The transverse slice of a full field that is bitwise leaf-constant.
+    """The transverse slice of a bitwise leaf-constant field, or None if it varies along them.
 
-    Returns None when the field actually varies along the leaves.  When it
-    does not, every leaf slice carries identical values, so diagnostics
-    computed on one slice equal the full-grid ones exactly.
+    Diagnostics computed on that one slice equal the full-grid ones exactly.
     """
     if phi.basic:
         return phi.values
@@ -663,88 +668,84 @@ def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
     return None
 
 
-def _sweep_metric_n1(phi, ref, log_density, hs, leaf_varying, scratch):
-    """The first n = 1 sweep: g, log g, the unshifted first stage, min/max g.
+def _sweep_metric_n1(phi, ref, log_density, leaf_varying, ws):
+    """The first n = 1 sweep: ``(g, log g, stage, min g, max g, defect)``.
 
-    The stage is log g - log_density, plus 0.5 (phi_xx + phi_yy) along the
-    leaves when ``leaf_varying``; a leaf-varying phi is swept in blocks like
-    :func:`_rhs_n1`, which also yields its :func:`leafwise_defect` from the
-    leaf slopes of each block (None otherwise).  Returns
-    ``(g, log g, stage, min g, max g, defect)``.
+    The new array ``stage`` is log g - log_density, plus 0.5 (phi_xx + phi_yy)
+    along the leaves of a ``leaf_varying`` phi, which is swept in blocks like
+    :func:`_rhs_n1` and also yields its :func:`leafwise_defect` (else None).
     """
-    g, ld, stage = (scratch.take(phi.shape) for _ in range(3))
-    temps = _block_temps(phi.shape, leaf_varying, scratch, 3)
+    if not leaf_varying:
+        g, ld, stage = None, ws.ld, np.empty(phi.shape)
+    elif ws.k3.shape == phi.shape:  # the stage takes over ``arg``, faster than new memory
+        g, ld, stage = ws.k3, ws.k4, ws.arg
+        ws.arg = np.empty(stage.shape)
+    else:  # a leaf-varying phi diagnosed for a flow that is not extended
+        g, ld, stage = (np.empty(phi.shape) for _ in range(3))
     lows, highs, slopes = [], [], []
-    for rows, src, halo in _blocks(phi, leaf_varying, scratch):
-        gb, lb, kb = g[rows], ld[rows], stage[rows]
-        _metric_n1(src, halo, ref[rows], hs, gb, *temps)
+    for rows, gb, core in _metric_blocks(phi, ref, ws, g):
         lows.append(np.min(gb))
         highs.append(np.max(gb))
+        lb, kb = ld[rows], stage[rows]
         np.log(gb, out=lb)
         np.subtract(lb, log_density[rows], out=kb)
         if leaf_varying:
-            core = _core(src, halo)
-            _add_half_leaf_laplacian(core, kb, hs, *temps)
-            slopes.append(_leaf_slopes(core, hs, temps[0]))
-    scratch.give(*temps)
+            _add_half_leaf_laplacian(core, kb, ws.hs, *ws.temps[:3])
+            slopes.append(_leaf_slopes(core, ws.hs, ws.temps[0]))
     defect = None
     if leaf_varying:
         dx, dy = zip(*slopes)
         defect = float(np.max(dx) + np.max(dy))
-    return g, ld, stage, float(np.min(lows)), float(np.max(highs)), defect
+    return ws.g if g is None else g, ld, stage, float(np.min(lows)), float(np.max(highs)), defect
 
 
-def _sweep_ricci_n1(g, ld, hs, class_k, blocked, scratch):
-    """The second n = 1 sweep: sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy).
+def _ricci_sup_n1(laplacian, ric, g, class_k, tmp):
+    """sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy), from the Laplacian into ``ric``."""
+    laplacian()
+    ric *= -0.25
+    np.multiply(g, class_k, out=tmp)
+    ric -= tmp
+    return np.max(np.abs(ric, out=ric))
 
-    ``g`` and ``ld`` (log g) come from :func:`_sweep_metric_n1` and go back
-    to ``scratch``.
-    """
-    ric, tmp, tmp1, tmp2 = _block_temps(g.shape, blocked, scratch, 4)
+
+def _sweep_ricci_n1(g, ld, class_k, blocked, ws):
+    """The second n = 1 sweep: sup |Ric - k g| from g and ld = log g of :func:`_sweep_metric_n1`."""
+    if not blocked:
+        return float(_ricci_sup_n1(ws.ricci_laplacian, ws.ric, g, class_k, ws.tmp))
+    ric, tmp, tmp1, tmp2 = ws.temps
     sups = []
-    for rows, src, halo in _blocks(ld, blocked, scratch):
-        _laplacian_n1(src, halo, hs, ric, tmp, tmp1, tmp2)
-        ric *= -0.25
-        np.multiply(g[rows], class_k, out=tmp)
-        ric -= tmp
-        sups.append(np.max(np.abs(ric, out=ric)))
-    scratch.give(g, ld, ric, tmp, tmp1, tmp2)
+    for rows, src in _blocks(ld, ws.window):
+        laplacian = _laplacian(src, _HALO, ws.hs, ric, tmp, tmp1, tmp2)
+        sups.append(_ricci_sup_n1(laplacian, ric, g[rows], class_k, tmp))
     return float(np.max(sups))
 
 
 def _with_diagnostics(
     state: FlowState, config: FlowConfig, dphidt_sup: float | None, dt: float,
-    scratch: _Scratch | None = None,
+    workspace: _Workspace | None = None,
 ) -> FlowState:
     """``state`` with its diagnostics and, from the same pass, its first RK4 stage.
 
-    The stage f(phi, t) for ``config`` is built from the operands the
-    diagnostics already hold (log g for n = 1, the eigenvalues for n >= 2),
-    bit-identical to :func:`_rhs_values`, and is attached read-only for the
-    next :func:`step`.  None is attached when the metric is not above the
-    positivity floor, for a full phi that ``config`` does not extend, or on
-    the numba n = 1 path.  ``dphidt_sup=None`` (the step-0 row) takes
-    sup |f(phi, t)| from that stage; where there is none, f is evaluated
-    afresh, which raises :class:`PositivityLost` on a floor breach.
+    The stage f(phi, t) for ``config``, bit-identical to :func:`_rhs_values`,
+    comes from the diagnostics' own operands (log g for n = 1, the
+    eigenvalues for n >= 2).  It is attached read-only with the phi, t and
+    flow variant the diagnostics belong to; it is None below the positivity
+    floor, for a full phi that ``config`` does not extend, and on the numba
+    n = 1 path.  ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)|
+    from the stage, or evaluates f afresh, raising :class:`PositivityLost`.
     """
+    ws = workspace or _Workspace(state, config)
     spec = state.phi.spec
     n = spec.n
-    hs = spec.spacings
     floor = config.positivity_floor
-    if scratch is None:
-        scratch = _Scratch()
     values = _leaf_constant_slice(state.phi)
     leaf_varying = values is None
     if leaf_varying:
         values = state.phi.values
-    ref = _reference_matrices(state, state.t, config.rescaled, full=leaf_varying)
-    log_density = np.log(state.volume_density.values)
-    if leaf_varying:
-        log_density = log_density.reshape(spec.transverse_shape + (1, 1))
+    ref = ws.reference(state.t, full=leaf_varying)
+    log_density = ws.log_density_full if leaf_varying else ws.log_density
     if n == 1:
-        g, ld, k1, lo, hi, defect = _sweep_metric_n1(
-            values, ref[..., 0, 0].real, log_density, hs, leaf_varying, scratch
-        )
+        g, ld, k1, lo, hi, defect = _sweep_metric_n1(values, ref, log_density, leaf_varying, ws)
     else:
         defect = None
         g = HermitianField(spec, ref + _ddbar_matrices(values, spec), basic=not leaf_varying)
@@ -754,9 +755,7 @@ def _with_diagnostics(
         if lo > floor:
             k1 = _log_det_positive(w, floor) - log_density
             if leaf_varying:
-                temps = [scratch.take(values.shape) for _ in range(3)]
-                _add_half_leaf_laplacian(values, k1, hs, *temps)
-                scratch.give(*temps)
+                _add_half_leaf_laplacian(values, k1, ws.hs, *ws.temps[:3])
     if defect is None:
         defect = leafwise_defect(state)
 
@@ -778,23 +777,20 @@ def _with_diagnostics(
             rhs = _rhs_values(
                 _phi_operand(state, config.extended), state.t, state,
                 extended=config.extended, rescaled=config.rescaled, positivity_floor=floor,
+                workspace=ws,
             )
         dphidt_sup = float(np.max(np.abs(rhs)))
 
     if n == 1:
-        ric_sup = _sweep_ricci_n1(g, ld, hs, config.class_k, leaf_varying, scratch)
+        ric_sup = _sweep_ricci_n1(g, ld, config.class_k, leaf_varying, ws)
     else:
-        ric_sup = float(np.max(np.abs(ricci(g).matrices - config.class_k * g.matrices)))
+        ric = _ricci_matrices(g.matrices, spec)
+        ric_sup = float(np.max(np.abs(ric - config.class_k * g.matrices)))
     new = replace(state, diagnostics=FlowDiagnostics(
-        ricci_sup=ric_sup,
-        dphidt_sup=dphidt_sup,
-        min_eig=lo,
-        max_eig=hi,
-        leafwise_defect=defect,
-        dt=dt,
+        ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,
+        leafwise_defect=defect, dt=dt,
     ))
-    if stage is not None:
-        object.__setattr__(new, "_stage", (new.phi, new.t, config.extended, config.rescaled, stage))
+    object.__setattr__(new, "_stage", (new.phi, new.t, config.extended, config.rescaled, stage))
     return new
 
 
@@ -838,13 +834,16 @@ def run(
 
     The history records the initial diagnostics as step 0, then one row per
     accepted step.  Breakdown modes land in ``reason`` instead of raising,
-    so callers can tell them apart without exception handling.
+    so callers can tell them apart without exception handling.  Every step
+    of the run executes on one workspace built for ``initial`` and
+    ``config``.
     """
     state = initial
     if not np.all(np.isfinite(state.phi.values)):
         return FlowReport(False, "non_finite", state.t, 0, [], state)
+    workspace = _Workspace(state, config)
     try:
-        state = _with_diagnostics(state, config, dphidt_sup=None, dt=0.0)
+        state = _with_diagnostics(state, config, dphidt_sup=None, dt=0.0, workspace=workspace)
     except PositivityLost as exc:
         return FlowReport(False, "positivity_lost", state.t, 0, [], state, _failure(exc))
     diag = state.diagnostics
@@ -863,7 +862,7 @@ def run(
             if dt_cap <= DT_FLOOR:
                 return FlowReport(False, "not_converged", state.t, k - 1, history, state)
         try:
-            state = step(state, config, dt_cap=dt_cap)
+            state = step(state, config, dt_cap=dt_cap, _workspace=workspace)
         except PositivityLost as exc:
             return FlowReport(
                 False, "positivity_lost", state.t, k - 1, history, state, _failure(exc)

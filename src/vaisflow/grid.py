@@ -15,12 +15,14 @@ One slice engine evaluates them.  It views an array as (outer, N, inner)
 with the differentiated axis in the middle; each shifted difference is one
 contiguous subtract over the flattened array plus one subtract that
 overwrites the few wrapped planes, so no shifted copy of the array is ever
-made.  :func:`diff1` and :func:`diff2` accept an ``out=`` array, and
-:func:`diff2_into` also takes the caller's scratch arrays and can sweep a
-large array block by block from a halo of neighbouring planes.  Every route
-applies the same operations to the same operands in the same order, so
-results are bit-identical whichever route, block size or output buffer is
-used.
+made.  A ``_Stencil`` is one such sweep bound to its arrays, with its
+views built once; :func:`diff1`, :func:`diff2` and :func:`diff2_into` bind
+one and run it.  :func:`diff1` and :func:`diff2` accept an ``out=`` array,
+and :func:`diff2_into` also takes the caller's scratch arrays and can sweep
+a large array block by block from a halo of neighbouring planes.  Every
+route applies the same operations to the same operands in the same order,
+so results are bit-identical whichever route, block size or output buffer
+is used.
 """
 
 from __future__ import annotations
@@ -179,11 +181,16 @@ class GridSpec:
         return GridSpec(self.n, self.transverse_resolution, self.transverse_periods)
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values)
-    if out.dtype not in (np.float64, np.complex128):
-        out = out.astype(np.complex128 if np.iscomplexobj(out) else np.float64)
-    out = out.copy()
+def _freeze(values, dtype=None) -> np.ndarray:
+    """A read-only C-contiguous copy of ``values`` as ``dtype``.
+
+    Without ``dtype`` the copy is complex128 for complex input and float64
+    otherwise.
+    """
+    values = np.asarray(values)
+    if dtype is None:
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -294,10 +301,10 @@ class _Plan(NamedTuple):
 
     src_shape: tuple[int, int, int]
     out_shape: tuple[int, int, int]
-    # (a, b) -> slices (src a, src b, out) of the flattened arrays, or None
-    flat: dict
-    # (a, b) -> tuple of index pairs (src a, src b, out) into the 3-D views
-    planes: dict
+    # (a, b) -> the steps (flat, src a, src b, out) of f(i + a) - f(i + b):
+    # indices into the flattened arrays when flat is 1, into the 3-D views
+    # when it is 0.  A flat step comes first.
+    steps: dict
 
 
 # The (a, b) pairs of f(i + a) - f(i + b) that the two stencils use.
@@ -327,63 +334,95 @@ def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
     outer, n_src, inner = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
     n = n_src - 2 * halo
     every = slice(None)
-    flat, planes = {}, {}
+    steps = {}
     for a, b in _SHIFTS:
         if halo:
-            flat[a, b] = None
-            planes[a, b] = (
-                ((every, slice(halo + a, halo + a + n)), (every, slice(halo + b, halo + b + n)), every),
-            )
+            at_a, at_b = slice(halo + a, halo + a + n), slice(halo + b, halo + b + n)
+            steps[a, b] = ((0, (every, at_a), (every, at_b), every),)
             continue
         low, high = max(0, -a, -b), max(0, a, b)
         start, stop = low * inner, (outer * n - high) * inner
-        flat[a, b] = (
-            slice(start + a * inner, stop + a * inner),
-            slice(start + b * inner, stop + b * inner),
-            slice(start, stop),
-        )
-        planes[a, b] = tuple(
-            ((every, _wrapped(a, i0, i1, n)), (every, _wrapped(b, i0, i1, n)), (every, slice(i0, i1)))
+        flat = (1, slice(start + a * inner, stop + a * inner),
+                slice(start + b * inner, stop + b * inner), slice(start, stop))
+        steps[a, b] = (flat,) + tuple(
+            (0, (every, _wrapped(a, i0, i1, n)), (every, _wrapped(b, i0, i1, n)), (every, slice(i0, i1)))
             for i0, i1 in ((0, low), (n - high, n))
             if i1 > i0
         )
-    return _Plan((outer, n_src, inner), (outer, n, inner), flat, planes)
+    return _Plan((outer, n_src, inner), (outer, n, inner), steps)
 
 
-def _shift_diff(plan: _Plan, src: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
-    """out = f(i + a) - f(i + b) along the plan's axis, for contiguous ``src`` and ``out``."""
-    indices = plan.flat[a, b]
-    if indices is not None:
-        ia, ib, io = indices
-        flat_src = src.reshape(-1)
-        np.subtract(flat_src[ia], flat_src[ib], out=out.reshape(-1)[io])
-    src3, out3 = src.reshape(plan.src_shape), out.reshape(plan.out_shape)
-    for ia, ib, io in plan.planes[a, b]:
-        np.subtract(src3[ia], src3[ib], out=out3[io])
+def _subtract(views: list) -> None:
+    """out = f(i + a) - f(i + b) from the bound views of one shift difference."""
+    for a, b, out in views:
+        np.subtract(a, b, out=out)
 
 
 # The operands and their order below are the stencils' contract: every
 # caller's result must be bit-identical to every other's, so do not regroup.
-def _first_difference(plan, src, out, tmp, h):
-    _shift_diff(plan, src, 1, -1, out)
-    _shift_diff(plan, src, 2, -2, tmp)
+def _first_difference(diffs, out, tmp, h):
+    near, far = diffs
+    _subtract(near)
+    _subtract(far)
     out *= _C1_NEAR
     tmp *= _C1_FAR
     out += tmp
     out /= h
 
 
-def _second_difference(plan, src, out, tmp1, tmp2, h):
-    _shift_diff(plan, src, 1, 0, out)
-    _shift_diff(plan, src, -1, 0, tmp1)
+def _second_difference(diffs, out, tmp1, tmp2, h):
+    up, down, up2, down2 = diffs
+    _subtract(up)
+    _subtract(down)
     out += tmp1
-    _shift_diff(plan, src, 2, 0, tmp1)
-    _shift_diff(plan, src, -2, 0, tmp2)
+    _subtract(up2)
+    _subtract(down2)
     tmp1 += tmp2
     out *= _C2_NEAR
     tmp1 *= _C2_FAR
     out += tmp1
     out /= h * h
+
+
+class _Stencil:
+    """One stencil sweep bound to its arrays, run by calling it.
+
+    ``order`` 1 is :func:`diff1` (one scratch array ``tmp1``), ``order`` 2
+    is :func:`diff2` (scratch ``tmp1`` and ``tmp2``); ``halo`` is as in
+    :func:`diff2_into`.  Binding builds every view of the sweep once, so a
+    call makes only the sweep's ufunc calls; a caller whose arrays live
+    long (the flow's run-scoped workspace) binds once and calls many times.
+    All arrays are C-contiguous, ``axis`` is non-negative and the caller
+    writes the operand into ``src`` in place between calls.
+    """
+
+    __slots__ = ("_sweep", "_args")
+
+    def __init__(self, order, src, axis, h, out, tmp1, tmp2=None, halo=0):
+        if 0 < halo < 2:
+            raise GridError(f"a halo must hold at least the stencil's 2 planes, got {halo}")
+        for a in (src, out, tmp1) if order == 1 else (src, out, tmp1, tmp2):
+            if not a.flags.c_contiguous:
+                raise GridError("stencil operands must be C-contiguous arrays")
+        plan = _plan(src.shape, axis, halo)
+        if order == 1:
+            self._sweep, arrays = _first_difference, (out, tmp1)
+            shifts = ((1, -1, out), (2, -2, tmp1))
+        else:
+            self._sweep, arrays = _second_difference, (out, tmp1, tmp2)
+            shifts = ((1, 0, out), (-1, 0, tmp1), (2, 0, tmp1), (-2, 0, tmp2))
+        srcs = (src.reshape(plan.src_shape), src.reshape(-1))
+        diffs = []
+        for a, b, target in shifts:
+            targets = (target.reshape(plan.out_shape), target.reshape(-1))
+            diffs.append([
+                (srcs[flat][ia], srcs[flat][ib], targets[flat][io])
+                for flat, ia, ib, io in plan.steps[a, b]
+            ])
+        self._args = (diffs, *arrays, h)
+
+    def __call__(self) -> None:
+        self._sweep(*self._args)
 
 
 def _prepare(values: np.ndarray, axis: int, out: np.ndarray | None) -> tuple[np.ndarray, int, np.ndarray]:
@@ -413,7 +452,7 @@ def diff1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
     array of the input's shape that does not overlap it) and returned.
     """
     src, axis, out = _prepare(values, axis, out)
-    _first_difference(_plan(src.shape, axis, 0), src, out, np.empty_like(out), h)
+    _Stencil(1, src, axis, h, out, np.empty_like(out))()
     return out
 
 
@@ -423,7 +462,7 @@ def diff2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
     ``out`` works as in :func:`diff1`.
     """
     src, axis, out = _prepare(values, axis, out)
-    diff2_into(src, axis, h, out, np.empty_like(out), np.empty_like(out))
+    _Stencil(2, src, axis, h, out, np.empty_like(out), np.empty_like(out))()
     return out
 
 
@@ -444,12 +483,7 @@ def diff2_into(
     ``axis`` and ``out`` receives the derivative on the planes between them,
     so a caller can sweep a large array in cache-sized blocks.
     """
-    if 0 < halo < 2:
-        raise GridError(f"a halo must hold at least the stencil's 2 planes, got {halo}")
-    for a in (values, out, tmp1, tmp2):
-        if not a.flags.c_contiguous:
-            raise GridError("stencil operands must be C-contiguous arrays")
-    _second_difference(_plan(values.shape, axis, halo), values, out, tmp1, tmp2, h)
+    _Stencil(2, values, axis, h, out, tmp1, tmp2, halo)()
 
 
 def fd_derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:

@@ -31,7 +31,7 @@ from .exceptions import (
     PositivityLost,
     SingularMetric,
 )
-from .grid import GridSpec, ScalarField, diff1, diff2
+from .grid import GridSpec, ScalarField, _freeze, diff1, diff2
 
 __all__ = [
     "HermitianField",
@@ -51,12 +51,6 @@ _HERMITICITY_TOL = 1e-12
 _CONDITION_WARN = 1e8
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=np.complex128).copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class HermitianField:
     """One n x n Hermitian matrix per grid point.
@@ -74,7 +68,7 @@ class HermitianField:
     positivity_checked: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", _freeze(self.matrices))
+        object.__setattr__(self, "matrices", _freeze(self.matrices, np.complex128))
         n = self.spec.n
         expected = self.spec.shape(self.basic) + (n, n)
         if self.matrices.shape != expected:
@@ -226,9 +220,13 @@ def log_det(g: HermitianField) -> ScalarField:
 
 def ricci(g: HermitianField) -> HermitianField:
     """Transverse Ricci coefficients R_{j kbar} = -(log det g)_{j kbar}."""
-    ld = log_det(g)
-    r = ddbar(ld)
-    return HermitianField(g.spec, -r.matrices, basic=g.basic)
+    return HermitianField(g.spec, _ricci_matrices(g.matrices, g.spec), basic=g.basic)
+
+
+def _ricci_matrices(matrices: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The coefficient matrices of :func:`ricci` for a raw metric array."""
+    r = _ddbar_matrices(_log_det_values(matrices, spec.n), spec)
+    return np.negative(r, out=r)
 
 
 def _d_z(values: np.ndarray, j: int, spec: GridSpec) -> np.ndarray:

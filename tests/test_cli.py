@@ -1,11 +1,15 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vaisflow.cli as cli_module
 import vaisflow.flow as flow_module
 from conftest import basic_spec
 from vaisflow.cli import main
+from vaisflow.config import MAX_GRID_ENTRIES, load_config
 from vaisflow.grid import ScalarField
 from vaisflow.snapshots import field_to_dict, save_snapshot
 from vaisflow.transverse import HermitianField, metric_from_potential
@@ -164,6 +168,62 @@ class TestCmdFlow:
         snaps = sorted((tmp_path / "out").glob("metric_0*.json"))
         assert snaps, "expected checkpoint snapshots"
 
+    @pytest.mark.parametrize("t_final, final_is_checkpoint", [(0.05, True), (0.06, False)])
+    def test_final_checkpoint_encoded_once(
+        self, tmp_path, monkeypatch, t_final, final_is_checkpoint
+    ):
+        """A run whose last step is a checkpoint encodes that metric once, for both files."""
+        body = BUMP_FLOW.format(out=tmp_path / "out").replace(
+            "checkpoint_every = 0", "checkpoint_every = 5"
+        ).replace("class_k = 0", f"class_k = 0\ndt_initial = 0.01\nt_final = {t_final}")
+        cfg = write_config(tmp_path / "ck.cfg", body)
+        encoded = []
+        encode = cli_module.save_snapshot
+
+        def counted(field, path):
+            encoded.append(Path(path).name)
+            encode(field, path)
+
+        monkeypatch.setattr(cli_module, "save_snapshot", counted)
+        assert main(["flow", cfg]) == 2
+        out = tmp_path / "out"
+        assert json.loads((out / "report.json").read_text())["steps"] == round(t_final / 0.01)
+        final = [] if final_is_checkpoint else ["metric_final.json"]
+        assert encoded == ["metric_000000.json", "metric_000005.json", *final, "phi_final.json"]
+        same = (out / "metric_final.json").read_bytes() == (out / "metric_000005.json").read_bytes()
+        assert same == final_is_checkpoint
+
+    @pytest.mark.parametrize(
+        "chart",
+        [
+            "transverse_resolution = 512 512\nleaf_resolution = 8 8",  # 2^24 points
+            "n = 2\ntransverse_resolution = 32 32 64 64",  # 2^22 points, 2x2 matrices
+        ],
+    )
+    def test_grid_at_the_point_limit_is_accepted(self, tmp_path, chart):
+        body = f"[chart]\n{chart}\n[output]\ndirectory = out\n"
+        cfg = load_config(write_config(tmp_path / "edge.cfg", body))
+        points = math.prod(cfg.chart.grid_spec().full_shape)
+        assert points * cfg.chart.n**2 == MAX_GRID_ENTRIES
+
+    @pytest.mark.parametrize(
+        "chart, key",
+        [
+            ("n = 2", "chart:"),  # 64 points on each of 4 axes by default
+            ("n = 3", "chart:"),  # and on each of 6
+            ("n = 4\ntransverse_resolution = 8 8 8 8 8 8 8 8", "chart.n:"),
+            ("n = 5\ntransverse_resolution = 8 8 8 8 8 8 8 8 8 8", "chart.n:"),
+            ("transverse_resolution = 2048 2048\nleaf_resolution = 8 8", "chart:"),
+        ],
+    )
+    def test_grid_above_the_point_limit_is_a_config_error(self, tmp_path, capsys, chart, key):
+        body = f"[chart]\n{chart}\n[output]\ndirectory = {tmp_path / 'out'}\n"
+        cfg = write_config(tmp_path / "huge.cfg", body)
+        assert main(["flow", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}" in err and str(MAX_GRID_ENTRIES) in err
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -210,6 +270,14 @@ class TestCmdCheckStructure:
         assert main(["check-structure", cfg]) == 1
         assert "checks.resolutions: needs at least two" in capsys.readouterr().err
         assert not (tmp_path / "out" / "checks.json").exists()
+
+    def test_grid_above_the_point_limit_is_a_config_error(self, tmp_path, capsys):
+        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+            "resolutions = 32 64", "resolutions = 64 1024"
+        )
+        cfg = write_config(tmp_path / "huge.cfg", body)
+        assert main(["check-structure", cfg]) == 1
+        assert "config error: checks.resolutions:" in capsys.readouterr().err
 
     def test_non_finite_amplitude_fails_construction(self, tmp_path, capsys):
         body = CHECKS.format(defect="false", out=tmp_path / "out").replace(

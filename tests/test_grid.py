@@ -7,6 +7,7 @@ from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.convergence import fitted_order
 from vaisflow.exceptions import GridError
 from vaisflow.grid import GridSpec, ScalarField, fd_derivative, integrate, norms, wirtinger
+from vaisflow.transverse import HermitianField
 
 
 class TestGridSpec:
@@ -41,6 +42,34 @@ class TestGridSpec:
         f = ScalarField.zeros(basic_spec(res=16))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize(
+        "raw, dtype",
+        [
+            (np.arange(256).reshape(16, 16), np.float64),
+            (np.ones((16, 16), dtype=np.float32), np.float64),
+            (np.ones((16, 16), dtype=np.complex64), np.complex128),
+        ],
+    )
+    def test_scalar_field_copies(self, raw, dtype):
+        f = ScalarField(GridSpec(1, (16, 16), (TWO_PI, TWO_PI)), raw)
+        assert f.values.dtype == dtype and not f.values.flags.writeable
+        assert np.array_equal(f.values, raw) and not np.shares_memory(f.values, raw)
+
+    def test_broadcast_input_becomes_c_contiguous(self):
+        spec = full_spec(res=16, leaf=8)
+        row = np.arange(16.0).reshape(16, 1, 1, 1)
+        for f in (
+            ScalarField(spec, np.broadcast_to(row, spec.full_shape), basic=False),
+            HermitianField(
+                spec, np.broadcast_to(row[..., None], spec.full_shape + (1, 1)), basic=False
+            ),
+        ):
+            values = f.values if isinstance(f, ScalarField) else f.matrices
+            assert values.flags.c_contiguous and not values.flags.writeable
+        assert f.matrices.dtype == np.complex128
 
 
 class TestFdDerivative:

@@ -18,7 +18,7 @@ from vaisflow import flow
 from vaisflow._kernels import HAVE_NUMBA
 from vaisflow.exceptions import GridError, PositivityLost
 from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
-from vaisflow.grid import ScalarField, diff1, diff2, diff2_into
+from vaisflow.grid import ScalarField, _Stencil, diff1, diff2, diff2_into
 from vaisflow.transverse import HermitianField, metric_from_potential
 
 _C1_NEAR = 2.0 / 3.0
@@ -158,20 +158,14 @@ def reference_diagnostics(phi_values, t, state, config):
     return float(ric_sup), float(lo), float(hi), float(defect)
 
 
-def reference_step(state, config, eig_range=None):
-    """(t1, phi1, dphidt_sup) of one RK4 step.
-
-    dt comes from ``eig_range`` (min, max) when given, else from the
-    state's own metric.
-    """
+def reference_step(state, config):
+    """(t1, phi1, dphidt_sup) of one RK4 step, with dt from the state's own metric."""
     spec = state.phi.spec
     extended = config.extended
     phi0 = np.array(state.phi.as_full_values()) if extended else state.phi.values
-    if eig_range is None:
-        g = reference_metric(phi0, state.t, state, config.rescaled, extended)
-        w = g if spec.n == 1 else np.linalg.eigvalsh(g)
-        eig_range = float(np.min(w)), float(np.max(w))
-    lo, hi = eig_range
+    g = reference_metric(phi0, state.t, state, config.rescaled, extended)
+    w = g if spec.n == 1 else np.linalg.eigvalsh(g)
+    lo, hi = float(np.min(w)), float(np.max(w))
     h_min = min(spec.spacings)
     dt = min(config.dt_initial, config.dt_safety * h_min * h_min * lo / hi)
 
@@ -258,6 +252,22 @@ def test_halo_blocks_match_the_periodic_sweep(axis):
         assert np.array_equal(out, np.take(expected, [i0, i0 + 1], axis=axis))
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bound_stencil_matches_diff(shape):
+    """A stencil bound once runs on whatever operand is written into its source."""
+    values = _operand(shape, "real", "contiguous", seed=11)
+    src, out, tmp1, tmp2 = (np.empty(shape) for _ in range(4))
+    for axis in range(len(shape)):
+        h = 0.1 + 0.01 * axis
+        for order, engine, reference in ((1, diff1, reference_diff1), (2, diff2, reference_diff2)):
+            bound = _Stencil(order, src, axis, h, out, tmp1, tmp2)
+            for scale in (1.0, -3.5):
+                np.copyto(src, scale * values)
+                bound()
+                assert np.array_equal(out, engine(src, axis, h)), (order, axis)
+                assert np.array_equal(out, reference(src, axis, h)), (order, axis)
+
+
 def test_out_is_validated():
     values = np.zeros((16, 16))
     with pytest.raises(GridError):
@@ -270,6 +280,8 @@ def test_out_is_validated():
         diff1(values, 2, 0.1)
     with pytest.raises(GridError):
         diff2(np.zeros((4, 16)), 0, 0.1)
+    with pytest.raises(GridError):
+        _Stencil(2, np.zeros((16, 32))[:, ::2], 0, 0.1, *(np.empty((16, 16)) for _ in range(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +430,11 @@ def test_three_rhs_evaluations_per_accepted_step(case, monkeypatch):
 
 
 def test_stale_stage_is_never_reused(monkeypatch):
-    """A new phi or t, or another flow variant, evaluates the first stage afresh."""
+    """A new phi or t, or another flow variant, gets its diagnostics and first stage afresh.
+
+    The step's dt then comes from the state's own metric, and its first
+    stage from the new diagnostics pass, not from ``_rhs_values``.
+    """
     first = flow.step(_n1_basic_state(), FlowConfig())
     leaf_constant = flow.step(_n1_leaf_constant_state(), FlowConfig())
     other_phi = ScalarField(first.phi.spec, 1.5 * first.phi.values)
@@ -433,11 +449,11 @@ def test_stale_stage_is_never_reused(monkeypatch):
         assert flow._attached_stage(state, config) is None
         del calls[:]
         new = flow.step(state, config)
-        assert len(calls) == 4 and calls[0] == state.t
-        d = state.diagnostics
-        t1, phi1, _ = reference_step(state, config, eig_range=(d.min_eig, d.max_eig))
+        assert len(calls) == 3 and state.t not in calls
+        t1, phi1, dphidt_sup = reference_step(state, config)
         assert new.t == t1
         assert np.array_equal(new.phi.values, phi1)
+        assert new.diagnostics.dphidt_sup == dphidt_sup
 
 
 def _state_with_phi(case, amplitude):
@@ -486,3 +502,99 @@ def test_breach_reports_global_minimum_and_location(case, forced_by_floor):
             (ma_rhs_extended if extended else ma_rhs)(state, positivity_floor=floor)
     assert err.value.min_eigenvalue == float(np.min(w))
     assert err.value.location == location
+
+
+# ---------------------------------------------------------------------------
+# The run-scoped workspace
+# ---------------------------------------------------------------------------
+
+def _history_of_steps(state, config, steps):
+    """History rows 1..steps and the final state of separate public ``step`` calls."""
+    rows = []
+    for k in range(1, steps + 1):
+        state = flow.step(state, config)
+        rows.append({"step": k, "t": state.t, **vars(state.diagnostics)})
+    return rows, state
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_CASES))
+def test_run_matches_public_steps(case):
+    """A run on one workspace equals steps that each make their own."""
+    make_state, config = FLOW_CASES[case]
+    config = replace(config, ricci_tolerance=1e-30, max_steps=25)
+    state = make_state()
+    report = flow.run(state, config)
+    assert report.steps == 25
+    rows, final = _history_of_steps(state, config, 25)
+    assert report.history[1:] == rows
+    assert np.array_equal(report.final_state.phi.values, final.phi.values)
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_progress_states_stay_valid(case):
+    """No array attached to a state that ``run`` hands out is written again."""
+    make_state, config = STAGE_CASES[case]
+    seen = []
+
+    def keep(k, row, current):
+        stage = flow._attached_stage(current, config)
+        assert stage is not None or (HAVE_NUMBA and current.phi.spec.n == 1)
+        seen.append((current, current.phi.values.copy(), None if stage is None else stage.copy()))
+
+    flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=6), progress=keep)
+    assert len(seen) == 7
+    for current, phi, stage in seen:
+        assert np.array_equal(current.phi.values, phi)
+        if stage is not None:
+            assert np.array_equal(flow._attached_stage(current, config), stage)
+
+
+def test_each_run_builds_a_workspace_for_its_own_inputs(monkeypatch):
+    """Runs on other volume_density, chi or config objects each get their own workspace."""
+    state = _n1_basic_state()
+    spec = state.phi.spec
+    bumpy = initial_state(metric_from_potential(
+        ScalarField.from_function(spec, lambda x, y: 0.2 * np.cos(y)), HermitianField.identity(spec)
+    ))
+    built = []
+    build = flow._Workspace.__init__
+
+    def recorded(self, for_state, config):
+        built.append((for_state, config))
+        build(self, for_state, config)
+
+    monkeypatch.setattr(flow._Workspace, "__init__", recorded)
+    config = FlowConfig(ricci_tolerance=1e-30, max_steps=1)
+    cases = [
+        (state, config),
+        (FlowState(0.0, state.phi, state.omega_hat_0, state.chi, bumpy.volume_density), config),
+        (FlowState(0.0, state.phi, state.omega_hat_0, bumpy.omega_hat_0, state.volume_density),
+         config),
+        (state, replace(config, rescaled=True)),
+        (state, replace(config, class_k=-1)),
+        (state, replace(config, dt_initial=0.001)),
+    ]
+    for other, other_config in cases:
+        built.clear()
+        report = flow.run(other, other_config)
+        assert len(built) == 1
+        assert built[0][0] is other and built[0][1] is other_config
+        t1, phi1, _ = reference_step(other, other_config)
+        assert report.final_state.t == t1
+        assert np.array_equal(report.final_state.phi.values, phi1)
+        assert report.history[1:] == _history_of_steps(other, other_config, 1)[0]
+
+
+def test_n2_diagnostics_build_one_hermitian_field(monkeypatch):
+    """The n >= 2 diagnostics validate the metric and take the Ricci from raw arrays."""
+    first = flow.step(_n2_state(), FlowConfig())
+    built = []
+    validate = HermitianField.__post_init__
+
+    def counted(self):
+        built.append(self.matrices.shape)
+        validate(self)
+
+    monkeypatch.setattr(HermitianField, "__post_init__", counted)
+    flow.step(first, FlowConfig())
+    assert len(built) == 1

@@ -240,6 +240,16 @@ class TestRicci:
         assert diff <= 2.0 * oracle_error + 1e-12
 
 
+class TestRicciBits:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_negated_ddbar_of_log_det(self, n):
+        """ricci builds one field with the bits of -(ddbar log det g)."""
+        spec = basic_spec(n=n, res=16 if n == 1 else 8)
+        h = ScalarField.from_function(spec, lambda *c: -0.3 * np.cos(c[0]) + 0.1 * np.sin(c[-1]))
+        g = metric_from_potential(h, HermitianField.identity(spec))
+        assert np.array_equal(ricci(g).matrices, -ddbar(log_det(g)).matrices)
+
+
 class TestChristoffel:
     def test_flat_zero(self):
         spec = basic_spec(res=16)
