@@ -1,129 +1,8 @@
-"""Fused evaluation kernels for the n = 1 flow right-hand side.
+"""Whether numba is importable, for the benchmark's details line only.
 
-The numpy implementation of the Monge-Ampere right-hand side streams the
-grid several times per stage (one pass per stencil), which is memory-bound
-on the full leafwise grids.  These kernels fuse the whole evaluation into a
-single pass per point.  They reproduce the difference-form stencil
-arithmetic of :mod:`vaisflow.grid` (constants annihilate exactly; identical
-leaf slices stay identical bit for bit); only the libm rounding of ``log``
-may differ from numpy by an ulp.
-
-numba is optional: without it the flow falls back to the numpy path.
+No code in :mod:`vaisflow` reads this; the flow has one numpy path.
 """
 
-from __future__ import annotations
+import importlib.util
 
-import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by the import outcome
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-_C1N = 2.0 / 3.0
-_C1F = -1.0 / 12.0
-_C2N = 4.0 / 3.0
-_C2F = -1.0 / 12.0
-
-
-@njit(cache=True)
-def _rhs_n1_basic(phi, ref, logden, ihx2, ihy2, floor):  # pragma: no cover - jit
-    nx, ny = phi.shape
-    out = np.empty_like(phi)
-    ming = np.inf
-    for i in range(nx):
-        ip1 = i + 1 if i + 1 < nx else i + 1 - nx
-        ip2 = i + 2 if i + 2 < nx else i + 2 - nx
-        im1 = i - 1 if i - 1 >= 0 else i - 1 + nx
-        im2 = i - 2 if i - 2 >= 0 else i - 2 + nx
-        for j in range(ny):
-            jp1 = j + 1 if j + 1 < ny else j + 1 - ny
-            jp2 = j + 2 if j + 2 < ny else j + 2 - ny
-            jm1 = j - 1 if j - 1 >= 0 else j - 1 + ny
-            jm2 = j - 2 if j - 2 >= 0 else j - 2 + ny
-            f0 = phi[i, j]
-            near_x = (phi[ip1, j] - f0) + (phi[im1, j] - f0)
-            far_x = (phi[ip2, j] - f0) + (phi[im2, j] - f0)
-            near_y = (phi[i, jp1] - f0) + (phi[i, jm1] - f0)
-            far_y = (phi[i, jp2] - f0) + (phi[i, jm2] - f0)
-            sx = (_C2N * near_x + _C2F * far_x) * ihx2
-            sy = (_C2N * near_y + _C2F * far_y) * ihy2
-            g = ref[i, j] + 0.25 * (sx + sy)
-            if g < ming:
-                ming = g
-            if g > floor:
-                out[i, j] = np.log(g) - logden[i, j]
-            else:
-                out[i, j] = np.nan
-    return out, ming
-
-
-@njit(cache=True)
-def _rhs_n1_extended(phi, ref, logden, ihx2, ihy2, ilx2, ily2, floor):  # pragma: no cover - jit
-    nx, ny, nu, nv = phi.shape
-    out = np.empty_like(phi)
-    ming = np.inf
-    for i in range(nx):
-        ip1 = i + 1 if i + 1 < nx else i + 1 - nx
-        ip2 = i + 2 if i + 2 < nx else i + 2 - nx
-        im1 = i - 1 if i - 1 >= 0 else i - 1 + nx
-        im2 = i - 2 if i - 2 >= 0 else i - 2 + nx
-        for j in range(ny):
-            jp1 = j + 1 if j + 1 < ny else j + 1 - ny
-            jp2 = j + 2 if j + 2 < ny else j + 2 - ny
-            jm1 = j - 1 if j - 1 >= 0 else j - 1 + ny
-            jm2 = j - 2 if j - 2 >= 0 else j - 2 + ny
-            refij = ref[i, j]
-            logdenij = logden[i, j]
-            for u in range(nu):
-                up1 = u + 1 if u + 1 < nu else u + 1 - nu
-                up2 = u + 2 if u + 2 < nu else u + 2 - nu
-                um1 = u - 1 if u - 1 >= 0 else u - 1 + nu
-                um2 = u - 2 if u - 2 >= 0 else u - 2 + nu
-                for v in range(nv):
-                    vp1 = v + 1 if v + 1 < nv else v + 1 - nv
-                    vp2 = v + 2 if v + 2 < nv else v + 2 - nv
-                    vm1 = v - 1 if v - 1 >= 0 else v - 1 + nv
-                    vm2 = v - 2 if v - 2 >= 0 else v - 2 + nv
-                    f0 = phi[i, j, u, v]
-                    near_x = (phi[ip1, j, u, v] - f0) + (phi[im1, j, u, v] - f0)
-                    far_x = (phi[ip2, j, u, v] - f0) + (phi[im2, j, u, v] - f0)
-                    near_y = (phi[i, jp1, u, v] - f0) + (phi[i, jm1, u, v] - f0)
-                    far_y = (phi[i, jp2, u, v] - f0) + (phi[i, jm2, u, v] - f0)
-                    sx = (_C2N * near_x + _C2F * far_x) * ihx2
-                    sy = (_C2N * near_y + _C2F * far_y) * ihy2
-                    g = refij + 0.25 * (sx + sy)
-                    if g < ming:
-                        ming = g
-                    near_u = (phi[i, j, up1, v] - f0) + (phi[i, j, um1, v] - f0)
-                    far_u = (phi[i, j, up2, v] - f0) + (phi[i, j, um2, v] - f0)
-                    near_v = (phi[i, j, u, vp1] - f0) + (phi[i, j, u, vm1] - f0)
-                    far_v = (phi[i, j, u, vp2] - f0) + (phi[i, j, u, vm2] - f0)
-                    su = (_C2N * near_u + _C2F * far_u) * ilx2
-                    sv = (_C2N * near_v + _C2F * far_v) * ily2
-                    if g > floor:
-                        out[i, j, u, v] = (np.log(g) - logdenij) + 0.5 * su + 0.5 * sv
-                    else:
-                        out[i, j, u, v] = np.nan
-    return out, ming
-
-
-def rhs_n1(phi, ref_scalar, logden, spacings, floor, extended):
-    """Fused n = 1 right-hand side; returns (values, min metric eigenvalue)."""
-    ihx2 = 1.0 / (spacings[0] * spacings[0])
-    ihy2 = 1.0 / (spacings[1] * spacings[1])
-    if extended:
-        ilx2 = 1.0 / (spacings[2] * spacings[2])
-        ily2 = 1.0 / (spacings[3] * spacings[3])
-        return _rhs_n1_extended(phi, ref_scalar, logden, ihx2, ihy2, ilx2, ily2, floor)
-    return _rhs_n1_basic(phi, ref_scalar, logden, ihx2, ihy2, floor)
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None

@@ -21,7 +21,8 @@ Commands
     report.  Exit 0 when the input parses, 1 otherwise.
 
 ``vaisflow report <history.csv>``
-    Summary statistics of a flow history to standard output.
+    Summary statistics of a flow history to standard output.  Exit 0, or 1
+    when the history is missing, unreadable, empty or malformed.
 
 The environment variable ``VAISFLOW_VERBOSITY`` (quiet / normal / debug)
 controls progress logging on standard error.
@@ -324,17 +325,40 @@ def cmd_fit_einstein(snapshot_path: Path, output: Path | None) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+# The history columns the report reads; each of their cells must be a number.
+_REPORT_COLUMNS = ("t", "ricci_sup", "min_eig", "max_eig", "leafwise_defect")
+
+
+def _number_column(header: list[str], rows: list[dict], name: str) -> list[float]:
+    """Column ``name`` of ``rows`` as floats; ValueError names the column or row."""
+    if name not in header:
+        raise ValueError(f"no {name!r} column")
+    values = []
+    for k, row in enumerate(rows, 1):
+        try:
+            values.append(float(row[name]))
+        except (TypeError, ValueError):  # a short row's missing cell is None
+            raise ValueError(f"row {k}: {name} = {row[name]!r} is not a number") from None
+    return values
+
+
 def cmd_report(history_path: Path) -> int:
     try:
-        with open(history_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        with open(history_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        header = reader.fieldnames if rows else _REPORT_COLUMNS
+        columns = {name: _number_column(header, rows, name) for name in _REPORT_COLUMNS}
     except OSError as exc:
         print(f"cannot read history: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        print(f"malformed history: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     if not rows:
         print("empty history", file=sys.stderr)
         return _EXIT_CONFIG
-    ricci_sups = [float(r["ricci_sup"]) for r in rows]
+    ricci_sups = columns["ricci_sup"]
     tail = ricci_sups[len(ricci_sups) // 5 :]
     monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
     last = rows[-1]
@@ -342,7 +366,7 @@ def cmd_report(history_path: Path) -> int:
     print(f"final t:          {last['t']}")
     print(f"final ricci_sup:  {last['ricci_sup']}")
     print(f"final eig range:  [{last['min_eig']}, {last['max_eig']}]")
-    print(f"max leaf defect:  {max(float(r['leafwise_defect']) for r in rows)!r}")
+    print(f"max leaf defect:  {max(columns['leafwise_defect'])!r}")
     print(f"ricci_sup monotone over final 80%: {monotone}")
     return _EXIT_OK
 

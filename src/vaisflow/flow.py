@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import HAVE_NUMBA, rhs_n1
 from .exceptions import GridError, InexactClass, NonFinitePotential, PositivityLost, StepFloor
 from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2_into, integrate
 from .transverse import HermitianField, _ddbar_matrices, _ricci_matrices, ddbar, log_det
@@ -362,19 +361,17 @@ def _leaf_slopes(values, hs, tmp):
     )
 
 
-def _floor_check(values_min: float, floor: float, values: np.ndarray | None = None):
+def _floor_check(values_min: float, floor: float, values: np.ndarray):
     """Raise PositivityLost unless ``values_min`` > ``floor``.
 
     ``values`` holds the checked values per grid point; on failure the grid
     index of their minimum becomes the error's ``location``.
     """
     if not values_min > floor:
-        location = None
-        if values is not None:
-            location = tuple(int(i) for i in np.unravel_index(np.argmin(values), values.shape))
+        location = tuple(int(i) for i in np.unravel_index(np.argmin(values), values.shape))
         raise PositivityLost(
             f"evolving metric eigenvalue {values_min:.6e} <= floor {floor:.1e}"
-            + ("" if location is None else f" at grid index {location}"),
+            f" at grid index {location}",
             min_eigenvalue=values_min,
             location=location,
         )
@@ -405,7 +402,7 @@ def _metric_blocks(phi, ref, ws, g=None):
         yield rows, gb, _core(src, _HALO)
 
 
-def _rhs_n1(phi, ref, log_density, floor, extended, out, ws):
+def _rhs_sweep_n1(phi, ref, log_density, floor, extended, out, ws):
     """n = 1 right-hand side into ``out``: log g - log_density for the metric g
     checked against the floor, plus 0.5 (phi_xx + phi_yy) along the leaves
     when extended, which is swept in blocks bit-identical to a whole grid.
@@ -445,17 +442,6 @@ def _rhs_values(
     """
     spec = state.phi.spec
     n = spec.n
-    if n == 1 and HAVE_NUMBA:
-        log_density = np.log(state.volume_density.values)
-        ref = np.ascontiguousarray(_reference_matrices(state, t, rescaled)[..., 0, 0].real)
-        rhs, min_g = rhs_n1(
-            phi_values, ref, log_density, spec.spacings, positivity_floor, extended
-        )
-        _floor_check(min_g, positivity_floor)
-        if rescaled:
-            f = rhs - phi_values
-            return f - np.mean(f)
-        return rhs
     if workspace is None:
         workspace = _Workspace(state, FlowConfig(extended=extended, rescaled=rescaled))
     if out is None:
@@ -463,7 +449,7 @@ def _rhs_values(
     ref = workspace.reference(t, extended)
     log_density = workspace.log_density_full if extended else workspace.log_density
     if n == 1:
-        _rhs_n1(phi_values, ref, log_density, positivity_floor, extended, out, workspace)
+        _rhs_sweep_n1(phi_values, ref, log_density, positivity_floor, extended, out, workspace)
     else:
         w = np.linalg.eigvalsh(ref + _ddbar_matrices(phi_values, spec))
         np.subtract(_log_det_positive(w, positivity_floor), log_density, out=out)
@@ -584,10 +570,10 @@ def step(
     the metric); a NaN or infinity in it raises :class:`NonFinitePotential`.
 
     The first stage is the one the state's diagnostics pass attached for
-    ``config``, so a step evaluates the right-hand side three times (four
-    on the numba path, which attaches none); the returned state carries
-    the first stage of the next step.  A state whose diagnostics that pass
-    did not attach for its own phi, t and flow variant gets them afresh.
+    ``config``, so a step evaluates the right-hand side three times; the
+    returned state carries the first stage of the next step.  A state whose
+    diagnostics that pass did not attach for its own phi, t and flow
+    variant gets them afresh.
     :func:`run` passes its workspace, built for the same inputs and
     config, as ``_workspace``; otherwise one is made for the call.
     """
@@ -673,7 +659,7 @@ def _sweep_metric_n1(phi, ref, log_density, leaf_varying, ws):
 
     The new array ``stage`` is log g - log_density, plus 0.5 (phi_xx + phi_yy)
     along the leaves of a ``leaf_varying`` phi, which is swept in blocks like
-    :func:`_rhs_n1` and also yields its :func:`leafwise_defect` (else None).
+    :func:`_rhs_sweep_n1` and also yields its :func:`leafwise_defect` (else None).
     """
     if not leaf_varying:
         g, ld, stage = None, ws.ld, np.empty(phi.shape)
@@ -730,9 +716,9 @@ def _with_diagnostics(
     comes from the diagnostics' own operands (log g for n = 1, the
     eigenvalues for n >= 2).  It is attached read-only with the phi, t and
     flow variant the diagnostics belong to; it is None below the positivity
-    floor, for a full phi that ``config`` does not extend, and on the numba
-    n = 1 path.  ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)|
-    from the stage, or evaluates f afresh, raising :class:`PositivityLost`.
+    floor and for a full phi that ``config`` does not extend.
+    ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)| from the
+    stage, or evaluates f afresh, raising :class:`PositivityLost`.
     """
     ws = workspace or _Workspace(state, config)
     spec = state.phi.spec
@@ -760,9 +746,7 @@ def _with_diagnostics(
         defect = leafwise_defect(state)
 
     stage = None
-    if lo > floor and not (n == 1 and HAVE_NUMBA) and (
-        spec.has_leaf if config.extended else state.phi.basic
-    ):
+    if lo > floor and (spec.has_leaf if config.extended else state.phi.basic):
         if config.extended and not leaf_varying:
             # The leaf terms of a leaf-constant phi vanish bit for bit.
             k1 = np.broadcast_to(k1.reshape(k1.shape + (1, 1)), spec.full_shape).copy()

@@ -368,3 +368,28 @@ class TestCmdReport:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.csv")]) == 1
+
+    @pytest.mark.parametrize("fault, named", [
+        ("missing_column", "no 'ricci_sup' column"),
+        ("non_numeric", "row 2: ricci_sup = 'abc'"),
+        ("short_row", "row 1: ricci_sup = None"),
+        ("not_utf8", "utf-8"),
+    ])
+    def test_malformed_history_exits_1(self, tmp_path, capsys, fault, named):
+        columns = list(flow_module.HISTORY_COLUMNS)
+        rows = [[repr(0.5 * k)] * len(columns) for k in range(3)]
+        if fault == "missing_column":
+            i = columns.index("ricci_sup")
+            for line in [columns] + rows:
+                del line[i]
+        elif fault == "non_numeric":
+            rows[1][columns.index("ricci_sup")] = "abc"
+        elif fault == "short_row":
+            del rows[0][columns.index("ricci_sup"):]
+        text = "\n".join(",".join(line) for line in [columns] + rows) + "\n"
+        path = tmp_path / "history.csv"
+        path.write_bytes(text.encode() + (b"\xff\n" if fault == "not_utf8" else b""))
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed history: ")
+        assert named in err

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import vaisflow.flow as flow_module
-from vaisflow._kernels import HAVE_NUMBA
 from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.exceptions import GridError, InexactClass, PositivityLost, StepFloor
 from vaisflow.flow import (
@@ -181,10 +180,9 @@ class TestMaRhsExtended:
             ma_rhs_extended(st)
 
     def test_kernel_and_numpy_paths_agree(self):
-        # The right-hand side that runs here (the numba kernel when numba is
-        # installed, the numpy stencil engine otherwise) against the stored
-        # whole-grid numpy formula on the np.roll reference stencils.  Without
-        # numba this is an exact check of the numpy path, not numpy vs numpy.
+        # The flow's right-hand side (the blocked slice stencil engine)
+        # against the stored whole-grid formula on the np.roll reference
+        # stencils: the same operands in the same order, so bit-identical.
         spec = full_spec(res=16, leaf=8)
         h = ScalarField.from_function(spec, lambda x, y: -0.2 * np.cos(x), basic=True)
         g0 = metric_from_potential(h, HermitianField.identity(spec))
@@ -194,10 +192,7 @@ class TestMaRhsExtended:
         st = initial_state(g0, phi=phi)
         got = ma_rhs_extended(st).values
         expected = reference_rhs(st.phi.values, st.t, st, extended=True, rescaled=False)
-        if HAVE_NUMBA:
-            assert np.max(np.abs(got - expected)) < 1e-13
-        else:
-            assert np.array_equal(got, expected)
+        assert np.array_equal(got, expected)
 
 
 class TestLeafwiseDefect:

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import basic_spec, full_spec
 from vaisflow import flow
-from vaisflow._kernels import HAVE_NUMBA
 from vaisflow.exceptions import GridError, PositivityLost
 from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
 from vaisflow.grid import ScalarField, _Stencil, diff1, diff2, diff2_into
@@ -424,9 +423,7 @@ def test_three_rhs_evaluations_per_accepted_step(case, monkeypatch):
         progress=lambda k, row, current: seen.append(len(calls)),
     )
     assert report.steps == 3
-    # The numba n = 1 kernel attaches no stage, so it evaluates f afresh.
-    fresh = HAVE_NUMBA and state.phi.spec.n == 1
-    assert seen == [int(fresh) + k * (4 if fresh else 3) for k in range(4)]
+    assert seen == [3 * k for k in range(4)]
 
 
 def test_stale_stage_is_never_reused(monkeypatch):
@@ -538,15 +535,14 @@ def test_progress_states_stay_valid(case):
 
     def keep(k, row, current):
         stage = flow._attached_stage(current, config)
-        assert stage is not None or (HAVE_NUMBA and current.phi.spec.n == 1)
-        seen.append((current, current.phi.values.copy(), None if stage is None else stage.copy()))
+        assert stage is not None
+        seen.append((current, current.phi.values.copy(), stage.copy()))
 
     flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=6), progress=keep)
     assert len(seen) == 7
     for current, phi, stage in seen:
         assert np.array_equal(current.phi.values, phi)
-        if stage is not None:
-            assert np.array_equal(flow._attached_stage(current, config), stage)
+        assert np.array_equal(flow._attached_stage(current, config), stage)
 
 
 def test_each_run_builds_a_workspace_for_its_own_inputs(monkeypatch):
