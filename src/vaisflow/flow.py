@@ -20,14 +20,23 @@ onto the unrescaled one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import GridError, InexactClass, NonFinitePotential, PositivityLost, StepFloor
 from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2_into, integrate
-from .transverse import HermitianField, _ddbar_matrices, _ricci_matrices, ddbar, log_det
+from .transverse import (
+    HermitianField,
+    _argmin_location,
+    _ddbar_matrices,
+    _log_det_values,
+    _ricci_matrices,
+    _spectrum,
+    ddbar,
+    log_det,
+)
 
 __all__ = [
     "FlowConfig",
@@ -132,6 +141,16 @@ class FlowState:
     def __post_init__(self):
         if np.any(self.volume_density.values <= 0):
             raise GridError("volume density must be strictly positive")
+
+
+def _derived(state: FlowState, **changes) -> FlowState:
+    """``replace(state, **changes)`` without rescanning the density ``state`` validated.
+
+    The copy carries no attached stage unless ``changes`` names one.
+    """
+    new = object.__new__(FlowState)
+    new.__dict__.update({**vars(state), "_stage": None, **changes})
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +387,13 @@ def _floor_check(values_min: float, floor: float, values: np.ndarray):
     index of their minimum becomes the error's ``location``.
     """
     if not values_min > floor:
-        location = tuple(int(i) for i in np.unravel_index(np.argmin(values), values.shape))
+        location = _argmin_location(values)
         raise PositivityLost(
             f"evolving metric eigenvalue {values_min:.6e} <= floor {floor:.1e}"
             f" at grid index {location}",
             min_eigenvalue=values_min,
             location=location,
         )
-
-
-def _log_det_positive(w: np.ndarray, floor: float) -> np.ndarray:
-    """sum(log w) per point, after checking the eigenvalues ``w`` against the floor."""
-    # eigvalsh sorts ascending, so w[..., 0] is the smallest eigenvalue per point.
-    _floor_check(float(np.min(w)), floor, w[..., 0])
-    return np.sum(np.log(w), axis=-1)
 
 
 def _metric_blocks(phi, ref, ws, g=None):
@@ -451,8 +463,10 @@ def _rhs_values(
     if n == 1:
         _rhs_sweep_n1(phi_values, ref, log_density, positivity_floor, extended, out, workspace)
     else:
-        w = np.linalg.eigvalsh(ref + _ddbar_matrices(phi_values, spec))
-        np.subtract(_log_det_positive(w, positivity_floor), log_density, out=out)
+        lows, _, ld = _spectrum(ref + _ddbar_matrices(phi_values, spec), n, positivity_floor)
+        if ld is None:  # a floor breach, which this raises located
+            _floor_check(float(np.min(lows)), positivity_floor, lows)
+        np.subtract(ld, log_density, out=out)
         if extended:
             _add_half_leaf_laplacian(phi_values, out, workspace.hs, *workspace.temps[:3])
     if rescaled:
@@ -631,7 +645,7 @@ def step(
     k2 -= mean
     new_phi = ScalarField(state.phi.spec, k2, basic=not extended and state.phi.basic)  # a copy
 
-    new_state = FlowState(t0 + dt, new_phi, state.omega_hat_0, state.chi, state.volume_density)
+    new_state = _derived(state, t=t0 + dt, phi=new_phi, diagnostics=None)
     return _with_diagnostics(new_state, config, dphidt_sup=dphidt_sup, dt=dt, workspace=ws)
 
 
@@ -713,10 +727,10 @@ def _with_diagnostics(
     """``state`` with its diagnostics and, from the same pass, its first RK4 stage.
 
     The stage f(phi, t) for ``config``, bit-identical to :func:`_rhs_values`,
-    comes from the diagnostics' own operands (log g for n = 1, the
-    eigenvalues for n >= 2).  It is attached read-only with the phi, t and
-    flow variant the diagnostics belong to; it is None below the positivity
-    floor and for a full phi that ``config`` does not extend.
+    comes from the diagnostics' own operands (log g for n = 1, the log det
+    from the metric's spectrum for n >= 2).  It is attached read-only with
+    the phi, t and flow variant the diagnostics belong to; it is None below
+    the positivity floor and for a full phi that ``config`` does not extend.
     ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)| from the
     stage, or evaluates f afresh, raising :class:`PositivityLost`.
     """
@@ -735,11 +749,11 @@ def _with_diagnostics(
     else:
         defect = None
         g = HermitianField(spec, ref + _ddbar_matrices(values, spec), basic=not leaf_varying)
-        w = np.linalg.eigvalsh(g.matrices)
-        lo, hi = float(np.min(w)), float(np.max(w))
+        lows, highs, ld = _spectrum(g.matrices, n, floor)
+        lo, hi = float(np.min(lows)), float(np.max(highs))
         k1 = None
-        if lo > floor:
-            k1 = _log_det_positive(w, floor) - log_density
+        if ld is not None:
+            k1 = ld - log_density
             if leaf_varying:
                 _add_half_leaf_laplacian(values, k1, ws.hs, *ws.temps[:3])
     if defect is None:
@@ -768,14 +782,16 @@ def _with_diagnostics(
     if n == 1:
         ric_sup = _sweep_ricci_n1(g, ld, config.class_k, leaf_varying, ws)
     else:
-        ric = _ricci_matrices(g.matrices, spec)
+        if ld is None:  # below the floor; NonPositiveDeterminant unless positive
+            ld = _log_det_values(g.matrices, n)
+        ric = _ricci_matrices(ld, spec)
         ric_sup = float(np.max(np.abs(ric - config.class_k * g.matrices)))
-    new = replace(state, diagnostics=FlowDiagnostics(
+    diagnostics = FlowDiagnostics(
         ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,
         leafwise_defect=defect, dt=dt,
-    ))
-    object.__setattr__(new, "_stage", (new.phi, new.t, config.extended, config.rescaled, stage))
-    return new
+    )
+    record = (state.phi, state.t, config.extended, config.rescaled, stage)
+    return _derived(state, diagnostics=diagnostics, _stage=record)
 
 
 @dataclass

@@ -101,17 +101,15 @@ class HermitianField:
 
     def eig_range(self) -> tuple[float, float]:
         """(min, max) eigenvalue over all grid points."""
-        if self.spec.n == 1:
-            diag = self.matrices[..., 0, 0].real
-            return float(np.min(diag)), float(np.max(diag))
-        w = np.linalg.eigvalsh(self.matrices)
-        return float(np.min(w)), float(np.max(w))
+        lows, highs, _ = _spectrum(self.matrices, self.spec.n)
+        return float(np.min(lows)), float(np.max(highs))
 
     def checked_positive(self, floor: float = EPS_POSITIVITY) -> "HermitianField":
         """Return the field flagged positive, or raise :class:`PositivityLost`."""
-        lo, _ = self.eig_range()
+        lows = _spectrum(self.matrices, self.spec.n)[0]
+        lo = float(np.min(lows))
         if not lo > floor:
-            loc = _argmin_location(self)
+            loc = _argmin_location(lows)
             raise PositivityLost(
                 f"minimum eigenvalue {lo:.6e} <= {floor:.1e} at grid index {loc}",
                 min_eigenvalue=lo,
@@ -154,12 +152,43 @@ def hermiticity_defect(matrices: np.ndarray) -> float:
     ]))
 
 
-def _argmin_location(field: HermitianField) -> tuple[int, ...]:
-    if field.spec.n == 1:
-        diag = field.matrices[..., 0, 0].real
-        return tuple(int(i) for i in np.unravel_index(np.argmin(diag), diag.shape))
-    w = np.linalg.eigvalsh(field.matrices).min(axis=-1)
-    return tuple(int(i) for i in np.unravel_index(np.argmin(w), w.shape))
+def _spectrum(matrices: np.ndarray, n: int, floor: float | None = None):
+    """(lambda_min, lambda_max, log det) per point of n x n Hermitian ``matrices``.
+
+    n = 1 reads the entry.  n = 2 uses the closed form on a = g_11,
+    d = g_22, b = g_12: det = a d - |b|^2,
+    lambda_max = (a + d)/2 + hypot((a - d)/2, |b|) and
+    lambda_min = det / lambda_max, which keeps the small eigenvalue of a
+    near-singular metric accurate (or (a + d)/2 - hypot(...) where
+    lambda_max <= 0, without cancellation there).  n >= 3 keeps LAPACK's
+    eigvalsh, since analytic 3 x 3 eigenvalues lose accuracy.
+
+    log det is taken only when ``floor`` is given and every lambda_min
+    exceeds it; otherwise it is None, and no log of a non-positive value
+    is ever formed.  For n = 1 both eigenvalue arrays are the entry itself.
+    """
+    if n == 1:
+        lows = highs = det = matrices[..., 0, 0].real
+    elif n == 2:
+        a, d, b = matrices[..., 0, 0].real, matrices[..., 1, 1].real, matrices[..., 0, 1]
+        bb = b.real * b.real + b.imag * b.imag
+        det = a * d - bb
+        half_trace = 0.5 * (a + d)
+        radius = np.hypot(0.5 * (a - d), np.sqrt(bb))
+        highs = half_trace + radius
+        lows = half_trace - radius
+        np.divide(det, highs, out=lows, where=highs > 0)
+    else:
+        w = np.linalg.eigvalsh(matrices)
+        lows, highs = w[..., 0], w[..., -1]
+    if floor is None or not float(np.min(lows)) > floor:
+        return lows, highs, None
+    return lows, highs, np.log(det) if n <= 2 else np.sum(np.log(w), axis=-1)
+
+
+def _argmin_location(values: np.ndarray) -> tuple[int, ...]:
+    """The grid index of the smallest of ``values``, one per grid point."""
+    return tuple(int(i) for i in np.unravel_index(np.argmin(values), values.shape))
 
 
 def ddbar(f: ScalarField) -> HermitianField:
@@ -202,15 +231,11 @@ def metric_from_potential(h: ScalarField, base: HermitianField) -> HermitianFiel
 
 
 def _log_det_values(matrices: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        d = matrices[..., 0, 0].real
-        if np.any(d <= 0):
-            raise NonPositiveDeterminant("determinant is not positive everywhere")
-        return np.log(d)
-    sign, logdet = np.linalg.slogdet(matrices)
-    if np.any(sign.real <= 0):
+    """log det per point; :class:`NonPositiveDeterminant` unless every matrix is positive."""
+    ld = _spectrum(matrices, n, floor=0.0)[2]
+    if ld is None:
         raise NonPositiveDeterminant("determinant is not positive everywhere")
-    return logdet.real
+    return ld
 
 
 def log_det(g: HermitianField) -> ScalarField:
@@ -220,12 +245,13 @@ def log_det(g: HermitianField) -> ScalarField:
 
 def ricci(g: HermitianField) -> HermitianField:
     """Transverse Ricci coefficients R_{j kbar} = -(log det g)_{j kbar}."""
-    return HermitianField(g.spec, _ricci_matrices(g.matrices, g.spec), basic=g.basic)
+    ld = _log_det_values(g.matrices, g.spec.n)
+    return HermitianField(g.spec, _ricci_matrices(ld, g.spec), basic=g.basic)
 
 
-def _ricci_matrices(matrices: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The coefficient matrices of :func:`ricci` for a raw metric array."""
-    r = _ddbar_matrices(_log_det_values(matrices, spec.n), spec)
+def _ricci_matrices(log_det_values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The coefficient matrices of :func:`ricci` from the metric's raw log det array."""
+    r = _ddbar_matrices(log_det_values, spec)
     return np.negative(r, out=r)
 
 
@@ -247,7 +273,7 @@ def _inverse(g: HermitianField) -> np.ndarray:
     try:
         inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError as exc:
-        bad = _argmin_location(g)
+        bad = _argmin_location(_spectrum(mats, g.spec.n)[0])
         raise SingularMetric(f"metric matrix is singular near grid index {bad}") from exc
     cond = float(np.max(np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))))
     if cond > _CONDITION_WARN:

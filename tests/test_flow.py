@@ -371,6 +371,26 @@ class TestRun:
         assert not report.converged
         assert report.reason == "diverged"
 
+    def test_density_scanned_only_by_public_construction(self, monkeypatch):
+        """States a run derives from a validated state do not rescan its density."""
+        spec, st = bump_state(res=16)
+        scans = []
+        validate = FlowState.__post_init__
+
+        def counted(self):
+            scans.append(self.t)
+            validate(self)
+
+        monkeypatch.setattr(FlowState, "__post_init__", counted)
+        report = run(st, FlowConfig(ricci_tolerance=1e-30, max_steps=5))
+        assert report.steps == 5 and report.final_state.t > 0
+        assert scans == []
+        values = np.array(st.volume_density.values)
+        values[2, 3] = 0.0
+        with pytest.raises(GridError, match="density"):
+            FlowState(0.0, st.phi, st.omega_hat_0, st.chi, ScalarField(spec, values))
+        assert scans == [0.0]
+
 
 class TestRescaledFlow:
     def test_maps_onto_unrescaled_trajectory(self):

@@ -4,7 +4,9 @@
 engine replaced, kept verbatim.  The flow formulas below are rebuilt on
 them (whole-grid, one fresh array per intermediate), so every comparison
 is exact: the engine promises the same operands in the same order, not
-merely the same values to rounding.
+merely the same values to rounding.  ``reference_spectrum`` writes out the
+closed-form 2 x 2 eigenvalues and determinant in the same way, and is
+itself anchored to LAPACK within a rounding bound.
 """
 
 import warnings
@@ -100,9 +102,18 @@ def reference_metric(phi_values, t, state, rescaled, extended):
     return ref + reference_hesse(phi_values, spec)
 
 
+def reference_spectrum(g):
+    """(lambda_min, lambda_max, det) per point of 2 x 2 Hermitian matrices with lambda_max > 0."""
+    a, d, b = g[..., 0, 0].real, g[..., 1, 1].real, g[..., 0, 1]
+    bb = b.real * b.real + b.imag * b.imag
+    det = a * d - bb
+    hi = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.sqrt(bb))
+    return det / hi, hi, det
+
+
 def reference_min_eigenvalues(phi_values, t, state, rescaled, extended):
     g = reference_metric(phi_values, t, state, rescaled, extended)
-    return g if state.phi.spec.n == 1 else np.linalg.eigvalsh(g)[..., 0]
+    return g if state.phi.spec.n == 1 else reference_spectrum(g)[0]
 
 
 def reference_rhs(phi_values, t, state, *, extended, rescaled):
@@ -116,9 +127,9 @@ def reference_rhs(phi_values, t, state, *, extended, rescaled):
         assert np.min(g) > 1e-10
         rhs = np.log(g) - log_density
     else:
-        w = np.linalg.eigvalsh(g)
-        assert np.min(w) > 1e-10
-        rhs = np.sum(np.log(w), axis=-1) - log_density
+        lows, _, det = reference_spectrum(g)
+        assert np.min(lows) > 1e-10
+        rhs = np.log(det) - log_density
     if extended:
         ax_x, ax_y = 2 * n, 2 * n + 1
         hs = spec.spacings
@@ -144,9 +155,9 @@ def reference_diagnostics(phi_values, t, state, config):
         ld = np.log(g)
         ric = -0.25 * (reference_diff2(ld, 0, hs[0]) + reference_diff2(ld, 1, hs[1]))
     else:
-        w = np.linalg.eigvalsh(g)
-        lo, hi = np.min(w), np.max(w)
-        ric = -reference_hesse(np.linalg.slogdet(g)[1].real, spec)
+        lows, highs, det = reference_spectrum(g)
+        lo, hi = np.min(lows), np.max(highs)
+        ric = -reference_hesse(np.log(det), spec)
     ric_sup = np.max(np.abs(ric - config.class_k * g))
     defect = 0.0
     if extended:
@@ -163,8 +174,8 @@ def reference_step(state, config):
     extended = config.extended
     phi0 = np.array(state.phi.as_full_values()) if extended else state.phi.values
     g = reference_metric(phi0, state.t, state, config.rescaled, extended)
-    w = g if spec.n == 1 else np.linalg.eigvalsh(g)
-    lo, hi = float(np.min(w)), float(np.max(w))
+    lows, highs = (g, g) if spec.n == 1 else reference_spectrum(g)[:2]
+    lo, hi = float(np.min(lows)), float(np.max(highs))
     h_min = min(spec.spacings)
     dt = min(config.dt_initial, config.dt_safety * h_min * h_min * lo / hi)
 
@@ -179,6 +190,21 @@ def reference_step(state, config):
     phi1 = phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     phi1 = phi1 - np.mean(phi1)
     return t0 + dt, phi1, float(np.max(np.abs(k1)))
+
+
+def test_reference_spectrum_matches_eigvalsh():
+    """The written-out 2 x 2 spectrum agrees with LAPACK to a few rounding errors."""
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4096, 2, 2)) + 1j * rng.standard_normal((4096, 2, 2))
+    g = x @ np.conj(np.swapaxes(x, -1, -2)) + 1e-3 * np.eye(2)
+    lows, highs, det = reference_spectrum(g)
+    w = np.linalg.eigvalsh(g)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(lows - w[..., 0]) <= 8 * eps * highs)
+    assert np.all(np.abs(highs - w[..., 1]) <= 8 * eps * highs)
+    sign, logdet = np.linalg.slogdet(g)
+    assert np.all(sign.real > 0)
+    assert np.all(np.abs(np.log(det) - logdet) <= 8 * eps * (highs / lows + np.abs(logdet)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from vaisflow.exceptions import GridError, NonPositiveDeterminant, PositivityLos
 from vaisflow.grid import GridSpec, ScalarField, wirtinger
 from vaisflow.transverse import (
     HermitianField,
+    _spectrum,
     christoffel,
     connection_trace,
     ddbar,
@@ -179,6 +180,98 @@ class TestLogDet:
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def _rotated(eigenvalues, rng):
+    """Hermitian matrices U diag(eigenvalues) U^H for random unitary U, one per row."""
+    count, n = eigenvalues.shape
+    x = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    u, _ = np.linalg.qr(x)
+    g = (u * eigenvalues[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
+def _spectrum_family(name, rng, count=4096):
+    if name == "random":
+        x = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+        return x @ np.conj(np.swapaxes(x, -1, -2)) + 1e-3 * np.eye(2)
+    g = np.zeros((count, 2, 2), dtype=complex)
+    if name == "diagonal":
+        g[:, 0, 0], g[:, 1, 1] = rng.uniform(0.01, 10.0, (2, count))
+    elif name == "degenerate":  # a = d, b = 0
+        g[:, 0, 0] = g[:, 1, 1] = rng.uniform(0.01, 10.0, count)
+    else:  # near-singular: eigenvalues 1 and 1e-8, randomly rotated
+        g = _rotated(np.tile([1.0, 1e-8], (count, 1)), rng)
+    return g
+
+
+class TestSpectrum:
+    """The closed-form n = 2 spectrum against LAPACK, point by point."""
+
+    @pytest.mark.parametrize("family", ["random", "diagonal", "degenerate", "near_singular"])
+    def test_n2_within_rounding_of_lapack(self, family):
+        g = _spectrum_family(family, np.random.default_rng(len(family)))
+        lows, highs, ld = _spectrum(g, 2, floor=0.0)
+        w = np.linalg.eigvalsh(g)
+        sign, logdet = np.linalg.slogdet(g)
+        assert np.all(sign.real > 0)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(lows - w[..., 0]) <= 8 * eps * highs)
+        assert np.all(np.abs(highs - w[..., 1]) <= 8 * eps * highs)
+        # highs / lows bounds the rounding of det relative to det; the log's own
+        # rounding adds ulps of |log det|, reached where highs / lows is 1.
+        assert np.all(np.abs(ld - logdet) <= 8 * eps * (highs / lows + np.abs(logdet)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_log_det_only_above_the_floor(self, n):
+        g = np.tile(np.eye(n, dtype=complex), (4, 1, 1))
+        g[1] *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no log of a non-positive value
+            lows, highs, ld = _spectrum(g, n, floor=0.0)
+            assert ld is None and _spectrum(g, n)[2] is None
+        assert float(np.min(lows)) == -1.0 and float(np.max(highs)) == 1.0
+
+    def test_zero_matrix_has_zero_eigenvalues(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0 / 0
+            lows, highs, _ = _spectrum(np.zeros((3, 2, 2), dtype=complex), 2)
+        assert np.all(lows == 0.0) and np.all(highs == 0.0)
+
+    def test_indefinite_n2_log_det_raises(self):
+        spec = basic_spec(n=2, res=8)
+        g = HermitianField.constant(spec, np.array([[1.0, 2.0j], [-2.0j, 1.0]]))
+        with pytest.raises(NonPositiveDeterminant):
+            log_det(g)
+
+    def test_n2_breach_located(self):
+        spec = basic_spec(n=2, res=8)
+        mats = np.array(HermitianField.identity(spec).matrices)
+        where = (5, 2, 7, 1)
+        mats[where] = [[0.5, 1.0 + 0.5j], [1.0 - 0.5j, 0.5]]
+        with pytest.raises(PositivityLost) as err:
+            HermitianField(spec, mats).checked_positive()
+        assert err.value.location == where
+        assert err.value.min_eigenvalue == pytest.approx(0.5 - np.sqrt(1.25), rel=1e-15)
+
+    def test_n3_against_lapack(self):
+        spec = basic_spec(n=3, res=8)
+        rng = np.random.default_rng(3)
+        shape = spec.transverse_shape + (3, 3)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mats = x @ np.conj(np.swapaxes(x, -1, -2)) + 0.05 * np.eye(3)
+        g = HermitianField(spec, 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2))))
+        w = np.linalg.eigvalsh(g.matrices)
+        sign, logdet = np.linalg.slogdet(g.matrices)
+        assert np.all(sign.real > 0)
+        ld = log_det(g).values
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(ld - logdet) <= 8 * eps * w[..., 2] / w[..., 0])
+        assert g.eig_range() == (float(np.min(w)), float(np.max(w)))
+        lows, highs, ld_slice = _spectrum(g.matrices[0, 0, 0], 3, floor=0.0)
+        assert np.array_equal(lows, w[0, 0, 0, ..., 0])
+        assert np.array_equal(highs, w[0, 0, 0, ..., 2])
+        assert np.array_equal(ld_slice, ld[0, 0, 0])
+
+
 class TestRicci:
     def test_flat_is_zero(self):
         spec = basic_spec(res=32)
@@ -241,9 +334,12 @@ class TestRicci:
 
 
 class TestRicciBits:
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_negated_ddbar_of_log_det(self, n):
-        """ricci builds one field with the bits of -(ddbar log det g)."""
+        """ricci builds one field with the bits of -(ddbar log det g).
+
+        n = 3 runs on its smallest legal grid, 8^6 points.
+        """
         spec = basic_spec(n=n, res=16 if n == 1 else 8)
         h = ScalarField.from_function(spec, lambda *c: -0.3 * np.cos(c[0]) + 0.1 * np.sin(c[-1]))
         g = metric_from_potential(h, HermitianField.identity(spec))
