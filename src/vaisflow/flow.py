@@ -31,7 +31,6 @@ from .transverse import (
     HermitianField,
     _argmin_location,
     _ddbar_matrices,
-    _log_det_values,
     _ricci_matrices,
     _spectrum,
     ddbar,
@@ -58,8 +57,8 @@ __all__ = [
 
 DT_FLOOR = 1e-12
 DIVERGENCE_FACTOR = 1e6
-# Axis-0 planes per block of the extended n = 1 right-hand side.  On the
-# 64^2 x 16^2 grid a block's arrays are 256 KiB each, so the whole block
+# Axis-0 planes per block of the extended n = 1 sweeps and the leaf defect.
+# On the 64^2 x 16^2 grid a block's arrays are 256 KiB each, so the whole block
 # evaluation stays in a 2 MiB L2 cache instead of streaming 8 MiB arrays.
 _SLAB_PLANES = 2
 _HALO = 2  # reach of the fourth-order stencils
@@ -372,12 +371,21 @@ def _add_half_leaf_laplacian(phi, out, hs, tmp, tmp1, tmp2):
         out += tmp
 
 
-def _leaf_slopes(values, hs, tmp):
-    """(sup |values_x|, sup |values_y|) along the two leaf axes, the last two."""
-    return tuple(
-        np.max(np.abs(diff1(values, axis, hs[axis], out=tmp), out=tmp))
-        for axis in (values.ndim - 2, values.ndim - 1)
-    )
+def _leaf_defect(values, hs, tmp):
+    """sup |values_x| + sup |values_y| along the two leaf axes, the last two.
+
+    Swept in ``_SLAB_PLANES``-plane axis-0 blocks through ``tmp``, one block
+    in size: a leaf stencil reads no other axis-0 plane.
+    """
+    sups = []
+    for i0 in range(0, values.shape[0], _SLAB_PLANES):
+        block = values[i0:i0 + _SLAB_PLANES]
+        sups.append([
+            np.max(np.abs(diff1(block, axis, hs[axis], out=tmp), out=tmp))
+            for axis in (values.ndim - 2, values.ndim - 1)
+        ])
+    dx, dy = np.max(sups, axis=0)
+    return float(dx + dy)
 
 
 def _floor_check(values_min: float, floor: float, values: np.ndarray):
@@ -414,25 +422,52 @@ def _metric_blocks(phi, ref, ws, g=None):
         yield rows, gb, _core(src, _HALO)
 
 
-def _rhs_sweep_n1(phi, ref, log_density, floor, extended, out, ws):
-    """n = 1 right-hand side into ``out``: log g - log_density for the metric g
-    checked against the floor, plus 0.5 (phi_xx + phi_yy) along the leaves
-    when extended, which is swept in blocks bit-identical to a whole grid.
+def _evaluate(phi, t, ws, floor, full, out, g=None, ld=None):
+    """The flow at ``phi``, ``t``: the one place that forms the metric g and takes its log det.
+
+    g = ghat(t) + ddbar phi is checked against ``floor`` before any log; a
+    breach raises :class:`PositivityLost` with the minimum and its location
+    over the whole grid.  f = log det g - log density, plus 0.5 (phi_xx +
+    phi_yy) along the leaves of a ``full`` phi, goes into ``out``.  Returns
+    ``(g, log det g, lows, highs)``: the least of ``lows`` (per block for
+    n = 1, per point for n >= 2) is the minimum eigenvalue, ``highs`` the
+    maximum per point.  For n = 1 log g goes into ``ld`` (default ``out``);
+    a full phi is swept in blocks, bit-identical to a whole grid, with g
+    into ``g`` (default ``out``), a transverse one through ``ws.x`` into
+    ``ws.g``.
     """
-    for rows, g, core in _metric_blocks(phi, ref, ws, out if extended else None):
-        if not float(np.min(g)) > floor:
+    ref = ws.reference(t, full)
+    log_density = ws.log_density_full if full else ws.log_density
+    if ws.spec.n > 1:
+        g = ref + _ddbar_matrices(phi, ws.spec)
+        lows, highs, ld = _spectrum(g, ws.spec.n, floor)
+        if ld is None:  # a floor breach, which this raises located
+            _floor_check(float(np.min(lows)), floor, lows)
+        np.subtract(ld, log_density, out=out)
+        if full:
+            _add_half_leaf_laplacian(phi, out, ws.hs, *ws.temps[:3])
+        return g, ld, lows, highs
+    ld = out if ld is None else ld
+    if full and g is None:
+        g = out
+    lows = []
+    for rows, gb, core in _metric_blocks(phi, ref, ws, g):
+        lows.append(float(np.min(gb)))
+        if not lows[-1] > floor:
             # Report the minimum and its location over the whole grid, as an
             # unblocked evaluation would, and take no log of the breach.
-            whole = g
-            if extended:
+            whole = gb
+            if full:
                 whole, *temps = (np.empty(phi.shape) for _ in range(4))
                 _metric_n1(_laplacian(phi, 0, ws.hs, whole, *temps), whole, ref)
             _floor_check(float(np.min(whole)), floor, whole)
-        block = out[rows]
-        np.log(g, out=block)
-        block -= log_density[rows]
-        if extended:
+        lb, block = ld[rows], out[rows]
+        np.log(gb, out=lb)
+        np.subtract(lb, log_density[rows], out=block)
+        if full:
             _add_half_leaf_laplacian(core, block, ws.hs, *ws.temps[:3])
+    g = ws.g if g is None else g
+    return g, ld, lows, g
 
 
 def _rhs_values(
@@ -452,23 +487,11 @@ def _rhs_values(
     invariants come from ``workspace``, built for ``state`` and this flow
     variant, or from one made for the call.
     """
-    spec = state.phi.spec
-    n = spec.n
     if workspace is None:
         workspace = _Workspace(state, FlowConfig(extended=extended, rescaled=rescaled))
     if out is None:
         out = np.empty(phi_values.shape)
-    ref = workspace.reference(t, extended)
-    log_density = workspace.log_density_full if extended else workspace.log_density
-    if n == 1:
-        _rhs_sweep_n1(phi_values, ref, log_density, positivity_floor, extended, out, workspace)
-    else:
-        lows, _, ld = _spectrum(ref + _ddbar_matrices(phi_values, spec), n, positivity_floor)
-        if ld is None:  # a floor breach, which this raises located
-            _floor_check(float(np.min(lows)), positivity_floor, lows)
-        np.subtract(ld, log_density, out=out)
-        if extended:
-            _add_half_leaf_laplacian(phi_values, out, workspace.hs, *workspace.temps[:3])
+    _evaluate(phi_values, t, workspace, positivity_floor, extended, out)
     if rescaled:
         out -= phi_values
         out -= np.mean(out)
@@ -536,8 +559,7 @@ def leafwise_defect(state: FlowState) -> float:
     if state.phi.basic or not spec.has_leaf:
         return 0.0
     vals = state.phi.values
-    dx, dy = _leaf_slopes(vals, spec.spacings, np.empty(vals.shape))
-    return float(dx + dy)
+    return _leaf_defect(vals, spec.spacings, np.empty((_SLAB_PLANES,) + vals.shape[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +609,10 @@ def step(
     ``config``, so a step evaluates the right-hand side three times; the
     returned state carries the first stage of the next step.  A state whose
     diagnostics that pass did not attach for its own phi, t and flow
-    variant gets them afresh.
+    variant gets them afresh.  A metric that is not positive, in the given
+    state or in the result of the step, raises :class:`PositivityLost`
+    with its global minimum eigenvalue and grid location; no log of it is
+    taken, and the result is not retried.
     :func:`run` passes its workspace, built for the same inputs and
     config, as ``_workspace``; otherwise one is made for the call.
     """
@@ -650,7 +675,11 @@ def step(
 
 
 def ricci_residual(state: FlowState, config: FlowConfig) -> float:
-    """sup || Ric(omega(t)) - k omega(t) ||, the convergence functional."""
+    """sup || Ric(omega(t)) - k omega(t) ||, the convergence functional.
+
+    A metric that is not positive somewhere raises :class:`PositivityLost`
+    with its global minimum eigenvalue and grid location, before any log.
+    """
     return _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0).diagnostics.ricci_sup
 
 
@@ -668,37 +697,6 @@ def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
     return None
 
 
-def _sweep_metric_n1(phi, ref, log_density, leaf_varying, ws):
-    """The first n = 1 sweep: ``(g, log g, stage, min g, max g, defect)``.
-
-    The new array ``stage`` is log g - log_density, plus 0.5 (phi_xx + phi_yy)
-    along the leaves of a ``leaf_varying`` phi, which is swept in blocks like
-    :func:`_rhs_sweep_n1` and also yields its :func:`leafwise_defect` (else None).
-    """
-    if not leaf_varying:
-        g, ld, stage = None, ws.ld, np.empty(phi.shape)
-    elif ws.k3.shape == phi.shape:  # the stage takes over ``arg``, faster than new memory
-        g, ld, stage = ws.k3, ws.k4, ws.arg
-        ws.arg = np.empty(stage.shape)
-    else:  # a leaf-varying phi diagnosed for a flow that is not extended
-        g, ld, stage = (np.empty(phi.shape) for _ in range(3))
-    lows, highs, slopes = [], [], []
-    for rows, gb, core in _metric_blocks(phi, ref, ws, g):
-        lows.append(np.min(gb))
-        highs.append(np.max(gb))
-        lb, kb = ld[rows], stage[rows]
-        np.log(gb, out=lb)
-        np.subtract(lb, log_density[rows], out=kb)
-        if leaf_varying:
-            _add_half_leaf_laplacian(core, kb, ws.hs, *ws.temps[:3])
-            slopes.append(_leaf_slopes(core, ws.hs, ws.temps[0]))
-    defect = None
-    if leaf_varying:
-        dx, dy = zip(*slopes)
-        defect = float(np.max(dx) + np.max(dy))
-    return ws.g if g is None else g, ld, stage, float(np.min(lows)), float(np.max(highs)), defect
-
-
 def _ricci_sup_n1(laplacian, ric, g, class_k, tmp):
     """sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy), from the Laplacian into ``ric``."""
     laplacian()
@@ -709,7 +707,7 @@ def _ricci_sup_n1(laplacian, ric, g, class_k, tmp):
 
 
 def _sweep_ricci_n1(g, ld, class_k, blocked, ws):
-    """The second n = 1 sweep: sup |Ric - k g| from g and ld = log g of :func:`_sweep_metric_n1`."""
+    """sup |Ric - k g| for n = 1 from g and ld = log g of :func:`_evaluate`."""
     if not blocked:
         return float(_ricci_sup_n1(ws.ricci_laplacian, ws.ric, g, class_k, ws.tmp))
     ric, tmp, tmp1, tmp2 = ws.temps
@@ -726,38 +724,36 @@ def _with_diagnostics(
 ) -> FlowState:
     """``state`` with its diagnostics and, from the same pass, its first RK4 stage.
 
-    The stage f(phi, t) for ``config``, bit-identical to :func:`_rhs_values`,
-    comes from the diagnostics' own operands (log g for n = 1, the log det
-    from the metric's spectrum for n >= 2).  It is attached read-only with
-    the phi, t and flow variant the diagnostics belong to; it is None below
-    the positivity floor and for a full phi that ``config`` does not extend.
+    Both come from one :func:`_evaluate` at floor 0, so a metric that is
+    not positive raises :class:`PositivityLost`, located.  The stage
+    f(phi, t) for ``config``, bit-identical to :func:`_rhs_values`, is
+    attached read-only with the phi, t and flow variant the diagnostics
+    belong to; it is None at or below ``config``'s positivity floor and for
+    a full phi that ``config`` does not extend.
     ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)| from the
     stage, or evaluates f afresh, raising :class:`PositivityLost`.
     """
     ws = workspace or _Workspace(state, config)
     spec = state.phi.spec
-    n = spec.n
     floor = config.positivity_floor
     values = _leaf_constant_slice(state.phi)
     leaf_varying = values is None
     if leaf_varying:
         values = state.phi.values
-    ref = ws.reference(state.t, full=leaf_varying)
-    log_density = ws.log_density_full if leaf_varying else ws.log_density
-    if n == 1:
-        g, ld, k1, lo, hi, defect = _sweep_metric_n1(values, ref, log_density, leaf_varying, ws)
-    else:
-        defect = None
-        g = HermitianField(spec, ref + _ddbar_matrices(values, spec), basic=not leaf_varying)
-        lows, highs, ld = _spectrum(g.matrices, n, floor)
-        lo, hi = float(np.min(lows)), float(np.max(highs))
-        k1 = None
-        if ld is not None:
-            k1 = ld - log_density
-            if leaf_varying:
-                _add_half_leaf_laplacian(values, k1, ws.hs, *ws.temps[:3])
-    if defect is None:
-        defect = leafwise_defect(state)
+    if spec.n > 1:
+        g, ld, k1 = None, None, np.empty(values.shape)
+    elif not leaf_varying:
+        g, ld, k1 = None, ws.ld, np.empty(values.shape)
+    elif ws.k3.shape == values.shape:  # the stage takes over ``arg``, faster than new memory
+        g, ld, k1 = ws.k3, ws.k4, ws.arg
+        ws.arg = np.empty(k1.shape)
+    else:  # a leaf-varying phi diagnosed for a flow that is not extended
+        g, ld, k1 = (np.empty(values.shape) for _ in range(3))
+    g, ld, lows, highs = _evaluate(values, state.t, ws, 0.0, leaf_varying, k1, g, ld)
+    if spec.n > 1:
+        g = HermitianField(spec, g, basic=not leaf_varying).matrices
+    lo, hi = float(np.min(lows)), float(np.max(highs))
+    defect = _leaf_defect(values, ws.hs, ws.temps[0][:_SLAB_PLANES]) if leaf_varying else 0.0
 
     stage = None
     if lo > floor and (spec.has_leaf if config.extended else state.phi.basic):
@@ -779,13 +775,11 @@ def _with_diagnostics(
             )
         dphidt_sup = float(np.max(np.abs(rhs)))
 
-    if n == 1:
+    if spec.n == 1:
         ric_sup = _sweep_ricci_n1(g, ld, config.class_k, leaf_varying, ws)
     else:
-        if ld is None:  # below the floor; NonPositiveDeterminant unless positive
-            ld = _log_det_values(g.matrices, n)
         ric = _ricci_matrices(ld, spec)
-        ric_sup = float(np.max(np.abs(ric - config.class_k * g.matrices)))
+        ric_sup = float(np.max(np.abs(ric - config.class_k * g)))
     diagnostics = FlowDiagnostics(
         ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,
         leafwise_defect=defect, dt=dt,
@@ -834,7 +828,9 @@ def run(
 
     The history records the initial diagnostics as step 0, then one row per
     accepted step.  Breakdown modes land in ``reason`` instead of raising,
-    so callers can tell them apart without exception handling.  Every step
+    so callers can tell them apart without exception handling; a step whose
+    result is not positive ends the run in ``positivity_lost`` at the last
+    positive state, with no row for the result.  Every step
     of the run executes on one workspace built for ``initial`` and
     ``config``.
     """

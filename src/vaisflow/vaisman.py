@@ -162,7 +162,11 @@ def lee_forms(
     """
     spec = h.spec
     _require_full(spec)
-    B = _base_matrix(spec, base)
+    return _lee_forms_and_j(spec, h, _base_matrix(spec, base))[:2]
+
+
+def _lee_forms_and_j(spec: GridSpec, h: ScalarField, B: np.ndarray):
+    """(theta, theta_c, J) with every check of :func:`lee_forms`, from one d^c P and one J."""
     u_axis, v_axis = 2 * spec.n, 2 * spec.n + 1
     theta = CoefficientForm(spec, 1, {(u_axis,): ScalarField.constant(spec, 1.0)})
     dc = _dc_full_potential(spec, h, B)
@@ -182,7 +186,7 @@ def lee_forms(
         raise IdentityViolation("theta_c(V) = 1 fails")
     if float(np.max(np.abs(theta_c.contract_vector(_unit(spec, u_axis))))) > _IDENTITY_TOL:
         raise IdentityViolation("theta_c(U) = 0 fails")
-    return theta, theta_c
+    return theta, theta_c, jmat
 
 
 def _unit(spec: GridSpec, axis: int) -> np.ndarray:
@@ -278,9 +282,7 @@ def build_chart(
     B = _base_matrix(spec, base)
     base_field = HermitianField.constant(spec, B)
     metric = metric_from_potential(h, base_field)
-    theta, theta_c = lee_forms(h, base_field)
-    dc = _dc_full_potential(spec, h, B)
-    jmat = _assemble_j(spec, _dc_values(spec, dc))
+    theta, theta_c, jmat = _lee_forms_and_j(spec, h, B)
     omega = fundamental_form(theta, theta_c, metric)
     frame = _frame_from_theta_c(spec, theta_c)
     chart = VaismanChart(spec, h, B, metric, theta, theta_c, jmat, omega, frame)

@@ -3,7 +3,8 @@
 It imports nothing beyond the standard library and numpy: numpy is the one
 dependency ``pyproject.toml`` declares, and any other import would be an
 optional path that this suite does not run.  It reaches LAPACK's eigvalsh
-and slogdet from one routine only, so no second eigenvalue path can grow.
+and slogdet from one routine only, so no second eigenvalue path can grow,
+and the flow forms its metric in one routine only, for the same reason.
 """
 
 import ast
@@ -35,21 +36,21 @@ def test_imports_only_stdlib_and_numpy():
 _SPECTRUM_NAMES = {"eigvalsh", "slogdet"}
 
 
-def _spectrum_references(tree: ast.AST, scope: str = ""):
-    """(scope, name) for every eigvalsh or slogdet a module references, by enclosing function."""
+def _references(tree: ast.AST, names, scope: str = ""):
+    """(scope, name) for every one of ``names`` a module references, by enclosing function."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr in _SPECTRUM_NAMES:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             yield scope, node.attr
-        elif isinstance(node, ast.Name) and node.id in _SPECTRUM_NAMES:
+        elif isinstance(node, ast.Name) and node.id in names:
             yield scope, node.id
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if alias.name.split(".")[-1] in _SPECTRUM_NAMES:
+                if alias.name.split(".")[-1] in names:
                     yield scope, alias.name
-        yield from _spectrum_references(node, inner)
+        yield from _references(node, names, inner)
 
 
 def test_one_spectrum_routine():
@@ -57,5 +58,21 @@ def test_one_spectrum_routine():
     found = []
     for path in sorted(Path(vaisflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [(path.name, scope, name) for scope, name in _spectrum_references(tree)]
+        found += [(path.name, scope, name) for scope, name in _references(tree, _SPECTRUM_NAMES)]
     assert found == [("transverse.py", "_spectrum", "eigvalsh")]
+
+
+_METRIC_NAMES = {"_spectrum", "_metric_blocks"}
+
+
+def _metric_references(source: str):
+    return sorted(set(_references(ast.parse(source), _METRIC_NAMES)))
+
+
+def test_one_metric_evaluation_routine():
+    """In flow.py the metric is formed and its spectrum taken only inside flow._evaluate."""
+    source = Path(vaisflow.flow.__file__).read_text()
+    expected = [("", "_spectrum"), ("_evaluate", "_metric_blocks"), ("_evaluate", "_spectrum")]
+    assert _metric_references(source) == expected
+    planted = source + "\n\ndef _second_metric(g):\n    return _spectrum(g, 1)\n"
+    assert _metric_references(planted) == sorted(expected + [("_second_metric", "_spectrum")])

@@ -527,6 +527,69 @@ def test_breach_reports_global_minimum_and_location(case, forced_by_floor):
     assert err.value.location == location
 
 
+@pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n2"])
+def test_entry_points_locate_a_non_positive_metric(case):
+    """ricci_residual, step and run raise or report PositivityLost, and log no breach."""
+    state, extended = _state_with_phi(case, 8.0)
+    config = FlowConfig(extended=extended)
+    w = reference_min_eigenvalues(np.array(state.phi.as_full_values()), 0.0, state, False, extended)
+    expected = float(np.min(w)), tuple(int(i) for i in np.unravel_index(np.argmin(w), w.shape))
+    assert expected[0] < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (flow.ricci_residual, flow.step):
+            with pytest.raises(PositivityLost) as err:
+                call(state, config)
+            assert (err.value.min_eigenvalue, err.value.location) == expected
+        report = flow.run(state, config)
+    assert (report.reason, report.steps, report.history) == ("positivity_lost", 0, [])
+    assert (report.failure["min_eigenvalue"], report.failure["location"]) == expected
+
+
+@pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n2"])
+def test_run_stops_at_the_last_positive_state(case, monkeypatch):
+    """A step whose result is not positive ends the run before it, with no row for it."""
+    state, extended = _state_with_phi(case, 1.0)
+    config = FlowConfig(extended=extended, ricci_tolerance=1e-30)
+    phi0 = np.array(state.phi.as_full_values()) if extended else state.phi.values
+
+    def steep(values, t, state, *, out=None, **kwargs):
+        # Stages of -1e4 phi0 flip the sign of ddbar phi in the step's result.
+        out = np.empty(values.shape) if out is None else out
+        np.multiply(phi0, -1e4, out=out)
+        return out
+
+    monkeypatch.setattr(flow, "_rhs_values", steep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = flow.run(state, config)
+    assert (report.reason, report.steps, len(report.history)) == ("positivity_lost", 0, 1)
+    assert report.final_state.t == 0.0 and report.final_state.phi is state.phi
+    assert report.failure["min_eigenvalue"] < 0
+    assert report.history[0]["min_eig"] > 0 and np.isfinite(report.history[0]["ricci_sup"])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_leafwise_defect_matches_roll_reference(n):
+    """The blocked leaf defect equals the whole-grid np.roll one, and is 0.0 on a leaf-constant phi."""
+    spec = full_spec(n=n, res=16 if n == 1 else 8, leaf=8)
+    base = initial_state(HermitianField.identity(spec))
+
+    def state_of(fn):
+        phi = ScalarField.from_function(spec, fn, basic=False)
+        return FlowState(0.0, phi, base.omega_hat_0, base.chi, base.volume_density)
+
+    varying = state_of(lambda *c: 0.1 * np.sin(c[0] + c[-2]) * np.cos(c[1] - 2 * c[-1]))
+    hs, values = spec.spacings, varying.phi.values
+    expected = sum(
+        np.max(np.abs(reference_diff1(values, axis, hs[axis]))) for axis in (2 * n, 2 * n + 1)
+    )
+    assert flow.leafwise_defect(varying) == float(expected) > 0.0
+    leaf_constant = state_of(lambda *c: 0.1 * np.sin(c[0]) * np.cos(c[1]) + 0.0 * c[-1])
+    assert not leaf_constant.phi.basic
+    assert flow.leafwise_defect(leaf_constant) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # The run-scoped workspace
 # ---------------------------------------------------------------------------
