@@ -229,7 +229,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if flow_cfg.extended and chart.leaf_resolution is None:
         raise ConfigError("flow.extended: needs chart.leaf_resolution / chart.leaf_periods")
 
-    chi = _get(cp, "flow", "chi", str, "none")
+    chi = _get(
+        cp, "flow", "chi", str, "none",
+        lambda v: v in ("none", "", *POTENTIAL_PRESETS) or _fail("flow", "chi", f"unknown preset {v!r}"),
+    )
     chi_amplitude = _get(cp, "flow", "chi_amplitude", float, 0.0)
     t_final = _get(
         cp, "flow", "t_final", float, None,

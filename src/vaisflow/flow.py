@@ -20,13 +20,14 @@ onto the unrescaled one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exceptions import GridError, InexactClass, NonFinitePotential, PositivityLost, StepFloor
-from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2_into, integrate
+from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2, integrate
 from .transverse import (
     HermitianField,
     _argmin_location,
@@ -57,10 +58,12 @@ __all__ = [
 
 DT_FLOOR = 1e-12
 DIVERGENCE_FACTOR = 1e6
-# Axis-0 planes per block of the extended n = 1 sweeps and the leaf defect.
-# On the 64^2 x 16^2 grid a block's arrays are 256 KiB each, so the whole block
-# evaluation stays in a 2 MiB L2 cache instead of streaming 8 MiB arrays.
-_SLAB_PLANES = 2
+# Bytes per float64 array of one axis-0 block of an n = 1 sweep: a block has
+# as many planes as fit, at least one.  On the 64^2 x 16^2 grid a block is 2
+# planes, so its whole evaluation stays in a 2 MiB L2 cache instead of
+# streaming 8 MiB arrays (one whole-grid block there is slower and larger; see
+# ROADMAP), and a 64^2 grid is one block.
+_BLOCK_BYTES = 256 * 1024
 _HALO = 2  # reach of the fourth-order stencils
 
 HISTORY_COLUMNS = (
@@ -276,34 +279,114 @@ def _reference_matrices(state, t: float, rescaled: bool, full: bool = False) -> 
     return m
 
 
-def _core(src, halo):
-    """The planes of a block, without its halo."""
-    return src[halo:src.shape[0] - halo]
+class _Block(NamedTuple):
+    """The rows of one axis-0 block of a :class:`_Sweep`, and its stencils, bound once.
 
-
-def _laplacian(src, halo, hs, out, tmp, tmp1, tmp2):
-    """A call that sets out = f_xx + f_yy for f in the n = 1 block ``src``.
-
-    ``src`` has ``halo`` extra axis-0 planes at each end (none on a whole grid).
+    ``metric`` and ``ricci`` are the (xx, yy) pairs of phi and of log g into
+    the block's temporaries (``lap``, ``tmp``); ``leaf2`` and ``leaf1`` the
+    leaf-axis second and first derivatives of phi into ``tmp`` (none on a
+    transverse grid).
     """
-    xx = _Stencil(2, src, 0, hs[0], out, tmp1, tmp2, halo)
-    yy = _Stencil(2, _core(src, halo), 1, hs[1], tmp, tmp1, tmp2)
 
-    def laplacian():
-        xx()
-        yy()
-        np.add(out, tmp, out=out)
-    return laplacian
+    rows: slice
+    lap: np.ndarray
+    tmp: np.ndarray
+    metric: tuple
+    ricci: tuple
+    leaf2: tuple
+    leaf1: tuple
+
+
+class _Sweep:
+    """The n = 1 evaluation of one grid shape, in axis-0 blocks whose stencils are bound once.
+
+    The operand ``phi`` and ``ld`` (log g) are the cores of buffers with
+    ``_HALO`` more axis-0 planes at each end, copied from the other end
+    before a sweep, so a block reads its neighbours' planes through a view.
+    ``g`` holds the metric.  The blocks share block-sized temporaries.
+    """
+
+    def __init__(self, shape: tuple[int, ...], hs: tuple[float, ...]):
+        n0, plane = shape[0], shape[1:]
+        padded_phi, padded_ld = (np.empty((n0 + 2 * _HALO,) + plane) for _ in range(2))
+        self.phi, self.ld = padded_phi[_HALO:-_HALO], padded_ld[_HALO:-_HALO]
+        # (padding, the planes at the other end of the core that it holds)
+        self._phi_halo, self._ld_halo = (
+            ((p[:_HALO], p[n0:n0 + _HALO]), (p[n0 + _HALO:], p[_HALO:2 * _HALO]))
+            for p in (padded_phi, padded_ld)
+        )
+        self.g = np.empty(shape)
+        planes = max(1, min(n0, _BLOCK_BYTES // (8 * math.prod(plane))))
+        temps = [np.empty((planes,) + plane) for _ in range(4)]
+        leaf_axes = range(2, len(shape))
+        self.blocks = []
+        for i0 in range(0, n0, planes):
+            rows = slice(i0, min(i0 + planes, n0))
+            padded = slice(i0, rows.stop + 2 * _HALO)
+            lap, tmp, tmp1, tmp2 = (t[:rows.stop - i0] for t in temps)
+            phi = self.phi[rows]
+            self.blocks.append(_Block(
+                rows, lap, tmp,
+                metric=(_Stencil(2, padded_phi[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
+                        _Stencil(2, phi, 1, hs[1], tmp, tmp1, tmp2)),
+                ricci=(_Stencil(2, padded_ld[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
+                       _Stencil(2, self.ld[rows], 1, hs[1], tmp, tmp1, tmp2)),
+                leaf2=tuple(_Stencil(2, phi, a, hs[a], tmp, tmp1, tmp2) for a in leaf_axes),
+                leaf1=tuple(_Stencil(1, phi, a, hs[a], tmp, tmp1) for a in leaf_axes),
+            ))
+
+    def load(self, phi: np.ndarray) -> None:
+        """Make ``phi`` the operand (no copy when it is ``self.phi``), with its halo."""
+        if phi is not self.phi:
+            np.copyto(self.phi, phi)
+        for padding, planes in self._phi_halo:
+            padding[...] = planes
+
+    def ricci_sup(self, class_k: int) -> float:
+        """sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy), from a kept :func:`_evaluate`."""
+        for padding, planes in self._ld_halo:
+            padding[...] = planes
+        sups = []
+        for block in self.blocks:
+            lap, tmp = block.lap, block.tmp
+            _laplacian(block.ricci, lap, tmp)
+            lap *= -0.25
+            np.multiply(self.g[block.rows], class_k, out=tmp)
+            lap -= tmp
+            sups.append(np.max(np.abs(lap, out=lap)))
+        return float(np.max(sups))
+
+    def leaf_defect(self) -> float:
+        """sup |phi_x| + sup |phi_y| along the leaves of the loaded operand of a full grid."""
+        sups = []
+        for block in self.blocks:
+            tmp, row = block.tmp, []
+            for derivative in block.leaf1:
+                derivative()
+                row.append(np.max(np.abs(tmp, out=tmp)))
+            sups.append(row)
+        dx, dy = np.max(sups, axis=0)
+        return float(dx + dy)
+
+
+def _laplacian(stencils, lap, tmp) -> None:
+    """lap = f_xx + f_yy from a block's bound (xx into ``lap``, yy into ``tmp``) pair."""
+    xx, yy = stencils
+    xx()
+    yy()
+    lap += tmp
 
 
 class _Workspace:
     """What one flow run keeps from step to step, for one state's inputs and config.
 
     log(volume_density), the reference metric at the last t asked for, the
-    step buffers ``k2``, ``k3``, ``k4``, ``arg`` (``x`` unless extended) and
-    those of the extended block sweeps, and for n = 1 the whole-grid
-    Laplacians of ``x`` into ``g`` and of ``ld`` into ``ric``, bound once.
-    No array it holds is attached to a state.
+    step buffers ``k2``, ``k3``, ``k4``, ``arg`` and, for n = 1, a
+    :class:`_Sweep` per grid shape, built on first use.  For n = 1 the
+    config's sweep lends the step ``arg`` (its operand, so a stage argument
+    is evaluated where it is written), ``k3`` and ``k4`` (its ``g`` and
+    ``ld``, which only the diagnostics write, after the step).  No array it
+    holds is attached to a state.
     """
 
     def __init__(self, state: FlowState, config: FlowConfig):
@@ -315,19 +398,20 @@ class _Workspace:
         self.log_density = np.log(state.volume_density.values)
         self.log_density_full = self.log_density.reshape(spec.transverse_shape + (1, 1))
         self._ref_t = self._ref = self._ref_full = None
+        self._sweeps = {}
         shape = spec.full_shape if config.extended else spec.transverse_shape
-        self.k2, self.k3, self.k4 = (np.empty(shape) for _ in range(3))
+        self.k2 = np.empty(shape)
         if spec.n == 1:
-            self.x, self.g, self.ld, self.ric, self.tmp, *tmp12 = (
-                np.empty(spec.transverse_shape) for _ in range(7)
-            )
-            self.metric_laplacian = _laplacian(self.x, 0, self.hs, self.g, self.tmp, *tmp12)
-            self.ricci_laplacian = _laplacian(self.ld, 0, self.hs, self.ric, self.tmp, *tmp12)
-        self.arg = self.x if spec.n == 1 and not config.extended else np.empty(shape)
-        if spec.has_leaf:  # buffers a run never writes take no memory
-            sweep = (_SLAB_PLANES,) + spec.full_shape[1:] if spec.n == 1 else spec.full_shape
-            self.temps = [np.empty(sweep) for _ in range(4)]
-            self.window = np.empty((_SLAB_PLANES + 2 * _HALO,) + spec.full_shape[1:])
+            sweep = self.sweep(shape)
+            self.k3, self.k4, self.arg = sweep.g, sweep.ld, sweep.phi
+        else:
+            self.k3, self.k4, self.arg = (np.empty(shape) for _ in range(3))
+
+    def sweep(self, shape: tuple[int, ...]) -> _Sweep:
+        """The n = 1 sweep of ``shape``, built on the first call for it."""
+        if shape not in self._sweeps:
+            self._sweeps[shape] = _Sweep(shape, self.hs)
+        return self._sweeps[shape]
 
     def reference(self, t: float, full: bool = False) -> np.ndarray:
         """The reference metric at ``t`` (real for n = 1), with unit leaf axes when ``full``."""
@@ -340,52 +424,12 @@ class _Workspace:
         return self._ref_full if full else self._ref
 
 
-def _blocks(values, window):
-    """Yield ``(rows, src)`` for the ``_SLAB_PLANES``-plane axis-0 blocks of ``values``.
-
-    ``src`` adds ``_HALO`` planes on each side: a view of ``values``, or at
-    the ends a wrapped copy in ``window``, valid until the next block.
-    """
-    n0 = values.shape[0]
-    for i0 in range(0, n0, _SLAB_PLANES):
-        i1 = i0 + _SLAB_PLANES
-        if _HALO <= i0 and i1 + _HALO <= n0:
-            src = values[i0 - _HALO:i1 + _HALO]
-        else:
-            src = np.take(values, range(i0 - _HALO, i1 + _HALO), axis=0, out=window, mode="wrap")
-        yield slice(i0, i1), src
-
-
-def _metric_n1(laplacian, out, ref):
-    """out = ref + 0.25 (phi_xx + phi_yy), the n = 1 metric, from a :func:`_laplacian` into out."""
-    laplacian()
-    out *= 0.25
-    out += ref
-
-
-def _add_half_leaf_laplacian(phi, out, hs, tmp, tmp1, tmp2):
-    """out += 0.5 phi_xx, then out += 0.5 phi_yy along the two leaf axes."""
-    for axis in (phi.ndim - 2, phi.ndim - 1):
-        diff2_into(phi, axis, hs[axis], tmp, tmp1, tmp2)
-        tmp *= 0.5
-        out += tmp
-
-
-def _leaf_defect(values, hs, tmp):
-    """sup |values_x| + sup |values_y| along the two leaf axes, the last two.
-
-    Swept in ``_SLAB_PLANES``-plane axis-0 blocks through ``tmp``, one block
-    in size: a leaf stencil reads no other axis-0 plane.
-    """
-    sups = []
-    for i0 in range(0, values.shape[0], _SLAB_PLANES):
-        block = values[i0:i0 + _SLAB_PLANES]
-        sups.append([
-            np.max(np.abs(diff1(block, axis, hs[axis], out=tmp), out=tmp))
-            for axis in (values.ndim - 2, values.ndim - 1)
-        ])
-    dx, dy = np.max(sups, axis=0)
-    return float(dx + dy)
+def _metric_n1(block: _Block, ref: np.ndarray, out: np.ndarray) -> None:
+    """out = ref + 0.25 (phi_xx + phi_yy), the n = 1 metric on the rows of ``block``."""
+    lap = block.lap
+    _laplacian(block.metric, lap, block.tmp)
+    lap *= 0.25
+    np.add(lap, ref, out=out)
 
 
 def _floor_check(values_min: float, floor: float, values: np.ndarray):
@@ -404,25 +448,7 @@ def _floor_check(values_min: float, floor: float, values: np.ndarray):
         )
 
 
-def _metric_blocks(phi, ref, ws, g=None):
-    """Yield ``(rows, g block, phi block)`` with g = ref + 0.25 (phi_xx + phi_yy).
-
-    Without ``g``, phi is the whole transverse grid, one block on the bound
-    Laplacian into ``ws.g``; with it, the blocks of :func:`_blocks` into ``g``.
-    """
-    if g is None:
-        if phi is not ws.x:
-            np.copyto(ws.x, phi)
-        _metric_n1(ws.metric_laplacian, ws.g, ref)
-        yield slice(None), ws.g, ws.x
-        return
-    for rows, src in _blocks(phi, ws.window):
-        gb = g[rows]
-        _metric_n1(_laplacian(src, _HALO, ws.hs, gb, *ws.temps[:3]), gb, ref[rows])
-        yield rows, gb, _core(src, _HALO)
-
-
-def _evaluate(phi, t, ws, floor, full, out, g=None, ld=None):
+def _evaluate(phi, t, ws, floor, full, out, keep=False):
     """The flow at ``phi``, ``t``: the one place that forms the metric g and takes its log det.
 
     g = ghat(t) + ddbar phi is checked against ``floor`` before any log; a
@@ -431,10 +457,10 @@ def _evaluate(phi, t, ws, floor, full, out, g=None, ld=None):
     phi_yy) along the leaves of a ``full`` phi, goes into ``out``.  Returns
     ``(g, log det g, lows, highs)``: the least of ``lows`` (per block for
     n = 1, per point for n >= 2) is the minimum eigenvalue, ``highs`` the
-    maximum per point.  For n = 1 log g goes into ``ld`` (default ``out``);
-    a full phi is swept in blocks, bit-identical to a whole grid, with g
-    into ``g`` (default ``out``), a transverse one through ``ws.x`` into
-    ``ws.g``.
+    maximum per point.  For n = 1 phi is swept block by block on the
+    workspace's sweep of its shape, bit-identical to a whole grid; g and
+    log g go into ``out`` unless ``keep`` (the diagnostics) puts them into
+    the sweep's ``g`` and ``ld``, where its Ricci sweep reads them.
     """
     ref = ws.reference(t, full)
     log_density = ws.log_density_full if full else ws.log_density
@@ -444,29 +470,35 @@ def _evaluate(phi, t, ws, floor, full, out, g=None, ld=None):
         if ld is None:  # a floor breach, which this raises located
             _floor_check(float(np.min(lows)), floor, lows)
         np.subtract(ld, log_density, out=out)
-        if full:
-            _add_half_leaf_laplacian(phi, out, ws.hs, *ws.temps[:3])
+        if full:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
+            for axis in (phi.ndim - 2, phi.ndim - 1):
+                tmp = diff2(phi, axis, ws.hs[axis])
+                tmp *= 0.5
+                out += tmp
         return g, ld, lows, highs
-    ld = out if ld is None else ld
-    if full and g is None:
-        g = out
+    sweep = ws.sweep(phi.shape)
+    sweep.load(phi)
+    g, ld = (sweep.g, sweep.ld) if keep else (out, out)
     lows = []
-    for rows, gb, core in _metric_blocks(phi, ref, ws, g):
+    for block in sweep.blocks:
+        rows = block.rows
+        gb = g[rows]
+        _metric_n1(block, ref[rows], gb)
         lows.append(float(np.min(gb)))
         if not lows[-1] > floor:
             # Report the minimum and its location over the whole grid, as an
             # unblocked evaluation would, and take no log of the breach.
-            whole = gb
-            if full:
-                whole, *temps = (np.empty(phi.shape) for _ in range(4))
-                _metric_n1(_laplacian(phi, 0, ws.hs, whole, *temps), whole, ref)
-            _floor_check(float(np.min(whole)), floor, whole)
-        lb, block = ld[rows], out[rows]
+            for other in sweep.blocks:
+                _metric_n1(other, ref[other.rows], g[other.rows])
+            _floor_check(float(np.min(g)), floor, g)
+        lb, fb = ld[rows], out[rows]
         np.log(gb, out=lb)
-        np.subtract(lb, log_density[rows], out=block)
-        if full:
-            _add_half_leaf_laplacian(core, block, ws.hs, *ws.temps[:3])
-    g = ws.g if g is None else g
+        np.subtract(lb, log_density[rows], out=fb)
+        tmp = block.tmp
+        for leaf in block.leaf2:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
+            leaf()
+            tmp *= 0.5
+            fb += tmp
     return g, ld, lows, g
 
 
@@ -558,8 +590,9 @@ def leafwise_defect(state: FlowState) -> float:
     spec = state.phi.spec
     if state.phi.basic or not spec.has_leaf:
         return 0.0
-    vals = state.phi.values
-    return _leaf_defect(vals, spec.spacings, np.empty((_SLAB_PLANES,) + vals.shape[1:]))
+    vals, hs = state.phi.values, spec.spacings
+    dx, dy = (np.max(np.abs(diff1(vals, a, hs[a]))) for a in (vals.ndim - 2, vals.ndim - 1))
+    return float(dx + dy)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +612,12 @@ def _select_dt(state: FlowState, config: FlowConfig, h_min: float) -> float:
             config.positivity_floor
         )
     return min(config.dt_initial, config.dt_safety * h_min * h_min * d.min_eig / d.max_eig)
+
+
+def _check_steppable(state: FlowState, config: FlowConfig) -> None:
+    """Raise :class:`GridError` when ``config`` cannot step ``state``'s phi."""
+    if not (config.extended or state.phi.basic):
+        raise GridError("a potential that is not basic is stepped only by the extended flow")
 
 
 def _diagnosed(state: FlowState, config: FlowConfig) -> bool:
@@ -613,9 +652,12 @@ def step(
     state or in the result of the step, raises :class:`PositivityLost`
     with its global minimum eigenvalue and grid location; no log of it is
     taken, and the result is not retried.
-    :func:`run` passes its workspace, built for the same inputs and
-    config, as ``_workspace``; otherwise one is made for the call.
+    A phi that is not basic under a config that is not extended raises
+    :class:`GridError`.  :func:`run` passes its workspace, built for the
+    same inputs and config, as ``_workspace``; otherwise one is made for the
+    call.
     """
+    _check_steppable(state, config)
     ws = _workspace or _Workspace(state, config)
     if not _diagnosed(state, config):
         state = _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0, workspace=ws)
@@ -697,27 +739,6 @@ def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
     return None
 
 
-def _ricci_sup_n1(laplacian, ric, g, class_k, tmp):
-    """sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy), from the Laplacian into ``ric``."""
-    laplacian()
-    ric *= -0.25
-    np.multiply(g, class_k, out=tmp)
-    ric -= tmp
-    return np.max(np.abs(ric, out=ric))
-
-
-def _sweep_ricci_n1(g, ld, class_k, blocked, ws):
-    """sup |Ric - k g| for n = 1 from g and ld = log g of :func:`_evaluate`."""
-    if not blocked:
-        return float(_ricci_sup_n1(ws.ricci_laplacian, ws.ric, g, class_k, ws.tmp))
-    ric, tmp, tmp1, tmp2 = ws.temps
-    sups = []
-    for rows, src in _blocks(ld, ws.window):
-        laplacian = _laplacian(src, _HALO, ws.hs, ric, tmp, tmp1, tmp2)
-        sups.append(_ricci_sup_n1(laplacian, ric, g[rows], class_k, tmp))
-    return float(np.max(sups))
-
-
 def _with_diagnostics(
     state: FlowState, config: FlowConfig, dphidt_sup: float | None, dt: float,
     workspace: _Workspace | None = None,
@@ -740,23 +761,20 @@ def _with_diagnostics(
     leaf_varying = values is None
     if leaf_varying:
         values = state.phi.values
-    if spec.n > 1:
-        g, ld, k1 = None, None, np.empty(values.shape)
-    elif not leaf_varying:
-        g, ld, k1 = None, ws.ld, np.empty(values.shape)
-    elif ws.k3.shape == values.shape:  # the stage takes over ``arg``, faster than new memory
-        g, ld, k1 = ws.k3, ws.k4, ws.arg
-        ws.arg = np.empty(k1.shape)
-    else:  # a leaf-varying phi diagnosed for a flow that is not extended
-        g, ld, k1 = (np.empty(values.shape) for _ in range(3))
-    g, ld, lows, highs = _evaluate(values, state.t, ws, 0.0, leaf_varying, k1, g, ld)
-    if spec.n > 1:
+    k1 = np.empty(values.shape)
+    g, ld, lows, highs = _evaluate(values, state.t, ws, 0.0, leaf_varying, k1, keep=True)
+    if spec.n == 1:
+        sweep = ws.sweep(values.shape)
+        ric_sup = sweep.ricci_sup(config.class_k)
+        defect = sweep.leaf_defect() if leaf_varying else 0.0
+    else:
         g = HermitianField(spec, g, basic=not leaf_varying).matrices
+        ric_sup = float(np.max(np.abs(_ricci_matrices(ld, spec) - config.class_k * g)))
+        defect = leafwise_defect(state) if leaf_varying else 0.0
     lo, hi = float(np.min(lows)), float(np.max(highs))
-    defect = _leaf_defect(values, ws.hs, ws.temps[0][:_SLAB_PLANES]) if leaf_varying else 0.0
 
     stage = None
-    if lo > floor and (spec.has_leaf if config.extended else state.phi.basic):
+    if lo > floor and (config.extended or state.phi.basic):
         if config.extended and not leaf_varying:
             # The leaf terms of a leaf-constant phi vanish bit for bit.
             k1 = np.broadcast_to(k1.reshape(k1.shape + (1, 1)), spec.full_shape).copy()
@@ -775,11 +793,6 @@ def _with_diagnostics(
             )
         dphidt_sup = float(np.max(np.abs(rhs)))
 
-    if spec.n == 1:
-        ric_sup = _sweep_ricci_n1(g, ld, config.class_k, leaf_varying, ws)
-    else:
-        ric = _ricci_matrices(ld, spec)
-        ric_sup = float(np.max(np.abs(ric - config.class_k * g)))
     diagnostics = FlowDiagnostics(
         ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,
         leafwise_defect=defect, dt=dt,
@@ -832,8 +845,10 @@ def run(
     result is not positive ends the run in ``positivity_lost`` at the last
     positive state, with no row for the result.  Every step
     of the run executes on one workspace built for ``initial`` and
-    ``config``.
+    ``config``.  A phi that is not basic under a config that is not
+    extended raises :class:`GridError`.
     """
+    _check_steppable(initial, config)
     state = initial
     if not np.all(np.isfinite(state.phi.values)):
         return FlowReport(False, "non_finite", state.t, 0, [], state)

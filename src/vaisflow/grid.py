@@ -16,13 +16,11 @@ with the differentiated axis in the middle; each shifted difference is one
 contiguous subtract over the flattened array plus one subtract that
 overwrites the few wrapped planes, so no shifted copy of the array is ever
 made.  A ``_Stencil`` is one such sweep bound to its arrays, with its
-views built once; :func:`diff1`, :func:`diff2` and :func:`diff2_into` bind
-one and run it.  :func:`diff1` and :func:`diff2` accept an ``out=`` array,
-and :func:`diff2_into` also takes the caller's scratch arrays and can sweep
-a large array block by block from a halo of neighbouring planes.  Every
-route applies the same operations to the same operands in the same order,
-so results are bit-identical whichever route, block size or output buffer
-is used.
+views built once; :func:`diff1` and :func:`diff2` bind one and run it, and
+accept an ``out=`` array.  A ``_Stencil`` can also sweep a large array
+block by block from a halo of neighbouring planes.  Every route applies the
+same operations to the same operands in the same order, so results are
+bit-identical whichever route, block size or output buffer is used.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "norms",
     "diff1",
     "diff2",
-    "diff2_into",
 ]
 
 _MIN_RESOLUTION = 8
@@ -388,12 +385,13 @@ class _Stencil:
     """One stencil sweep bound to its arrays, run by calling it.
 
     ``order`` 1 is :func:`diff1` (one scratch array ``tmp1``), ``order`` 2
-    is :func:`diff2` (scratch ``tmp1`` and ``tmp2``); ``halo`` is as in
-    :func:`diff2_into`.  Binding builds every view of the sweep once, so a
-    call makes only the sweep's ufunc calls; a caller whose arrays live
-    long (the flow's run-scoped workspace) binds once and calls many times.
-    All arrays are C-contiguous, ``axis`` is non-negative and the caller
-    writes the operand into ``src`` in place between calls.
+    is :func:`diff2` (scratch ``tmp1`` and ``tmp2``).  ``src`` wraps
+    periodically when ``halo`` is 0; otherwise it carries ``halo`` >= 2
+    extra planes at each end of ``axis``, and ``out`` receives the
+    derivative on the planes between them.  Binding builds every view of the
+    sweep once, so a call makes only the sweep's ufunc calls.  All arrays
+    are C-contiguous, ``axis`` is non-negative and the caller writes the
+    operand into ``src`` in place between calls.
     """
 
     __slots__ = ("_sweep", "_args")
@@ -464,26 +462,6 @@ def diff2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
     src, axis, out = _prepare(values, axis, out)
     _Stencil(2, src, axis, h, out, np.empty_like(out), np.empty_like(out))()
     return out
-
-
-def diff2_into(
-    values: np.ndarray,
-    axis: int,
-    h: float,
-    out: np.ndarray,
-    tmp1: np.ndarray,
-    tmp2: np.ndarray,
-    halo: int = 0,
-) -> None:
-    """:func:`diff2` into ``out`` with caller-owned scratch arrays ``tmp1``, ``tmp2``.
-
-    All arrays are C-contiguous and ``axis`` is non-negative.  With
-    ``halo == 0`` ``values`` has the shape of ``out`` and wraps periodically.
-    With ``halo >= 2`` ``values`` carries ``halo`` extra planes at each end of
-    ``axis`` and ``out`` receives the derivative on the planes between them,
-    so a caller can sweep a large array in cache-sized blocks.
-    """
-    _Stencil(2, values, axis, h, out, tmp1, tmp2, halo)()
 
 
 def fd_derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:

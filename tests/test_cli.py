@@ -99,6 +99,14 @@ class TestCmdFlow:
         assert main(["flow", cfg]) == 1
         assert "wibble" in capsys.readouterr().err
 
+    def test_unknown_chi_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        body = FLAT_FLOW.format(out=out).replace("class_k = 0", "class_k = 0\nchi = bogus")
+        cfg = write_config(tmp_path / "bad3.cfg", body)
+        assert main(["flow", cfg]) == 1
+        assert "flow.chi: unknown preset 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_not_converged_exit_code(self, tmp_path):
         body = BUMP_FLOW.format(out=tmp_path / "out").replace(
             "ricci_tolerance = 1e-5", "ricci_tolerance = 1e-5\nmax_steps = 3"

@@ -19,7 +19,7 @@ from vaisflow.flow import (
 )
 from vaisflow.grid import ScalarField
 from vaisflow.transverse import HermitianField, ddbar, metric_from_potential
-from test_stencils import reference_rhs
+from test_stencils import reference_diagnostics, reference_rhs
 
 
 def bump_state(res=64, amplitude=-0.4, chi=None, spec=None):
@@ -292,6 +292,24 @@ class TestStep:
         monkeypatch.setattr(flow_module, "_rhs_values", always_lost)
         with pytest.raises(StepFloor):
             step(st, FlowConfig())
+
+    @pytest.mark.parametrize("leaf_amplitude", [0.0, 0.02])
+    def test_phi_that_is_not_basic_needs_the_extended_flow(self, leaf_amplitude):
+        """step and run name the error; ricci_residual still diagnoses the state."""
+        spec, base = bump_state(spec=full_spec(res=16, leaf=8))
+        phi = ScalarField.from_function(
+            spec,
+            lambda x, y, u, v: 0.05 * np.sin(x) * np.cos(y) + leaf_amplitude * np.cos(u + x),
+            basic=False,
+        )
+        st = FlowState(0.0, phi, base.omega_hat_0, base.chi, base.volume_density)
+        config = FlowConfig(ricci_tolerance=1e-30)
+        with pytest.raises(GridError, match="extended flow"):
+            step(st, config)
+        with pytest.raises(GridError, match="extended flow"):
+            run(st, FlowConfig(ricci_tolerance=1e-30, max_steps=2))
+        expected = reference_diagnostics(np.array(phi.values), 0.0, st, config)[0]
+        assert flow_module.ricci_residual(st, config) == expected > 0.0
 
 
 class TestRun:

@@ -5,6 +5,8 @@ dependency ``pyproject.toml`` declares, and any other import would be an
 optional path that this suite does not run.  It reaches LAPACK's eigvalsh
 and slogdet from one routine only, so no second eigenvalue path can grow,
 and the flow forms its metric in one routine only, for the same reason.
+The flow binds its stencils only where it builds a sweep, so a run binds
+them once.
 """
 
 import ast
@@ -62,17 +64,28 @@ def test_one_spectrum_routine():
     assert found == [("transverse.py", "_spectrum", "eigvalsh")]
 
 
-_METRIC_NAMES = {"_spectrum", "_metric_blocks"}
+_METRIC_NAMES = {"_spectrum", "_metric_n1"}
 
 
-def _metric_references(source: str):
-    return sorted(set(_references(ast.parse(source), _METRIC_NAMES)))
+def _scoped_references(source: str, names):
+    return sorted(set(_references(ast.parse(source), names)))
 
 
 def test_one_metric_evaluation_routine():
     """In flow.py the metric is formed and its spectrum taken only inside flow._evaluate."""
     source = Path(vaisflow.flow.__file__).read_text()
-    expected = [("", "_spectrum"), ("_evaluate", "_metric_blocks"), ("_evaluate", "_spectrum")]
-    assert _metric_references(source) == expected
+    expected = [("", "_spectrum"), ("_evaluate", "_metric_n1"), ("_evaluate", "_spectrum")]
+    assert _scoped_references(source, _METRIC_NAMES) == expected
     planted = source + "\n\ndef _second_metric(g):\n    return _spectrum(g, 1)\n"
-    assert _metric_references(planted) == sorted(expected + [("_second_metric", "_spectrum")])
+    assert _scoped_references(planted, _METRIC_NAMES) == sorted(
+        expected + [("_second_metric", "_spectrum")]
+    )
+
+
+def test_stencils_bound_only_where_a_sweep_is_built():
+    """In flow.py a grid._Stencil is bound only in flow._Sweep.__init__."""
+    source = Path(vaisflow.flow.__file__).read_text()
+    expected = [("", "_Stencil"), ("_Sweep.__init__", "_Stencil")]
+    assert _scoped_references(source, {"_Stencil"}) == expected
+    planted = source + "\n\ndef _rebind(a):\n    return _Stencil(2, a, 0, 0.1, a, a, a)\n"
+    assert _scoped_references(planted, {"_Stencil"}) == sorted(expected + [("_rebind", "_Stencil")])

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import basic_spec, full_spec
-from vaisflow import flow
+from vaisflow import flow, grid
 from vaisflow.exceptions import GridError, PositivityLost
 from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
-from vaisflow.grid import ScalarField, _Stencil, diff1, diff2, diff2_into
+from vaisflow.grid import ScalarField, _Stencil, diff1, diff2
 from vaisflow.transverse import HermitianField, metric_from_potential
 
 _C1_NEAR = 2.0 / 3.0
@@ -264,17 +264,19 @@ def test_constants_annihilated_exactly(shape, c):
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_halo_blocks_match_the_periodic_sweep(axis):
+    """2-plane blocks, and one block of the whole axis, read from a 2-plane halo."""
     values = _operand((16, 12, 8, 8), "real", "contiguous", seed=7)
     h = 0.2
     expected = reference_diff2(values, axis, h)
     n = values.shape[axis]
-    for i0 in range(0, n, 2):
-        window = np.take(values, range(i0 - 2, i0 + 4), axis=axis, mode="wrap")
-        block_shape = list(values.shape)
-        block_shape[axis] = 2
-        out, tmp1, tmp2 = (np.empty(block_shape) for _ in range(3))
-        diff2_into(window, axis, h, out, tmp1, tmp2, halo=2)
-        assert np.array_equal(out, np.take(expected, [i0, i0 + 1], axis=axis))
+    for planes in (2, n):
+        for i0 in range(0, n, planes):
+            window = np.take(values, range(i0 - 2, i0 + planes + 2), axis=axis, mode="wrap")
+            block_shape = list(values.shape)
+            block_shape[axis] = planes
+            out, tmp1, tmp2 = (np.empty(block_shape) for _ in range(3))
+            _Stencil(2, window, axis, h, out, tmp1, tmp2, halo=2)()
+            assert np.array_equal(out, np.take(expected, range(i0, i0 + planes), axis=axis))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -320,8 +322,8 @@ def _n1_basic_state():
     return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
 
 
-def _n1_extended_state():
-    spec = full_spec(res=32, leaf=8)
+def _n1_extended_state(res=32):
+    spec = full_spec(res=res, leaf=8)
     h = ScalarField.from_function(spec, lambda x, y: -0.3 * np.cos(x) + 0.1 * np.sin(2 * y))
     phi = ScalarField.from_function(
         spec,
@@ -345,6 +347,8 @@ FLOW_CASES = {
     "n1_basic_rescaled": (_n1_basic_state, FlowConfig(class_k=-1, rescaled=True)),
     "n1_extended": (_n1_extended_state, FlowConfig(extended=True)),
     "n1_extended_rescaled": (_n1_extended_state, FlowConfig(extended=True, rescaled=True)),
+    # 24^2 x 8^2: a sweep of 21-plane blocks and a last block of 3
+    "n1_extended_ragged": (lambda: _n1_extended_state(res=24), FlowConfig(extended=True)),
     "n2": (_n2_state, FlowConfig()),
 }
 
@@ -450,6 +454,29 @@ def test_three_rhs_evaluations_per_accepted_step(case, monkeypatch):
     )
     assert report.steps == 3
     assert seen == [3 * k for k in range(4)]
+
+
+@pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n1_leaf_constant"])
+def test_a_run_binds_its_stencils_once(case, monkeypatch):
+    """A run of three steps binds as many stencils as a run of one."""
+    make_state, config = STAGE_CASES[case]
+    bound = []
+    bind = grid._Stencil.__init__
+
+    def counted(self, *args, **kwargs):
+        bound.append(args)
+        bind(self, *args, **kwargs)
+
+    counts = []
+    for steps in (1, 3):
+        state = make_state()
+        monkeypatch.setattr(grid._Stencil, "__init__", counted)
+        report = flow.run(state, replace(config, ricci_tolerance=1e-30, max_steps=steps))
+        monkeypatch.undo()
+        assert report.steps == steps
+        counts.append(len(bound))
+        bound.clear()
+    assert counts[0] == counts[1] > 0
 
 
 def test_stale_stage_is_never_reused(monkeypatch):
@@ -571,7 +598,7 @@ def test_run_stops_at_the_last_positive_state(case, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_leafwise_defect_matches_roll_reference(n):
-    """The blocked leaf defect equals the whole-grid np.roll one, and is 0.0 on a leaf-constant phi."""
+    """The public leaf defect equals the np.roll one, and is 0.0 on a leaf-constant phi."""
     spec = full_spec(n=n, res=16 if n == 1 else 8, leaf=8)
     base = initial_state(HermitianField.identity(spec))
 
