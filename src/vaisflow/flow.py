@@ -31,9 +31,12 @@ from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2, integrate
 from .transverse import (
     HermitianField,
     _argmin_location,
+    _assemble,
     _ddbar_matrices,
-    _ricci_matrices,
+    _ddbar_parts,
+    _parts,
     _spectrum,
+    _spectrum_2x2,
     ddbar,
     log_det,
 )
@@ -380,9 +383,10 @@ def _laplacian(stencils, lap, tmp) -> None:
 class _Workspace:
     """What one flow run keeps from step to step, for one state's inputs and config.
 
-    log(volume_density), the reference metric at the last t asked for, the
-    step buffers ``k2``, ``k3``, ``k4``, ``arg`` and, for n = 1, a
-    :class:`_Sweep` per grid shape, built on first use.  For n = 1 the
+    log(volume_density), the reference metric at the last t asked for (its
+    entry for n = 1, its parts for n >= 2), the step buffers ``k2``, ``k3``,
+    ``k4``, ``arg`` and, for n = 1, a :class:`_Sweep` per grid shape, built
+    on first use.  For n = 1 the
     config's sweep lends the step ``arg`` (its operand, so a stage argument
     is evaluated where it is written), ``k3`` and ``k4`` (its ``g`` and
     ``ld``, which only the diagnostics write, after the step).  No array it
@@ -414,12 +418,12 @@ class _Workspace:
         return self._sweeps[shape]
 
     def reference(self, t: float, full: bool = False) -> np.ndarray:
-        """The reference metric at ``t`` (real for n = 1), with unit leaf axes when ``full``."""
+        """The reference metric at ``t`` (see the class), with unit leaf axes when ``full``."""
         if t != self._ref_t:
             m = _reference_matrices(self, t, self.rescaled)
-            self._ref = ref = np.ascontiguousarray(m[..., 0, 0].real) if self.spec.n == 1 else m
-            full_shape = self.log_density_full.shape + ref.shape[self.log_density.ndim:]
-            self._ref_full = ref.reshape(full_shape)  # unit leaf axes before any matrix axes
+            ref = np.ascontiguousarray(m[..., 0, 0].real) if self.spec.n == 1 else _parts(m)
+            self._ref = ref
+            self._ref_full = ref.reshape(ref.shape + (1, 1))
             self._ref_t = t
         return self._ref_full if full else self._ref
 
@@ -457,16 +461,23 @@ def _evaluate(phi, t, ws, floor, full, out, keep=False):
     phi_yy) along the leaves of a ``full`` phi, goes into ``out``.  Returns
     ``(g, log det g, lows, highs)``: the least of ``lows`` (per block for
     n = 1, per point for n >= 2) is the minimum eigenvalue, ``highs`` the
-    maximum per point.  For n = 1 phi is swept block by block on the
-    workspace's sweep of its shape, bit-identical to a whole grid; g and
-    log g go into ``out`` unless ``keep`` (the diagnostics) puts them into
-    the sweep's ``g`` and ``ld``, where its Ricci sweep reads them.
+    maximum per point.  For n >= 2, g holds the real parts of the metric,
+    laid out as by :func:`transverse._ddbar_parts`: n = 2 takes its spectrum
+    from them, n >= 3 from its matrices, assembled once.  For n = 1 phi is
+    swept block by block on the workspace's sweep of its shape,
+    bit-identical to a whole grid; g and log g go into ``out`` unless
+    ``keep`` (the diagnostics) puts them into the sweep's ``g`` and ``ld``,
+    where its Ricci sweep reads them.
     """
     ref = ws.reference(t, full)
     log_density = ws.log_density_full if full else ws.log_density
-    if ws.spec.n > 1:
-        g = ref + _ddbar_matrices(phi, ws.spec)
-        lows, highs, ld = _spectrum(g, ws.spec.n, floor)
+    n = ws.spec.n
+    if n > 1:
+        g = ref + _ddbar_parts(phi, ws.spec)
+        if n == 2:
+            lows, highs, ld = _spectrum_2x2(g[0, 0], g[1, 1], g[0, 1], g[1, 0], floor)
+        else:
+            lows, highs, ld = _spectrum(_assemble(g), n, floor)
         if ld is None:  # a floor breach, which this raises located
             _floor_check(float(np.min(lows)), floor, lows)
         np.subtract(ld, log_density, out=out)
@@ -725,6 +736,15 @@ def ricci_residual(state: FlowState, config: FlowConfig) -> float:
     return _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0).diagnostics.ricci_sup
 
 
+def _sup_norm(parts: np.ndarray) -> float:
+    """max |entry| of the Hermitian field with these parts; off the diagonal |b| = hypot(Re b, Im b)."""
+    n = parts.shape[0]
+    return float(max(
+        np.max(np.abs(parts[j, j]) if j == k else np.hypot(parts[j, k], parts[k, j]))
+        for j in range(n) for k in range(j, n)
+    ))
+
+
 def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
     """The transverse slice of a bitwise leaf-constant field, or None if it varies along them.
 
@@ -768,8 +788,10 @@ def _with_diagnostics(
         ric_sup = sweep.ricci_sup(config.class_k)
         defect = sweep.leaf_defect() if leaf_varying else 0.0
     else:
-        g = HermitianField(spec, g, basic=not leaf_varying).matrices
-        ric_sup = float(np.max(np.abs(_ricci_matrices(ld, spec) - config.class_k * g)))
+        ric = _ddbar_parts(ld, spec)
+        np.negative(ric, out=ric)
+        ric -= config.class_k * g
+        ric_sup = _sup_norm(ric)
         defect = leafwise_defect(state) if leaf_varying else 0.0
     lo, hi = float(np.min(lows)), float(np.max(highs))
 

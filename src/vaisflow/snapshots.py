@@ -40,13 +40,24 @@ def spec_to_dict(spec: GridSpec) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """``value`` when it is a JSON integer (a JSON boolean is not one), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _resolutions(values) -> tuple[int, ...]:
+    return tuple(_integer(r, "every resolution") for r in values)
+
+
 def spec_from_dict(d: dict) -> GridSpec:
     try:
         return GridSpec(
-            n=int(d["n"]),
-            transverse_resolution=tuple(d["transverse_resolution"]),
+            n=_integer(d["n"], "n"),
+            transverse_resolution=_resolutions(d["transverse_resolution"]),
             transverse_periods=tuple(d["transverse_periods"]),
-            leaf_resolution=tuple(d["leaf_resolution"]) if d.get("leaf_resolution") else None,
+            leaf_resolution=_resolutions(d["leaf_resolution"]) if d.get("leaf_resolution") else None,
             leaf_periods=tuple(d["leaf_periods"]) if d.get("leaf_periods") else None,
         )
     except (KeyError, TypeError, ValueError, GridError) as exc:
@@ -95,10 +106,12 @@ def field_from_dict(d: dict) -> ScalarField | HermitianField:
     try:
         kind = d["kind"]
         spec = spec_from_dict(d["spec"])
-        basic = bool(d["basic"])
+        basic = d["basic"]
         raw = d["values"]
     except KeyError as exc:
         raise SnapshotError(f"snapshot is missing key {exc}") from exc
+    if not isinstance(basic, bool):
+        raise SnapshotError(f"basic must be true or false, got {basic!r}")
     if kind not in ("scalar", "hermitian"):
         raise SnapshotError(f"unknown snapshot kind {kind!r}")
     if not isinstance(raw, list):

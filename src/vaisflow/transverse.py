@@ -13,9 +13,10 @@ real-dimension one, s = 2 g^{j kbar} R_{j kbar}.
 
 The coefficient matrix of i del_b delbar_b f (``ddbar``) uses the direct
 fourth-order second-derivative stencil on the diagonal and composed
-first-derivative (Wirtinger) stencils off the diagonal.  The two routes agree
-to fourth order; keeping them distinct is what gives the structure-identity
-residuals elsewhere in the package their genuine O(h^4) content.
+first-derivative stencils off the diagonal, whose real and imaginary parts
+are taken with real stencils only.  The two routes agree to fourth order;
+keeping them distinct is what gives the structure-identity residuals
+elsewhere in the package their genuine O(h^4) content.
 """
 
 from __future__ import annotations
@@ -155,35 +156,51 @@ def hermiticity_defect(matrices: np.ndarray) -> float:
 def _spectrum(matrices: np.ndarray, n: int, floor: float | None = None):
     """(lambda_min, lambda_max, log det) per point of n x n Hermitian ``matrices``.
 
-    n = 1 reads the entry.  n = 2 uses the closed form on a = g_11,
-    d = g_22, b = g_12: det = a d - |b|^2,
-    lambda_max = (a + d)/2 + hypot((a - d)/2, |b|) and
-    lambda_min = det / lambda_max, which keeps the small eigenvalue of a
-    near-singular metric accurate (or (a + d)/2 - hypot(...) where
-    lambda_max <= 0, without cancellation there).  n >= 3 keeps LAPACK's
-    eigvalsh, since analytic 3 x 3 eigenvalues lose accuracy.
+    n = 1 reads the entry.  n = 2 reads the parts of the entries into
+    :func:`_spectrum_2x2`.  n >= 3 keeps LAPACK's eigvalsh, since analytic
+    3 x 3 eigenvalues lose accuracy.
 
     log det is taken only when ``floor`` is given and every lambda_min
     exceeds it; otherwise it is None, and no log of a non-positive value
     is ever formed.  For n = 1 both eigenvalue arrays are the entry itself.
     """
-    if n == 1:
-        lows = highs = det = matrices[..., 0, 0].real
-    elif n == 2:
+    if n == 2:
         a, d, b = matrices[..., 0, 0].real, matrices[..., 1, 1].real, matrices[..., 0, 1]
-        bb = b.real * b.real + b.imag * b.imag
-        det = a * d - bb
-        half_trace = 0.5 * (a + d)
-        radius = np.hypot(0.5 * (a - d), np.sqrt(bb))
-        highs = half_trace + radius
-        lows = half_trace - radius
-        np.divide(det, highs, out=lows, where=highs > 0)
+        return _spectrum_2x2(a, d, b.real, b.imag, floor)
+    if n == 1:
+        lows = highs = matrices[..., 0, 0].real
     else:
         w = np.linalg.eigvalsh(matrices)
         lows, highs = w[..., 0], w[..., -1]
-    if floor is None or not float(np.min(lows)) > floor:
+    if not _clears(lows, floor):
         return lows, highs, None
-    return lows, highs, np.log(det) if n <= 2 else np.sum(np.log(w), axis=-1)
+    return lows, highs, np.log(lows) if n == 1 else np.sum(np.log(w), axis=-1)
+
+
+def _spectrum_2x2(a, d, b_re, b_im, floor: float | None = None):
+    """:func:`_spectrum` of the 2 x 2 Hermitian matrices [[a, b], [conj(b), d]], b = b_re + i b_im.
+
+    The closed form: det = a d - |b|^2,
+    lambda_max = (a + d)/2 + hypot((a - d)/2, |b|) and
+    lambda_min = det / lambda_max, which keeps the small eigenvalue of a
+    near-singular metric accurate (or (a + d)/2 - hypot(...) where
+    lambda_max <= 0, without cancellation there).
+    """
+    bb = b_re * b_re + b_im * b_im
+    det = a * d - bb
+    half_trace = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), np.sqrt(bb))
+    highs = half_trace + radius
+    lows = half_trace - radius
+    np.divide(det, highs, out=lows, where=highs > 0)
+    if not _clears(lows, floor):
+        return lows, highs, None
+    return lows, highs, np.log(det)
+
+
+def _clears(lows: np.ndarray, floor: float | None) -> bool:
+    """Whether a ``floor`` is given and every one of ``lows`` exceeds it."""
+    return floor is not None and float(np.min(lows)) > floor
 
 
 def _argmin_location(values: np.ndarray) -> tuple[int, ...]:
@@ -203,23 +220,70 @@ def ddbar(f: ScalarField) -> HermitianField:
     return HermitianField(f.spec, _ddbar_matrices(f.values, f.spec), basic=f.basic)
 
 
-def _ddbar_matrices(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The coefficient matrices of :func:`ddbar` for a raw real array."""
+def _ddbar_parts(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The parts of the coefficients f_{j kbar} of :func:`ddbar` for a raw real array.
+
+    Returns a real array of shape (n, n) + ``values.shape``: part [j, j] is
+    f_{j jbar} = (f_{x_j x_j} + f_{y_j y_j}) / 4, and for j < k part [j, k]
+    is Re f_{j kbar} = (f_{x_j x_k} + f_{y_j y_k}) / 4 and part [k, j] is
+    Im f_{j kbar} = (f_{x_j y_k} - f_{y_j x_k}) / 4.  The mixed derivatives
+    are first differences along the k axes, then along the j axes.
+    """
     n = spec.n
     hs = spec.spacings
-    out = np.zeros(values.shape + (n, n), dtype=np.complex128)
-    for j in range(n):
-        ax, ay = 2 * j, 2 * j + 1
-        out[..., j, j] = 0.25 * (diff2(values, ax, hs[ax]) + diff2(values, ay, hs[ay]))
-    for j in range(n):
-        for k in range(j + 1, n):
+    parts = np.empty((n, n) + values.shape)
+    tmp = np.empty(values.shape)
+    for k in range(n):
+        kx, ky = 2 * k, 2 * k + 1
+        diag = parts[k, k]
+        diff2(values, kx, hs[kx], out=diag)
+        diag += diff2(values, ky, hs[ky], out=tmp)
+        diag *= 0.25
+        if k == 0:
+            continue
+        f_x, f_y = diff1(values, kx, hs[kx]), diff1(values, ky, hs[ky])
+        for j in range(k):
             jx, jy = 2 * j, 2 * j + 1
-            kx, ky = 2 * k, 2 * k + 1
-            dk = 0.5 * (diff1(values, kx, hs[kx]) + 1j * diff1(values, ky, hs[ky]))
-            entry = 0.5 * (diff1(dk, jx, hs[jx]) - 1j * diff1(dk, jy, hs[jy]))
-            out[..., j, k] = entry
-            out[..., k, j] = np.conj(entry)
+            re, im = parts[j, k], parts[k, j]
+            diff1(f_x, jx, hs[jx], out=re)
+            re += diff1(f_y, jy, hs[jy], out=tmp)
+            re *= 0.25
+            diff1(f_y, jx, hs[jx], out=im)
+            im -= diff1(f_x, jy, hs[jy], out=tmp)
+            im *= 0.25
+    return parts
+
+
+def _parts(matrices: np.ndarray) -> np.ndarray:
+    """The parts, laid out as by :func:`_ddbar_parts`, of Hermitian ``matrices``."""
+    n = matrices.shape[-1]
+    parts = np.empty((n, n) + matrices.shape[:-2])
+    for j in range(n):
+        parts[j, j] = matrices[..., j, j].real
+        for k in range(j + 1, n):
+            parts[j, k] = matrices[..., j, k].real
+            parts[k, j] = matrices[..., j, k].imag
+    return parts
+
+
+def _assemble(parts: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices of ``parts``; the lower triangle is the exact conjugate of the upper."""
+    n = parts.shape[0]
+    out = np.empty(parts.shape[2:] + (n, n), dtype=np.complex128)
+    re, im = out.real, out.imag
+    for j in range(n):
+        re[..., j, j] = parts[j, j]
+        im[..., j, j] = 0.0
+        for k in range(j + 1, n):
+            re[..., j, k] = re[..., k, j] = parts[j, k]
+            im[..., j, k] = parts[k, j]
+            np.negative(parts[k, j], out=im[..., k, j])
     return out
+
+
+def _ddbar_matrices(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The coefficient matrices of :func:`ddbar` for a raw real array."""
+    return _assemble(_ddbar_parts(values, spec))
 
 
 def metric_from_potential(h: ScalarField, base: HermitianField) -> HermitianField:
@@ -245,14 +309,8 @@ def log_det(g: HermitianField) -> ScalarField:
 
 def ricci(g: HermitianField) -> HermitianField:
     """Transverse Ricci coefficients R_{j kbar} = -(log det g)_{j kbar}."""
-    ld = _log_det_values(g.matrices, g.spec.n)
-    return HermitianField(g.spec, _ricci_matrices(ld, g.spec), basic=g.basic)
-
-
-def _ricci_matrices(log_det_values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The coefficient matrices of :func:`ricci` from the metric's raw log det array."""
-    r = _ddbar_matrices(log_det_values, spec)
-    return np.negative(r, out=r)
+    r = _ddbar_matrices(_log_det_values(g.matrices, g.spec.n), g.spec)
+    return HermitianField(g.spec, np.negative(r, out=r), basic=g.basic)
 
 
 def _d_z(values: np.ndarray, j: int, spec: GridSpec) -> np.ndarray:

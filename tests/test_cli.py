@@ -347,7 +347,9 @@ class TestCmdFitEinstein:
             assert main(["fit-einstein", str(path)]) == 1
         assert "no finite Ricci field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["value_count", "non_hermitian", "bad_spec", "values_type"])
+    @pytest.mark.parametrize(
+        "fault", ["value_count", "non_hermitian", "bad_spec", "basic_string", "values_type"]
+    )
     def test_invalid_snapshot_exits_1(self, tmp_path, capsys, fault):
         d = field_to_dict(HermitianField.identity(basic_spec(n=2, res=8)))
         if fault == "value_count":
@@ -356,6 +358,8 @@ class TestCmdFitEinstein:
             d["values"][1] = [0.5, 0.0]
         elif fault == "bad_spec":
             d["spec"]["transverse_resolution"][0] = 7
+        elif fault == "basic_string":
+            d["basic"] = "false"
         else:
             d["kind"], d["values"] = "scalar", 1.0
         path = tmp_path / "bad.json"

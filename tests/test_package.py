@@ -6,7 +6,8 @@ optional path that this suite does not run.  It reaches LAPACK's eigvalsh
 and slogdet from one routine only, so no second eigenvalue path can grow,
 and the flow forms its metric in one routine only, for the same reason.
 The flow binds its stencils only where it builds a sweep, so a run binds
-them once.
+them once, and it builds complex ddbar matrices only for the public
+transverse metric, so its steps run on real parts.
 """
 
 import ast
@@ -64,7 +65,7 @@ def test_one_spectrum_routine():
     assert found == [("transverse.py", "_spectrum", "eigvalsh")]
 
 
-_METRIC_NAMES = {"_spectrum", "_metric_n1"}
+_METRIC_NAMES = {"_spectrum", "_spectrum_2x2", "_metric_n1"}
 
 
 def _scoped_references(source: str, names):
@@ -74,7 +75,10 @@ def _scoped_references(source: str, names):
 def test_one_metric_evaluation_routine():
     """In flow.py the metric is formed and its spectrum taken only inside flow._evaluate."""
     source = Path(vaisflow.flow.__file__).read_text()
-    expected = [("", "_spectrum"), ("_evaluate", "_metric_n1"), ("_evaluate", "_spectrum")]
+    expected = [
+        ("", "_spectrum"), ("", "_spectrum_2x2"),
+        ("_evaluate", "_metric_n1"), ("_evaluate", "_spectrum"), ("_evaluate", "_spectrum_2x2"),
+    ]
     assert _scoped_references(source, _METRIC_NAMES) == expected
     planted = source + "\n\ndef _second_metric(g):\n    return _spectrum(g, 1)\n"
     assert _scoped_references(planted, _METRIC_NAMES) == sorted(
@@ -89,3 +93,14 @@ def test_stencils_bound_only_where_a_sweep_is_built():
     assert _scoped_references(source, {"_Stencil"}) == expected
     planted = source + "\n\ndef _rebind(a):\n    return _Stencil(2, a, 0, 0.1, a, a, a)\n"
     assert _scoped_references(planted, {"_Stencil"}) == sorted(expected + [("_rebind", "_Stencil")])
+
+
+def test_complex_ddbar_only_for_the_public_metric():
+    """In flow.py transverse._ddbar_matrices is reached only from flow.transverse_metric."""
+    source = Path(vaisflow.flow.__file__).read_text()
+    expected = [("", "_ddbar_matrices"), ("transverse_metric", "_ddbar_matrices")]
+    assert _scoped_references(source, {"_ddbar_matrices"}) == expected
+    planted = source + "\n\ndef _stage(phi, spec):\n    return _ddbar_matrices(phi, spec)\n"
+    assert _scoped_references(planted, {"_ddbar_matrices"}) == sorted(
+        expected + [("_stage", "_ddbar_matrices")]
+    )

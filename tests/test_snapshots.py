@@ -121,6 +121,29 @@ class TestMalformed:
         with pytest.raises(SnapshotError, match="malformed grid spec"):
             field_from_dict(d)
 
+    @pytest.mark.parametrize("value", ["false", "no", 0.5, 0, 1, None, [True]])
+    def test_basic_must_be_a_boolean(self, value):
+        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        d["basic"] = value
+        with pytest.raises(SnapshotError, match="basic must be true or false"):
+            field_from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 1.9),
+        ("n", 1.0),
+        ("n", True),
+        ("n", "1"),
+        ("transverse_resolution", [8, 8.5]),
+        ("transverse_resolution", [8.0, 8]),
+        ("leaf_resolution", [8, 8.0]),
+        ("leaf_resolution", [False, 8]),
+    ])
+    def test_integers_must_be_json_integers(self, key, value):
+        d = field_to_dict(ScalarField.zeros(full_spec(res=8, leaf=8)))
+        d["spec"][key] = value
+        with pytest.raises(SnapshotError, match="malformed grid spec: .* must be an integer"):
+            field_from_dict(d)
+
     @pytest.mark.parametrize("values", [5, "abc", {"a": 1}, None])
     def test_values_not_a_list(self, values):
         d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))

@@ -65,6 +65,7 @@ def reference_diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def reference_hesse(values, spec):
+    """ddbar matrices, every part from real stencils, the lower triangle mirrored."""
     n = spec.n
     hs = spec.spacings
     out = np.zeros(values.shape + (n, n), dtype=np.complex128)
@@ -77,10 +78,11 @@ def reference_hesse(values, spec):
         for k in range(j + 1, n):
             jx, jy = 2 * j, 2 * j + 1
             kx, ky = 2 * k, 2 * k + 1
-            dk = 0.5 * (reference_diff1(values, kx, hs[kx]) + 1j * reference_diff1(values, ky, hs[ky]))
-            entry = 0.5 * (reference_diff1(dk, jx, hs[jx]) - 1j * reference_diff1(dk, jy, hs[jy]))
-            out[..., j, k] = entry
-            out[..., k, j] = np.conj(entry)
+            f_x, f_y = reference_diff1(values, kx, hs[kx]), reference_diff1(values, ky, hs[ky])
+            re = 0.25 * (reference_diff1(f_x, jx, hs[jx]) + reference_diff1(f_y, jy, hs[jy]))
+            im = 0.25 * (reference_diff1(f_y, jx, hs[jx]) - reference_diff1(f_x, jy, hs[jy]))
+            out.real[..., j, k] = out.real[..., k, j] = re
+            out.imag[..., j, k], out.imag[..., k, j] = im, -im
     return out
 
 
@@ -158,7 +160,8 @@ def reference_diagnostics(phi_values, t, state, config):
         lows, highs, det = reference_spectrum(g)
         lo, hi = np.min(lows), np.max(highs)
         ric = -reference_hesse(np.log(det), spec)
-    ric_sup = np.max(np.abs(ric - config.class_k * g))
+    r = ric - config.class_k * g
+    ric_sup = np.max(np.abs(r)) if spec.n == 1 else np.max(np.hypot(r.real, r.imag))
     defect = 0.0
     if extended:
         ax_x, ax_y = 2 * spec.n, 2 * spec.n + 1
@@ -697,9 +700,17 @@ def test_each_run_builds_a_workspace_for_its_own_inputs(monkeypatch):
         assert report.history[1:] == _history_of_steps(other, other_config, 1)[0]
 
 
-def test_n2_diagnostics_build_one_hermitian_field(monkeypatch):
-    """The n >= 2 diagnostics validate the metric and take the Ricci from raw arrays."""
-    first = flow.step(_n2_state(), FlowConfig())
+def _n3_state():
+    """n = 3 on its smallest legal grid, 8^6 points."""
+    spec = basic_spec(n=3, res=8)
+    phi = ScalarField.from_function(spec, lambda *c: 0.02 * np.sin(c[0] - c[5]) * np.cos(c[2]))
+    return initial_state(HermitianField.identity(spec), phi=phi)
+
+
+@pytest.mark.parametrize("make_state", [_n2_state, _n3_state], ids=["n2", "n3"])
+def test_n_ge_2_steps_build_no_hermitian_field(make_state, monkeypatch):
+    """The n >= 2 step and its diagnostics run on raw arrays: no field is built or validated."""
+    state = make_state()
     built = []
     validate = HermitianField.__post_init__
 
@@ -708,5 +719,6 @@ def test_n2_diagnostics_build_one_hermitian_field(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(HermitianField, "__post_init__", counted)
-    flow.step(first, FlowConfig())
-    assert len(built) == 1
+    new = flow.step(state, FlowConfig())  # diagnoses state, steps, diagnoses the result
+    assert new.diagnostics.min_eig > 0
+    assert built == []

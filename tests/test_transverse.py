@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TWO_PI, basic_spec
+from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.convergence import fitted_order
 from vaisflow.exceptions import GridError, NonPositiveDeterminant, PositivityLost
-from vaisflow.grid import GridSpec, ScalarField, wirtinger
+from vaisflow.grid import GridSpec, ScalarField, diff1, diff2, wirtinger
 from vaisflow.transverse import (
     HermitianField,
+    _assemble,
+    _ddbar_parts,
     _spectrum,
     christoffel,
     connection_trace,
@@ -123,6 +125,74 @@ class TestDdbar:
         spec = basic_spec(res=16)
         with pytest.raises(GridError):
             ddbar(ScalarField.constant(spec, 1.0 + 0j))
+
+
+def complex_route_ddbar(values, spec):
+    """ddbar through complex Wirtinger stencils, the route the real-part core replaced.
+
+    The mixed entries differ from the core's in rounding only: a complex
+    division by h multiplies by 1/h.
+    """
+    n = spec.n
+    hs = spec.spacings
+    out = np.zeros(values.shape + (n, n), dtype=np.complex128)
+    for j in range(n):
+        ax, ay = 2 * j, 2 * j + 1
+        out[..., j, j] = 0.25 * (diff2(values, ax, hs[ax]) + diff2(values, ay, hs[ay]))
+    for j in range(n):
+        for k in range(j + 1, n):
+            jx, jy = 2 * j, 2 * j + 1
+            kx, ky = 2 * k, 2 * k + 1
+            dk = 0.5 * (diff1(values, kx, hs[kx]) + 1j * diff1(values, ky, hs[ky]))
+            entry = 0.5 * (diff1(dk, jx, hs[jx]) - 1j * diff1(dk, jy, hs[jy]))
+            out[..., j, k] = entry
+            out[..., k, j] = np.conj(entry)
+    return out
+
+
+# (n, basic): the smallest n = 3 full grid has 8^8 points, too large to test here.
+_CORE_CASES = [(2, True), (2, False), (3, True)]
+
+
+def _random_potential(n, basic, seed=0):
+    """A random real phi on a small grid, on multiples of 2^-10 so that adding 3 is exact."""
+    spec = basic_spec(n=n, res=8) if basic else full_spec(n=n, res=8, leaf=8)
+    rng = np.random.default_rng(seed)
+    values = np.round(1024 * rng.standard_normal(spec.shape(basic))) / 1024
+    return spec, values
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestDdbarCore:
+    @pytest.mark.parametrize("n, basic", _CORE_CASES)
+    def test_matches_the_complex_route(self, n, basic):
+        """Diagonal bit for bit, mixed entries within a few rounding errors of the largest entry."""
+        spec, values = _random_potential(n, basic)
+        got = ddbar(ScalarField(spec, values, basic=basic)).matrices
+        anchor = complex_route_ddbar(values, spec)
+        diagonal = (..., range(n), range(n))
+        assert np.array_equal(_bits(got[diagonal]), _bits(anchor[diagonal]))
+        scale = np.max(np.abs(anchor))
+        assert np.max(np.abs(got - anchor)) <= 4 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("n, basic", _CORE_CASES)
+    def test_lower_triangle_is_the_exact_conjugate(self, n, basic):
+        spec, values = _random_potential(n, basic, seed=1)
+        m = _assemble(_ddbar_parts(values, spec))
+        for j in range(n):
+            assert np.array_equal(_bits(m[..., j, j].imag), _bits(np.zeros(m.shape[:-2])))
+            for k in range(j + 1, n):
+                assert np.array_equal(_bits(m[..., k, j]), _bits(np.conj(m[..., j, k])))
+
+    @pytest.mark.parametrize("n, basic", _CORE_CASES)
+    def test_constant_shift_leaves_every_part_bit_identical(self, n, basic):
+        spec, values = _random_potential(n, basic, seed=2)
+        shifted = values + 3.0
+        assert np.array_equal(shifted - 3.0, values)  # the shift is exact
+        assert np.array_equal(_bits(_ddbar_parts(shifted, spec)), _bits(_ddbar_parts(values, spec)))
 
 
 class TestMetricFromPotential:
