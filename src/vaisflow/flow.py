@@ -32,7 +32,6 @@ from .transverse import (
     HermitianField,
     _argmin_location,
     _assemble,
-    _ddbar_matrices,
     _ddbar_parts,
     _parts,
     _spectrum,
@@ -268,18 +267,14 @@ def reference_form(state: FlowState, t: float) -> HermitianField:
     )
 
 
-def _reference_matrices(state, t: float, rescaled: bool, full: bool = False) -> np.ndarray:
-    """omega_hat(t) of a FlowState or _Workspace, with unit leaf axes when ``full``."""
+def _reference_matrices(state, t: float, rescaled: bool) -> np.ndarray:
+    """omega_hat(t) of a FlowState or _Workspace."""
     if rescaled:
         w = np.exp(-t)
-        m = state.chi.matrices + w * (state.omega_hat_0.matrices - state.chi.matrices)
-    elif t == 0.0:
-        m = state.omega_hat_0.matrices
-    else:
-        m = state.omega_hat_0.matrices + t * state.chi.matrices
-    if full:
-        m = m.reshape(m.shape[:-2] + (1, 1) + m.shape[-2:])
-    return m
+        return state.chi.matrices + w * (state.omega_hat_0.matrices - state.chi.matrices)
+    if t == 0.0:
+        return state.omega_hat_0.matrices
+    return state.omega_hat_0.matrices + t * state.chi.matrices
 
 
 class _Block(NamedTuple):
@@ -584,12 +579,19 @@ def ma_rhs_extended(
 def transverse_metric(
     state: FlowState, t: float | None = None, rescaled: bool = False
 ) -> HermitianField:
-    """The evolving transverse metric ghat(t) + phi_{j kbar}."""
+    """The evolving transverse metric ghat(t) + phi_{j kbar}.
+
+    The parts of ghat(t) and of phi_{j kbar} are summed and assembled once,
+    so the matrices are Hermitian by construction and their parts are
+    exactly the sums.
+    """
     spec = state.phi.spec
     tt = state.t if t is None else t
     basic = state.phi.basic
-    ref = _reference_matrices(state, tt, rescaled, full=not basic)
-    return HermitianField(spec, ref + _ddbar_matrices(state.phi.values, spec), basic=basic)
+    parts = _ddbar_parts(state.phi.values, spec)
+    ref = _parts(_reference_matrices(state, tt, rescaled))
+    parts += ref if basic else ref.reshape(ref.shape + (1, 1))
+    return HermitianField._assembled(spec, _assemble(parts), basic=basic)
 
 
 def leafwise_defect(state: FlowState) -> float:

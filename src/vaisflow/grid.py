@@ -173,10 +173,6 @@ class GridSpec:
             hs = hs[: 2 * self.n]
         return float(np.prod(hs))
 
-    def basic_only(self) -> "GridSpec":
-        """The same transverse discretization without leaf axes."""
-        return GridSpec(self.n, self.transverse_resolution, self.transverse_periods)
-
 
 def _freeze(values, dtype=None) -> np.ndarray:
     """A read-only C-contiguous copy of ``values`` as ``dtype``.

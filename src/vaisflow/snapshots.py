@@ -1,22 +1,37 @@
 """JSON snapshot files for fields, metrics, and charts.
 
 Snapshot schema: a JSON object with keys ``spec`` (n, resolutions, periods),
-``basic``, ``kind`` and ``values``.  Values are flat lists in row-major
-order over the documented axis order (x^1, y^1, ..., x^n, y^n, x, y);
-complex numbers are stored as [re, im] pairs.  Hermitian snapshots flatten
-the n x n matrix row-major at each point.
+``basic``, ``kind``, ``encoding``, ``layout`` and ``values``.  The
+``f64le-base64`` encoding stores the values as the base64 of their
+little-endian float64 bytes, in row-major order over the documented axis
+order (x^1, y^1, ..., x^n, y^n, x, y).  The ``layout`` says which reals
+they are:
+
+* ``real``: a real scalar, one value per point;
+* ``complex``: a complex scalar, interleaved (re, im) pairs;
+* ``parts``: a Hermitian field, the n x n real planes of
+  :func:`transverse._parts` one after the other: plane (j, j) holds
+  Re g_{j jbar}, and for j < k plane (j, k) holds Re g_{j kbar} and plane
+  (k, j) holds Im g_{j kbar}.  The matrices are assembled from them, so
+  they are Hermitian by construction.
+
+Without ``encoding`` (and ``layout``) the reader takes the list form:
+``values`` is a flat list of numbers, complex numbers as [re, im] pairs,
+and Hermitian fields flatten the n x n matrix row-major at each point.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import GridError, PositivityLost, SnapshotError
 from .grid import GridSpec, ScalarField
-from .transverse import HermitianField
+from .transverse import HermitianField, _assemble, _parts
 
 __all__ = [
     "spec_to_dict",
@@ -64,14 +79,36 @@ def spec_from_dict(d: dict) -> GridSpec:
         raise SnapshotError(f"malformed grid spec: {exc}") from exc
 
 
-def _encode_values(values: np.ndarray) -> list:
+ENCODING = "f64le-base64"
+
+# The layouts an encoded payload may have, by snapshot kind.
+_LAYOUTS = {"scalar": ("real", "complex"), "hermitian": ("parts",)}
+_F64LE = np.dtype("<f8")
+
+
+def _payload(layout: str, reals: np.ndarray) -> dict:
+    data = np.ascontiguousarray(reals, dtype=_F64LE)
+    return {"encoding": ENCODING, "layout": layout, "values": base64.b64encode(data).decode("ascii")}
+
+
+def _array_payload(values: np.ndarray) -> dict:
+    """The payload of a real array, or of a complex one as interleaved (re, im) pairs."""
     if np.iscomplexobj(values):
-        pairs = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
-        return pairs.reshape(-1, 2).tolist()
-    return np.asarray(values, dtype=np.float64).reshape(-1).tolist()
+        return _payload("complex", np.ascontiguousarray(values, dtype=np.complex128).view(np.float64))
+    return _payload("real", values)
 
 
-def _decode_values(raw: list, complex_: bool) -> np.ndarray:
+def field_to_dict(field: ScalarField | HermitianField) -> dict:
+    if isinstance(field, ScalarField):
+        kind, payload = "scalar", _array_payload(field.values)
+    elif isinstance(field, HermitianField):
+        kind, payload = "hermitian", _payload("parts", _parts(field.matrices))
+    else:
+        raise SnapshotError(f"cannot snapshot a {type(field).__name__}")
+    return {"kind": kind, "spec": spec_to_dict(field.spec), "basic": field.basic, **payload}
+
+
+def _decode_list(raw: list, complex_: bool) -> np.ndarray:
     try:
         if complex_:
             arr = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
@@ -82,22 +119,61 @@ def _decode_values(raw: list, complex_: bool) -> np.ndarray:
     return arr
 
 
-def field_to_dict(field: ScalarField | HermitianField) -> dict:
-    if isinstance(field, ScalarField):
-        return {
-            "kind": "scalar",
-            "spec": spec_to_dict(field.spec),
-            "basic": field.basic,
-            "values": _encode_values(field.values),
-        }
-    if isinstance(field, HermitianField):
-        return {
-            "kind": "hermitian",
-            "spec": spec_to_dict(field.spec),
-            "basic": field.basic,
-            "values": _encode_values(field.matrices),
-        }
-    raise SnapshotError(f"cannot snapshot a {type(field).__name__}")
+def _decode_base64(raw, layout, kind: str) -> np.ndarray:
+    """The values of an encoded payload whose ``layout`` fits ``kind``: complex for ``complex``, else real."""
+    if layout not in ("real", "complex", "parts"):
+        raise SnapshotError(f"unknown layout {layout!r}")
+    if layout not in _LAYOUTS[kind]:
+        raise SnapshotError(f"layout {layout!r} does not fit a {kind} field")
+    if not isinstance(raw, str):
+        raise SnapshotError("encoded values must be a base64 string")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise SnapshotError(f"encoded values are not base64: {exc}") from exc
+    if len(data) % _F64LE.itemsize:
+        raise SnapshotError(f"{len(data)} bytes are not a whole number of float64 values")
+    reals = np.frombuffer(data, dtype=_F64LE)
+    if layout != "complex":
+        return reals
+    if reals.size % 2:
+        raise SnapshotError(f"{reals.size} float64 values do not form (re, im) pairs")
+    return reals.view(np.dtype("<c16"))
+
+
+def _decode(d: dict, kind: str) -> tuple[np.ndarray, str]:
+    """The flat values of a snapshot's payload, and their layout.
+
+    The list form gives the layout ``matrices`` for Hermitian fields (n x n
+    complex entries per point) and ``real`` or ``complex`` for scalars.
+    """
+    raw = d["values"]
+    if "encoding" in d:
+        encoding, layout = d["encoding"], d["layout"]
+        if encoding != ENCODING:
+            raise SnapshotError(f"unknown encoding {encoding!r}")
+        return _decode_base64(raw, layout, kind), layout
+    if not isinstance(raw, list):
+        raise SnapshotError("values must be a list")
+    if kind == "hermitian":
+        return _decode_list(raw, True), "matrices"
+    complex_ = bool(raw) and isinstance(raw[0], list)
+    return _decode_list(raw, complex_), "complex" if complex_ else "real"
+
+
+def _field(kind: str, spec: GridSpec, basic: bool, values: np.ndarray, layout: str):
+    """The field of flat ``values`` in ``layout``, checked for its length, shape and finiteness."""
+    shape = spec.shape(basic)
+    n = spec.n
+    per_point = n * n if kind == "hermitian" else 1
+    points = math.prod(shape)
+    if values.size != points * per_point:
+        raise ValueError(f"{values.size} values for {points} points x {per_point}")
+    if kind == "scalar":
+        return ScalarField(spec, values.reshape(shape), basic)
+    if layout == "parts":
+        return HermitianField._assembled(spec, _assemble(values.reshape((n, n) + shape)), basic)
+    return HermitianField(spec, values.reshape(shape + (n, n)), basic)
 
 
 def field_from_dict(d: dict) -> ScalarField | HermitianField:
@@ -107,22 +183,15 @@ def field_from_dict(d: dict) -> ScalarField | HermitianField:
         kind = d["kind"]
         spec = spec_from_dict(d["spec"])
         basic = d["basic"]
-        raw = d["values"]
+        if not isinstance(basic, bool):
+            raise SnapshotError(f"basic must be true or false, got {basic!r}")
+        if kind not in ("scalar", "hermitian"):
+            raise SnapshotError(f"unknown snapshot kind {kind!r}")
+        values, layout = _decode(d, kind)
     except KeyError as exc:
         raise SnapshotError(f"snapshot is missing key {exc}") from exc
-    if not isinstance(basic, bool):
-        raise SnapshotError(f"basic must be true or false, got {basic!r}")
-    if kind not in ("scalar", "hermitian"):
-        raise SnapshotError(f"unknown snapshot kind {kind!r}")
-    if not isinstance(raw, list):
-        raise SnapshotError("values must be a list")
     try:
-        shape = spec.shape(basic)
-        if kind == "scalar":
-            complex_ = bool(raw) and isinstance(raw[0], list)
-            return ScalarField(spec, _decode_values(raw, complex_).reshape(shape), basic)
-        n = spec.n
-        return HermitianField(spec, _decode_values(raw, True).reshape(shape + (n, n)), basic)
+        return _field(kind, spec, basic, values, layout)
     except (ValueError, GridError) as exc:
         raise SnapshotError(f"invalid {kind} field: {exc}") from exc
 
@@ -175,13 +244,18 @@ def load_metric_bundle(path: str | Path) -> tuple[HermitianField, HermitianField
 
 
 def chart_to_dict(chart) -> dict:
-    """Chart snapshot: potential, form components, and per-point J matrices."""
+    """Chart snapshot: potential, form components, and per-point J matrices.
+
+    The base matrix, J and the form components are payloads (``encoding``,
+    ``layout`` ``real`` or ``complex``, ``values``) over their own row-major
+    shapes.
+    """
 
     def form_dict(form):
         return {
             "degree": form.degree,
             "components": {
-                ",".join(map(str, idx)): _encode_values(f.values)
+                ",".join(map(str, idx)): _array_payload(f.values)
                 for idx, f in sorted(form.components.items())
             },
             "linear": {
@@ -194,10 +268,10 @@ def chart_to_dict(chart) -> dict:
         "kind": "vaisman_chart",
         "spec": spec_to_dict(chart.spec),
         "h": field_to_dict(chart.h),
-        "base": _encode_values(chart.base),
+        "base": _array_payload(chart.base),
         "metric": field_to_dict(chart.metric),
         "theta": form_dict(chart.theta),
         "theta_c": form_dict(chart.theta_c),
         "omega": form_dict(chart.omega),
-        "J": _encode_values(chart.jmat),
+        "J": _array_payload(chart.jmat),
     }

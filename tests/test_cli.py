@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from pathlib import Path
@@ -7,11 +8,11 @@ import pytest
 
 import vaisflow.cli as cli_module
 import vaisflow.flow as flow_module
-from conftest import basic_spec
+from conftest import ENCODED_FAULTS, basic_spec, encoded_fault, list_dict
 from vaisflow.cli import main
 from vaisflow.config import MAX_GRID_ENTRIES, load_config
 from vaisflow.grid import ScalarField
-from vaisflow.snapshots import field_to_dict, save_snapshot
+from vaisflow.snapshots import field_to_dict, load_snapshot, save_snapshot
 from vaisflow.transverse import HermitianField, metric_from_potential
 
 
@@ -51,6 +52,23 @@ ricci_tolerance = 1e-5
 [output]
 directory = {out}
 checkpoint_every = 0
+"""
+
+N2_FLOW = """
+[chart]
+n = 2
+transverse_resolution = 8 8 8 8
+transverse_periods = 6.283185307179586 6.283185307179586 6.283185307179586 6.283185307179586
+potential = product_bump
+amplitude = -0.2
+
+[flow]
+class_k = 0
+max_steps = 2
+
+[output]
+directory = {out}
+checkpoint_every = 1
 """
 
 CHECKS = """
@@ -166,6 +184,33 @@ class TestCmdFlow:
         a = (tmp_path / "out_a" / "history.csv").read_bytes()
         b = (tmp_path / "out_b" / "history.csv").read_bytes()
         assert a == b
+
+    def test_reproducible_snapshots(self, tmp_path):
+        """Two runs of one config write identical checkpoint, final and potential files."""
+        body = BUMP_FLOW.replace("checkpoint_every = 0", "checkpoint_every = 20")
+        for run in ("a", "b"):
+            cfg = write_config(tmp_path / f"{run}.cfg", body.format(out=tmp_path / f"out_{run}"))
+            assert main(["flow", cfg]) == 0
+        names = sorted(p.name for p in (tmp_path / "out_a").glob("metric_*.json"))
+        assert {"metric_000000.json", "metric_000020.json", "metric_final.json"} <= set(names)
+        names.append("phi_final.json")
+        for name in names:
+            a = (tmp_path / "out_a" / name).read_bytes()
+            assert a == (tmp_path / "out_b" / name).read_bytes(), name
+
+    def test_n2_checkpoint_holds_n_squared_reals_per_point(self, tmp_path):
+        """An n = 2 metric checkpoint stores the 4 independent reals per point, not 8."""
+        cfg = write_config(tmp_path / "n2.cfg", N2_FLOW.format(out=tmp_path / "out"))
+        assert main(["flow", cfg]) == 2
+        for path in sorted((tmp_path / "out").glob("metric_*.json")):
+            d = json.loads(path.read_text())
+            assert (d["encoding"], d["layout"]) == ("f64le-base64", "parts")
+            raw = base64.b64decode(d["values"], validate=True)
+            assert len(raw) == 8 * 2**2 * 8**4, path.name
+            g = load_snapshot(path)
+            again = tmp_path / "again.json"
+            save_snapshot(g, again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_checkpoints_written(self, tmp_path):
         body = BUMP_FLOW.format(out=tmp_path / "out").replace(
@@ -322,7 +367,7 @@ class TestCmdFitEinstein:
         spec = basic_spec(res=16)
         g = HermitianField.identity(spec)
         ric = HermitianField(spec, 1.0 * g.matrices)
-        bundle = {"metric": field_to_dict(g), "ricci": field_to_dict(ric)}
+        bundle = {"metric": list_dict(g), "ricci": list_dict(ric)}
         path = tmp_path / "ke.json"
         path.write_text(json.dumps(bundle))
         out = tmp_path / "ke.fit.json"
@@ -351,7 +396,7 @@ class TestCmdFitEinstein:
         "fault", ["value_count", "non_hermitian", "bad_spec", "basic_string", "values_type"]
     )
     def test_invalid_snapshot_exits_1(self, tmp_path, capsys, fault):
-        d = field_to_dict(HermitianField.identity(basic_spec(n=2, res=8)))
+        d = list_dict(HermitianField.identity(basic_spec(n=2, res=8)))
         if fault == "value_count":
             d["values"].pop()
         elif fault == "non_hermitian":
@@ -366,6 +411,28 @@ class TestCmdFitEinstein:
         path.write_text(json.dumps(d))
         assert main(["fit-einstein", str(path)]) == 1
         assert "snapshot error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ENCODED_FAULTS)
+    def test_invalid_encoded_snapshot_exits_1(self, tmp_path, capsys, fault):
+        d = field_to_dict(HermitianField.identity(basic_spec(n=2, res=8)))
+        named = encoded_fault(d, fault)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert main(["fit-einstein", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "snapshot error" in err and named in err
+
+    def test_encoded_ke_snapshot_fits_as_the_list_form(self, tmp_path):
+        spec = basic_spec(n=2, res=8)
+        g = HermitianField.identity(spec)
+        ric = HermitianField(spec, 1.5 * g.matrices)
+        fits = []
+        for name, encode in (("listed", list_dict), ("encoded", field_to_dict)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"metric": encode(g), "ricci": encode(ric)}))
+            assert main(["fit-einstein", str(path), "-o", str(tmp_path / f"{name}.fit.json")]) == 0
+            fits.append((tmp_path / f"{name}.fit.json").read_bytes())
+        assert fits[0] == fits[1]
 
 
 class TestCmdReport:

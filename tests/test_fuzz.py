@@ -1,13 +1,16 @@
 """Fuzzed configs and snapshots driven through ``main()``.
 
 Whatever the input, the command ends with one of its documented exit codes
-(0-4) and never with an uncaught exception.
+(0-4) and never with an uncaught exception.  Snapshots come in the list
+form and in the encoded (base64 float64) form.
 """
 
+import base64
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -129,6 +132,46 @@ SNAPSHOT = st.one_of(FIELD, st.fixed_dictionaries({"metric": FIELD}, optional={"
 
 @given(snapshot=SNAPSHOT)
 def test_fuzzed_snapshot(snapshot):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.json"
+        path.write_text(json.dumps(snapshot))
+        assert main(["fit-einstein", str(path), "-o", str(Path(tmp) / "fit.json")]) in EXIT_CODES
+
+
+# Encoded snapshots on the same grid: valid parts most of the time, else
+# non-finite or miscounted values, bytes that are not whole float64s, text
+# that is not base64, an unknown encoding or a layout that is unknown or
+# does not fit the kind.
+def _b64(reals):
+    return base64.b64encode(np.asarray(reals, dtype="<f8").tobytes()).decode("ascii")
+
+
+PAYLOAD = mostly(
+    st.lists(st.floats(0.5, 2.0), min_size=64, max_size=64).map(_b64),
+    st.one_of(
+        st.lists(NUMBERS, min_size=64, max_size=64).map(_b64),
+        st.lists(NUMBERS, max_size=130).map(_b64),
+        st.binary(max_size=600).map(lambda b: base64.b64encode(b).decode("ascii")),
+        st.text(max_size=12),
+        JUNK,
+    ),
+)
+ENCODED_FIELD = st.fixed_dictionaries({
+    "kind": mostly(st.just("hermitian"), st.one_of(st.just("scalar"), JUNK)),
+    "spec": mostly(SPEC, JUNK),
+    "basic": mostly(st.just(True), JUNK),
+    "encoding": mostly(st.just("f64le-base64"), st.one_of(st.just("f32le-base64"), JUNK)),
+    "layout": mostly(st.just("parts"), st.one_of(st.sampled_from(["real", "complex", "rows"]), JUNK)),
+    "values": PAYLOAD,
+})
+ENCODED_SNAPSHOT = st.one_of(
+    ENCODED_FIELD,
+    st.fixed_dictionaries({"metric": ENCODED_FIELD}, optional={"ricci": st.one_of(ENCODED_FIELD, FIELD)}),
+)
+
+
+@given(snapshot=ENCODED_SNAPSHOT)
+def test_fuzzed_encoded_snapshot(snapshot):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snap.json"
         path.write_text(json.dumps(snapshot))

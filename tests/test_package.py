@@ -6,8 +6,8 @@ optional path that this suite does not run.  It reaches LAPACK's eigvalsh
 and slogdet from one routine only, so no second eigenvalue path can grow,
 and the flow forms its metric in one routine only, for the same reason.
 The flow binds its stencils only where it builds a sweep, so a run binds
-them once, and it builds complex ddbar matrices only for the public
-transverse metric, so its steps run on real parts.
+them once, and it assembles complex matrices only for the public
+transverse metric and the n >= 3 spectrum, so its steps run on real parts.
 """
 
 import ast
@@ -95,12 +95,20 @@ def test_stencils_bound_only_where_a_sweep_is_built():
     assert _scoped_references(planted, {"_Stencil"}) == sorted(expected + [("_rebind", "_Stencil")])
 
 
+_COMPLEX_NAMES = {"_ddbar_matrices", "_assemble"}
+
+
 def test_complex_ddbar_only_for_the_public_metric():
-    """In flow.py transverse._ddbar_matrices is reached only from flow.transverse_metric."""
+    """In flow.py complex matrices are assembled only for the public metric and n >= 3 eigvalsh.
+
+    flow.transverse_metric assembles its parts once; flow._evaluate assembles
+    only for the n >= 3 spectrum.  transverse._ddbar_matrices is reached from
+    no flow routine.
+    """
     source = Path(vaisflow.flow.__file__).read_text()
-    expected = [("", "_ddbar_matrices"), ("transverse_metric", "_ddbar_matrices")]
-    assert _scoped_references(source, {"_ddbar_matrices"}) == expected
+    expected = [("", "_assemble"), ("_evaluate", "_assemble"), ("transverse_metric", "_assemble")]
+    assert _scoped_references(source, _COMPLEX_NAMES) == expected
     planted = source + "\n\ndef _stage(phi, spec):\n    return _ddbar_matrices(phi, spec)\n"
-    assert _scoped_references(planted, {"_ddbar_matrices"}) == sorted(
+    assert _scoped_references(planted, _COMPLEX_NAMES) == sorted(
         expected + [("_stage", "_ddbar_matrices")]
     )

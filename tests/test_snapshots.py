@@ -1,13 +1,15 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from conftest import basic_spec, full_spec
+from conftest import ENCODED_FAULTS, basic_spec, encoded_fault, full_spec, list_dict
 from vaisflow.exceptions import SnapshotError
 from vaisflow.grid import ScalarField
 from vaisflow.snapshots import (
-    _encode_values,
+    ENCODING,
+    _array_payload,
     chart_to_dict,
     field_from_dict,
     field_to_dict,
@@ -15,7 +17,7 @@ from vaisflow.snapshots import (
     load_snapshot,
     save_snapshot,
 )
-from vaisflow.transverse import HermitianField, metric_from_potential
+from vaisflow.transverse import HermitianField, _assemble, metric_from_potential
 from vaisflow.vaisman import build_chart
 
 
@@ -44,7 +46,7 @@ class TestScalarRoundTrip:
         spec = basic_spec(res=8)
         vals = np.arange(64, dtype=float).reshape(8, 8)
         d = field_to_dict(ScalarField(spec, vals))
-        assert d["values"][:9] == list(range(9))  # row-major flattening
+        assert _reals(d)[:9].tolist() == list(range(9))  # row-major flattening
 
 
 class TestHermitianRoundTrip:
@@ -64,7 +66,7 @@ class TestHermitianRoundTrip:
         ric = HermitianField(spec, 2.0 * g.matrices)
         path = tmp_path / "bundle.json"
         path.write_text(
-            json.dumps({"metric": field_to_dict(g), "ricci": field_to_dict(ric)})
+            json.dumps({"metric": list_dict(g), "ricci": list_dict(ric)})
         )
         metric, ricci_T = load_metric_bundle(path)
         assert np.array_equal(metric.matrices, g.matrices)
@@ -92,20 +94,20 @@ class TestMalformed:
 
     def test_unknown_kind(self, tmp_path):
         spec = basic_spec(res=16)
-        d = field_to_dict(ScalarField.zeros(spec))
+        d = list_dict(ScalarField.zeros(spec))
         d["kind"] = "tensor"
         with pytest.raises(SnapshotError):
             field_from_dict(d)
 
     def test_wrong_number_of_values(self):
-        d = field_to_dict(ScalarField.zeros(basic_spec(res=16)))
+        d = list_dict(ScalarField.zeros(basic_spec(res=16)))
         d["values"] = d["values"][:-1]
         with pytest.raises(SnapshotError, match="invalid scalar field"):
             field_from_dict(d)
 
     def test_non_hermitian_matrices(self):
         spec = basic_spec(n=2, res=8)
-        d = field_to_dict(HermitianField.identity(spec))
+        d = list_dict(HermitianField.identity(spec))
         d["values"][1] = [0.5, 0.0]  # g_{1 2bar} = 0.5 but g_{2 1bar} = 0
         with pytest.raises(SnapshotError, match="not Hermitian"):
             field_from_dict(d)
@@ -116,14 +118,14 @@ class TestMalformed:
         ("n", 2),
     ])
     def test_invalid_spec(self, key, value):
-        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        d = list_dict(ScalarField.zeros(basic_spec(res=8)))
         d["spec"][key] = value
         with pytest.raises(SnapshotError, match="malformed grid spec"):
             field_from_dict(d)
 
     @pytest.mark.parametrize("value", ["false", "no", 0.5, 0, 1, None, [True]])
     def test_basic_must_be_a_boolean(self, value):
-        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        d = list_dict(ScalarField.zeros(basic_spec(res=8)))
         d["basic"] = value
         with pytest.raises(SnapshotError, match="basic must be true or false"):
             field_from_dict(d)
@@ -139,14 +141,14 @@ class TestMalformed:
         ("leaf_resolution", [False, 8]),
     ])
     def test_integers_must_be_json_integers(self, key, value):
-        d = field_to_dict(ScalarField.zeros(full_spec(res=8, leaf=8)))
+        d = list_dict(ScalarField.zeros(full_spec(res=8, leaf=8)))
         d["spec"][key] = value
         with pytest.raises(SnapshotError, match="malformed grid spec: .* must be an integer"):
             field_from_dict(d)
 
     @pytest.mark.parametrize("values", [5, "abc", {"a": 1}, None])
     def test_values_not_a_list(self, values):
-        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        d = list_dict(ScalarField.zeros(basic_spec(res=8)))
         d["values"] = values
         with pytest.raises(SnapshotError, match="values must be a list"):
             field_from_dict(d)
@@ -166,7 +168,7 @@ class TestMalformed:
 
     @pytest.mark.parametrize("field", ["metric", "ricci"])
     def test_non_finite_values(self, tmp_path, field):
-        g = field_to_dict(HermitianField.identity(basic_spec(res=8)))
+        g = list_dict(HermitianField.identity(basic_spec(res=8)))
         bundle = {"metric": g, "ricci": json.loads(json.dumps(g))}
         bundle[field]["values"][5] = [float("inf"), 0.0]
         path = tmp_path / "inf.json"
@@ -178,7 +180,7 @@ class TestMalformed:
         g = HermitianField.identity(basic_spec(res=8))
         ric = HermitianField.identity(basic_spec(res=16))
         path = tmp_path / "bundle.json"
-        path.write_text(json.dumps({"metric": field_to_dict(g), "ricci": field_to_dict(ric)}))
+        path.write_text(json.dumps({"metric": list_dict(g), "ricci": list_dict(ric)}))
         with pytest.raises(SnapshotError, match="metric's grid"):
             load_metric_bundle(path)
 
@@ -190,22 +192,128 @@ class TestMalformed:
             load_metric_bundle(path)
 
 
+def _reals(d):
+    """The float64 values of an encoded payload."""
+    assert d["encoding"] == ENCODING
+    return np.frombuffer(base64.b64decode(d["values"], validate=True), dtype="<f8")
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308, 1 / 3]
+FINITE_SPECIALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e-300, 1 / 3]
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
-def test_encoding_matches_per_value_floats(dtype):
-    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 1 / 3]
-    values = np.array(specials, dtype=np.float64)
+def test_encoding_round_trips_specials_bit_exact(dtype):
+    """The payload of a strided array holds the bits of its float64 (or complex128) values."""
+    values = np.array(SPECIALS, dtype=np.float64)
     if np.issubdtype(dtype, np.complexfloating):
-        pairs = np.empty((len(specials),) * 2, dtype=np.complex128)
+        pairs = np.empty((len(SPECIALS),) * 2, dtype=np.complex128)
         pairs.real, pairs.imag = values[:, None], values[None, ::-1]
         values = pairs
     with np.errstate(over="ignore"):  # 1e308 is infinite in single precision
         values = values.astype(dtype)[::2]  # a strided view
-    flat = values.reshape(-1)
-    if np.iscomplexobj(flat):
-        expected = [[float(v.real), float(v.imag)] for v in flat]
-    else:
-        expected = [float(v) for v in flat]
-    assert json.dumps(_encode_values(values)) == json.dumps(expected)
+    wide = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64)
+    d = _array_payload(values)
+    assert d["layout"] == ("complex" if np.iscomplexobj(values) else "real")
+    assert np.array_equal(_bits(_reals(d)), _bits(wide).reshape(-1))
+
+
+def _special_parts(n, shape, rng):
+    """Random parts with -0.0, subnormals and huge values planted in every plane."""
+    parts = rng.standard_normal((n, n) + shape)
+    flat = parts.reshape(n * n, -1)
+    flat[:, : len(FINITE_SPECIALS)] = FINITE_SPECIALS
+    return parts
+
+
+class TestEncodedRoundTrip:
+    @pytest.mark.parametrize("n, basic", [
+        (1, True), (1, False), (2, True), (2, False), (3, True),
+    ])
+    def test_hermitian_bit_exact(self, tmp_path, n, basic):
+        spec = basic_spec(n=n, res=8) if basic else full_spec(n=n, res=8, leaf=8)
+        parts = _special_parts(n, spec.shape(basic), np.random.default_rng(n))
+        g = HermitianField._assembled(spec, _assemble(parts), basic)
+        path = tmp_path / "g.json"
+        save_snapshot(g, path)
+        d = json.loads(path.read_text())
+        assert (d["encoding"], d["layout"]) == (ENCODING, "parts")
+        assert np.array_equal(_bits(_reals(d)), _bits(parts).reshape(-1))
+        back = load_snapshot(path)
+        assert (back.spec, back.basic) == (spec, basic)
+        assert np.array_equal(_bits(back.matrices), _bits(g.matrices))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+    @pytest.mark.parametrize("basic", [True, False])
+    def test_scalar_bit_exact(self, tmp_path, dtype, basic):
+        spec = basic_spec(res=8) if basic else full_spec(res=8, leaf=8)
+        shape = spec.shape(basic)
+        values = np.resize(np.array(SPECIALS), (2,) + shape)
+        if np.issubdtype(dtype, np.complexfloating):
+            pairs = np.empty(values.shape, dtype=np.complex128)
+            pairs.real, pairs.imag = values, values[..., ::-1]
+            values = pairs
+        with np.errstate(over="ignore"):  # 1e308 is infinite in single precision
+            values = values.astype(dtype)[::-2]  # a strided view
+        f = ScalarField(spec, values[0], basic)
+        path = tmp_path / "f.json"
+        save_snapshot(f, path)
+        back = load_snapshot(path)
+        assert back.values.dtype == f.values.dtype
+        assert np.array_equal(_bits(back.values), _bits(f.values))
+
+    def test_two_saves_give_identical_bytes(self, tmp_path):
+        spec = basic_spec(n=2, res=8)
+        g = HermitianField._assembled(spec, _assemble(_special_parts(2, spec.shape(True), np.random.default_rng(7))))
+        save_snapshot(g, tmp_path / "a.json")
+        save_snapshot(load_snapshot(tmp_path / "a.json"), tmp_path / "b.json")
+        save_snapshot(g, tmp_path / "c.json")
+        a = (tmp_path / "a.json").read_bytes()
+        assert a == (tmp_path / "b.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+
+    def test_list_form_and_encoded_give_the_same_field(self):
+        spec = basic_spec(n=2, res=8)
+        h = ScalarField.from_function(spec, lambda *c: -0.1 * np.cos(c[0]) * np.sin(c[3]))
+        g = metric_from_potential(h, HermitianField.identity(spec))
+        listed, encoded = field_from_dict(list_dict(g)), field_from_dict(field_to_dict(g))
+        assert np.array_equal(listed.matrices, g.matrices)
+        assert np.array_equal(encoded.matrices, g.matrices)
+
+
+class TestMalformedEncoded:
+    @pytest.mark.parametrize("fault", ENCODED_FAULTS)
+    def test_metric_fault(self, tmp_path, fault):
+        d = field_to_dict(HermitianField.identity(basic_spec(n=2, res=8)))
+        named = encoded_fault(d, fault)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(SnapshotError, match=named):
+            load_metric_bundle(path)
+
+    @pytest.mark.parametrize("layout", ["parts", "complex"])
+    def test_real_scalar_in_another_layout(self, layout):
+        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        d["layout"] = layout
+        with pytest.raises(SnapshotError, match="does not fit" if layout == "parts" else "invalid"):
+            field_from_dict(d)
+
+    def test_unpaired_complex_values(self):
+        d = field_to_dict(ScalarField(basic_spec(res=8), np.zeros((8, 8), dtype=complex)))
+        d["values"] = base64.b64encode(base64.b64decode(d["values"])[:-8]).decode()
+        with pytest.raises(SnapshotError, match=r"\(re, im\) pairs"):
+            field_from_dict(d)
+
+    def test_identity_as_written(self):
+        d = field_to_dict(HermitianField.identity(basic_spec(n=2, res=8)))
+        assert set(d) == {"kind", "spec", "basic", "encoding", "layout", "values"}
+        assert (d["kind"], d["encoding"], d["layout"]) == ("hermitian", "f64le-base64", "parts")
+        planes = _reals(d).reshape(2, 2, 8, 8, 8, 8)
+        assert np.all(planes[0, 0] == 1.0) and np.all(planes[1, 1] == 1.0)
+        assert not np.any(planes[0, 1]) and not np.any(planes[1, 0])
 
 
 class TestChartSnapshot:

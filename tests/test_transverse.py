@@ -187,12 +187,51 @@ class TestDdbarCore:
             for k in range(j + 1, n):
                 assert np.array_equal(_bits(m[..., k, j]), _bits(np.conj(m[..., j, k])))
 
+    @pytest.mark.parametrize("n, basic", [(1, True), (1, False)] + _CORE_CASES)
+    def test_assembly_matches_plane_by_plane_writes(self, n, basic):
+        """_assemble gives the bits of writing each real plane of the matrices in place."""
+        spec, values = _random_potential(n, basic, seed=3)
+        parts = _ddbar_parts(values, spec)
+        parts.reshape(n * n, -1)[:, :4] = [0.0, -0.0, 5e-324, -1e308]
+        ref = np.empty(parts.shape[2:] + (n, n), dtype=np.complex128)
+        for j in range(n):
+            ref.real[..., j, j], ref.imag[..., j, j] = parts[j, j], 0.0
+            for k in range(j + 1, n):
+                ref.real[..., j, k] = ref.real[..., k, j] = parts[j, k]
+                ref.imag[..., j, k], ref.imag[..., k, j] = parts[k, j], -parts[k, j]
+        assert np.array_equal(_bits(_assemble(parts)), _bits(ref))
+
     @pytest.mark.parametrize("n, basic", _CORE_CASES)
     def test_constant_shift_leaves_every_part_bit_identical(self, n, basic):
         spec, values = _random_potential(n, basic, seed=2)
         shifted = values + 3.0
         assert np.array_equal(shifted - 3.0, values)  # the shift is exact
         assert np.array_equal(_bits(_ddbar_parts(shifted, spec)), _bits(_ddbar_parts(values, spec)))
+
+
+class TestAssembledField:
+    def test_checks_shape_and_finiteness_but_not_hermiticity(self):
+        spec = basic_spec(n=2, res=8)
+        m = np.zeros(spec.shape(True) + (2, 2), dtype=np.complex128)
+        m[..., 0, 1] = 0.5  # g_{1 2bar} = 0.5 but g_{2 1bar} = 0
+        with pytest.raises(GridError, match="not Hermitian"):
+            HermitianField(spec, m)
+        f = HermitianField._assembled(spec, m)
+        assert f.matrices is m and not m.flags.writeable
+        bad = m.copy()
+        bad[1, 2, 3, 4, 1, 1] = np.nan
+        with pytest.raises(GridError, match="finite"):
+            HermitianField._assembled(spec, bad)
+        with pytest.raises(GridError, match="does not match"):
+            HermitianField._assembled(spec, np.zeros((8, 8, 8, 8, 1, 1), dtype=np.complex128))
+
+    def test_public_ddbar_and_ricci_equal_validated_fields(self):
+        spec = basic_spec(n=2, res=8)
+        h = ScalarField.from_function(spec, lambda *c: -0.1 * np.cos(c[0] - c[2]) + 0.05 * np.sin(c[3]))
+        g = metric_from_potential(h, HermitianField.identity(spec))
+        for field in (ddbar(h), ricci(g)):
+            checked = HermitianField(spec, field.matrices)
+            assert np.array_equal(_bits(checked.matrices), _bits(field.matrices))
 
 
 class TestMetricFromPotential:
