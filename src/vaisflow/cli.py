@@ -235,10 +235,8 @@ def cmd_check_structure(config_path: Path) -> int:
             omega = omega + CoefficientForm(spec, 2, {(0, 1): bad})
 
         r1, r2 = vm.verify_vaisman(omega, chart.theta)
-        jj = np.einsum("...ab,...bc->...ac", chart.jmat, chart.jmat)
-        j2 = float(np.max(np.abs(jj + np.eye(spec.num_axes))))
-        jj_d = np.einsum("...ab,...bc->...ac", deformed.jmat, deformed.jmat)
-        j2_deformed = float(np.max(np.abs(jj_d + np.eye(spec.num_axes))))
+        j2 = vm._j_squared_defect(chart.jmat)
+        j2_deformed = vm._j_squared_defect(deformed.jmat)
 
         row = {
             "resolution": res,

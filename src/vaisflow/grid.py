@@ -13,8 +13,8 @@ that constant fields are annihilated exactly in floating point.
 
 One slice engine evaluates them.  It views an array as (outer, N, inner)
 with the differentiated axis in the middle; each shifted difference is one
-contiguous subtract over the flattened array plus one subtract that
-overwrites the few wrapped planes, so no shifted copy of the array is ever
+contiguous subtract over the flattened array plus a few small subtracts
+that overwrite the wrapped planes, so no shifted copy of the array is ever
 made.  A ``_Stencil`` is one such sweep bound to its arrays, with its
 views built once; :func:`diff1` and :func:`diff2` bind one and run it, and
 accept an ``out=`` array.  A ``_Stencil`` can also sweep a large array
@@ -320,9 +320,10 @@ def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
     One contiguous subtract over the flattened arrays then covers every
     plane; the few planes whose neighbours wrap, which that subtract filled
     from the adjacent outer block, are overwritten by one subtract at each
-    end of the axis.  With ``halo > 0`` the source carries ``halo`` extra
-    planes at both ends of the axis (``shape`` is the source's shape) and
-    nothing wraps.  The plan holds only index objects, never array data.
+    end of the axis, or by one per plane when ``inner`` is 1.  With
+    ``halo > 0`` the source carries ``halo`` extra planes at both ends of the
+    axis (``shape`` is the source's shape) and nothing wraps.  The plan
+    holds only index objects, never array data.
     """
     outer, n_src, inner = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
     n = n_src - 2 * halo
@@ -337,10 +338,14 @@ def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
         start, stop = low * inner, (outer * n - high) * inner
         flat = (1, slice(start + a * inner, stop + a * inner),
                 slice(start + b * inner, stop + b * inner), slice(start, stop))
+        wraps = [(i0, i1) for i0, i1 in ((0, low), (n - high, n)) if i1 > i0]
+        if inner == 1:
+            # One step per plane: a strided loop over ``outer`` each, where a
+            # block of k planes would run ``outer`` inner loops of k elements.
+            wraps = [(i, i + 1) for i0, i1 in wraps for i in range(i0, i1)]
         steps[a, b] = (flat,) + tuple(
             (0, (every, _wrapped(a, i0, i1, n)), (every, _wrapped(b, i0, i1, n)), (every, slice(i0, i1)))
-            for i0, i1 in ((0, low), (n - high, n))
-            if i1 > i0
+            for i0, i1 in wraps
         )
     return _Plan((outer, n_src, inner), (outer, n, inner), steps)
 

@@ -1,4 +1,4 @@
-"""JSON snapshot files for fields, metrics, and charts.
+"""JSON snapshot files for fields and metrics.
 
 Snapshot schema: a JSON object with keys ``spec`` (n, resolutions, periods),
 ``basic``, ``kind``, ``encoding``, ``layout`` and ``values``.  The
@@ -41,7 +41,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "load_metric_bundle",
-    "chart_to_dict",
 ]
 
 
@@ -241,37 +240,3 @@ def load_metric_bundle(path: str | Path) -> tuple[HermitianField, HermitianField
     except PositivityLost as exc:
         raise SnapshotError(f"the metric is not positive definite: {exc}") from exc
     return metric, ricci_f
-
-
-def chart_to_dict(chart) -> dict:
-    """Chart snapshot: potential, form components, and per-point J matrices.
-
-    The base matrix, J and the form components are payloads (``encoding``,
-    ``layout`` ``real`` or ``complex``, ``values``) over their own row-major
-    shapes.
-    """
-
-    def form_dict(form):
-        return {
-            "degree": form.degree,
-            "components": {
-                ",".join(map(str, idx)): _array_payload(f.values)
-                for idx, f in sorted(form.components.items())
-            },
-            "linear": {
-                ",".join(map(str, idx)): [float(v) for v in lin]
-                for idx, lin in sorted(form.linear.items())
-            },
-        }
-
-    return {
-        "kind": "vaisman_chart",
-        "spec": spec_to_dict(chart.spec),
-        "h": field_to_dict(chart.h),
-        "base": _array_payload(chart.base),
-        "metric": field_to_dict(chart.metric),
-        "theta": form_dict(chart.theta),
-        "theta_c": form_dict(chart.theta_c),
-        "omega": form_dict(chart.omega),
-        "J": _array_payload(chart.jmat),
-    }

@@ -324,11 +324,19 @@ def _ddbar_matrices(values: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 
 def metric_from_potential(h: ScalarField, base: HermitianField) -> HermitianField:
-    """g_{j kbar} = base_{j kbar} + d^2 h / dz^j dzbar^k, checked positive."""
+    """g_{j kbar} = base_{j kbar} + d^2 h / dz^j dzbar^k, checked positive.
+
+    For a basic ``base`` the parts of the two are summed and assembled once,
+    as in :func:`flow.transverse_metric`, so the matrices are Hermitian by
+    construction and reload from a snapshot bit for bit.
+    """
     if not h.basic:
         raise GridError("the transverse potential must be basic")
-    g = base + ddbar(h)
-    return g.checked_positive()
+    if not base.basic:
+        return (base + ddbar(h)).checked_positive()
+    parts = _ddbar_parts(h.values, h.spec)
+    parts += _parts(base.matrices)
+    return HermitianField._assembled(h.spec, _assemble(parts)).checked_positive()
 
 
 def _log_det_values(matrices: np.ndarray, n: int) -> np.ndarray:

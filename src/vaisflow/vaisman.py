@@ -144,11 +144,15 @@ def _assemble_j(spec: GridSpec, dc_vals: np.ndarray) -> np.ndarray:
         rotated[..., b] = -dc_vals[..., a]
     jmat[..., u_axis, :] += dc_vals
     jmat[..., v_axis, :] += rotated
-    jj = np.einsum("...ab,...bc->...ac", jmat, jmat)
-    defect = float(np.max(np.abs(jj + np.eye(D))))
+    defect = _j_squared_defect(jmat)
     if defect > _IDENTITY_TOL:
         raise IdentityViolation(f"J^2 = -id fails with defect {defect:.3e}")
     return jmat
+
+
+def _j_squared_defect(jmat: np.ndarray) -> float:
+    """max |J J + id| over every point of per-point real matrices ``jmat``."""
+    return float(np.max(np.abs(jmat @ jmat + np.eye(jmat.shape[-1]))))
 
 
 def lee_forms(
@@ -306,11 +310,15 @@ def _check_chart(chart: VaismanChart):
         raise IdentityViolation("theta(X_j) = 0 fails")
     # metric compatibility g(J., J.) = g
     g = chart_metric_tensor(chart)
-    jtgj = np.einsum("...ca,...cd,...db->...ab", chart.jmat, g, chart.jmat)
-    if float(np.max(np.abs(jtgj - g))) > _IDENTITY_TOL * max(1.0, float(np.max(np.abs(g)))):
+    if _compatibility_defect(chart.jmat, g) > _IDENTITY_TOL * max(1.0, float(np.max(np.abs(g)))):
         raise IdentityViolation("metric is not J-compatible")
     if float(np.max(np.abs(g - np.swapaxes(g, -1, -2)))) > _IDENTITY_TOL:
         raise IdentityViolation("assembled metric is not symmetric")
+
+
+def _compatibility_defect(jmat: np.ndarray, g: np.ndarray) -> float:
+    """max |J^T g J - g| over every point: the defect of g(J., J.) = g."""
+    return float(np.max(np.abs(np.swapaxes(jmat, -1, -2) @ g @ jmat - g)))
 
 
 def _pair_form_frame(form: CoefficientForm, frame: np.ndarray) -> np.ndarray:
@@ -326,7 +334,7 @@ def _pair_form_frame(form: CoefficientForm, frame: np.ndarray) -> np.ndarray:
 def chart_metric_tensor(chart: VaismanChart) -> np.ndarray:
     """Coordinate components g_ab = -omega(d_a, J d_b), shape grid + (D, D)."""
     w = chart.omega.as_matrix()
-    return -np.einsum("...ac,...cb->...ab", w, chart.jmat)
+    return -(w @ chart.jmat)
 
 
 def frame_metric_block(chart: VaismanChart, tensor: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from vaisflow.grid import ScalarField
 from vaisflow.snapshots import (
     ENCODING,
     _array_payload,
-    chart_to_dict,
     field_from_dict,
     field_to_dict,
     load_metric_bundle,
@@ -18,7 +17,6 @@ from vaisflow.snapshots import (
     save_snapshot,
 )
 from vaisflow.transverse import HermitianField, _assemble, metric_from_potential
-from vaisflow.vaisman import build_chart
 
 
 class TestScalarRoundTrip:
@@ -266,6 +264,19 @@ class TestEncodedRoundTrip:
         assert back.values.dtype == f.values.dtype
         assert np.array_equal(_bits(back.values), _bits(f.values))
 
+    @pytest.mark.parametrize("potential", [
+        # Im g_{1 2bar} is +0.0 at every point, so the lower triangle holds -0.0.
+        lambda x1, y1, x2, y2: -0.1 * np.cos(x1 + x2) + 0.05 * np.sin(y1 + y2),
+        lambda x1, y1, x2, y2: -0.1 * np.cos(x1 - y2) * np.sin(y1 + 2 * x2),
+    ], ids=["real_mixed", "complex_mixed"])
+    def test_metric_from_potential_bit_exact(self, tmp_path, potential):
+        spec = basic_spec(n=2, res=16)
+        g = metric_from_potential(ScalarField.from_function(spec, potential), HermitianField.identity(spec))
+        assert np.any(g.matrices[..., 0, 1])
+        save_snapshot(g, tmp_path / "g.json")
+        back = load_snapshot(tmp_path / "g.json")
+        assert np.array_equal(_bits(back.matrices), _bits(g.matrices))
+
     def test_two_saves_give_identical_bytes(self, tmp_path):
         spec = basic_spec(n=2, res=8)
         g = HermitianField._assembled(spec, _assemble(_special_parts(2, spec.shape(True), np.random.default_rng(7))))
@@ -314,14 +325,3 @@ class TestMalformedEncoded:
         planes = _reals(d).reshape(2, 2, 8, 8, 8, 8)
         assert np.all(planes[0, 0] == 1.0) and np.all(planes[1, 1] == 1.0)
         assert not np.any(planes[0, 1]) and not np.any(planes[1, 0])
-
-
-class TestChartSnapshot:
-    def test_schema(self):
-        spec = full_spec(res=16, leaf=8)
-        h = ScalarField.from_function(spec, lambda x, y: -0.1 * np.cos(x), basic=True)
-        chart = build_chart(spec, h)
-        d = chart_to_dict(chart)
-        assert d["kind"] == "vaisman_chart"
-        assert set(d) >= {"spec", "h", "metric", "theta", "theta_c", "omega", "J"}
-        json.dumps(d)  # serializable

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import TWO_PI, full_spec
 from vaisflow.convergence import fitted_order
-from vaisflow.exceptions import GridError, NonPositiveScale, PositivityLost
+from vaisflow.exceptions import GridError, IdentityViolation, NonPositiveScale, PositivityLost
 from vaisflow.forms import CoefficientForm
 from vaisflow.grid import GridSpec, ScalarField
 from vaisflow.transverse import HermitianField, ddbar
 from vaisflow.vaisman import (
+    _check_chart,
+    _compatibility_defect,
+    _j_squared_defect,
     adapted_frame,
     build_chart,
     chart_metric_tensor,
@@ -178,6 +183,102 @@ class TestMetric:
         g = chart_metric_tensor(chart)
         block = frame_metric_block(chart, g)
         assert np.max(np.abs(block - chart.metric.matrices)) < 1e-10
+
+
+def _one_form(spec, axis, value):
+    return CoefficientForm(spec, 1, {(axis,): ScalarField.constant(spec, value)})
+
+
+def _planted(chart, field):
+    """``chart`` with one fault planted in ``field``."""
+    spec = chart.spec
+    if field == "jmat":
+        jmat = chart.jmat.copy()
+        jmat[..., 0, 0] += 1e-6
+        return dataclasses.replace(chart, jmat=jmat)
+    if field == "frame":
+        return dataclasses.replace(chart, frame=np.conj(chart.frame))  # J Xbar = -i Xbar
+    if field == "theta_c":
+        return dataclasses.replace(chart, theta_c=chart.theta_c + _one_form(spec, 0, 1e-6))
+    if field == "theta":
+        return dataclasses.replace(chart, theta=chart.theta + _one_form(spec, 1, 1e-6))
+    # dx^1 ^ dx is not J-invariant, so g = -omega J loses J-compatibility.
+    skew = CoefficientForm(spec, 2, {(0, 2): ScalarField.constant(spec, 1e-6)})
+    if field == "omega":
+        return dataclasses.replace(chart, omega=chart.omega + skew)
+    # At 1e3 times the form a 1e-8 defect is inside the relative compatibility
+    # tolerance (1e-10 of max |g|, about 4e-6) and outside the absolute
+    # symmetry tolerance (1e-10), so only the symmetry check can see it.
+    return dataclasses.replace(chart, omega=chart.omega.scaled(1e3) + skew.scaled(1e-2))
+
+
+class TestCheckChart:
+    """Every identity of the chart suite raises on a planted fault."""
+
+    @pytest.fixture(scope="class")
+    def chart(self):
+        spec = full_spec(res=16, leaf=8)
+        h = ScalarField.from_function(spec, lambda x, y: -0.1 * np.cos(x), basic=True)
+        return build_chart(spec, h)
+
+    def test_unplanted_charts_pass(self, chart):
+        _check_chart(chart)
+        _check_chart(dataclasses.replace(chart, omega=chart.omega.scaled(1e3)))
+
+    @pytest.mark.parametrize("field, message", [
+        ("jmat", r"^J\(X_j\) = i X_j fails with defect"),
+        ("frame", r"^J\(X_j\) = i X_j fails with defect"),
+        ("theta_c", r"^theta_c\(X_j\) = 0 fails$"),
+        ("theta", r"^theta\(X_j\) = 0 fails$"),
+        ("omega", r"^metric is not J-compatible$"),
+        ("omega_scaled", r"^assembled metric is not symmetric$"),
+    ])
+    def test_planted_fault_raises(self, chart, field, message):
+        with pytest.raises(IdentityViolation, match=message):
+            _check_chart(_planted(chart, field))
+
+
+class TestPerPointProducts:
+    """The stacked matmul products against the einsum forms they replaced.
+
+    Both sum the same products per entry, maybe in another order or with
+    fused multiply-adds, so they agree to a few ulps of the sum of the
+    terms' magnitudes.
+    """
+
+    ULPS = 4 * np.finfo(float).eps
+
+    @pytest.fixture(scope="class")
+    def chart(self):
+        return bump_chart(res=32)[1]
+
+    def test_metric_tensor(self, chart):
+        w, jmat = chart.omega.as_matrix(), chart.jmat
+        reference = -np.einsum("...ac,...cb->...ab", w, jmat)
+        scale = np.abs(w) @ np.abs(jmat)
+        assert np.all(np.abs(chart_metric_tensor(chart) - reference) <= self.ULPS * scale)
+
+    def test_j_squared_defect(self, chart):
+        # Off a complex structure, so that J J + id is far from 0.
+        jmat = chart.jmat + 0.1 * np.random.default_rng(3).standard_normal(chart.jmat.shape)
+        jj = np.einsum("...ab,...bc->...ac", jmat, jmat)
+        reference = float(np.max(np.abs(jj + np.eye(4))))
+        assert reference > 0.1
+        scale = float(np.max(np.abs(jmat) @ np.abs(jmat)))
+        assert abs(_j_squared_defect(jmat) - reference) <= 2 * self.ULPS * scale
+        assert _j_squared_defect(chart.jmat) <= 1e-15
+
+    def test_compatibility_defect(self, chart):
+        # A symmetric g that is not J-compatible, so that J^T g J - g is far from 0.
+        g = chart_metric_tensor(chart)
+        noise = 0.1 * np.random.default_rng(4).standard_normal(g.shape)
+        g = g + noise + np.swapaxes(noise, -1, -2)
+        jmat = chart.jmat
+        jtgj = np.einsum("...ca,...cd,...db->...ab", jmat, g, jmat)
+        reference = float(np.max(np.abs(jtgj - g)))
+        assert reference > 0.1
+        scale = float(np.max(np.swapaxes(np.abs(jmat), -1, -2) @ np.abs(g) @ np.abs(jmat) + np.abs(g)))
+        assert abs(_compatibility_defect(jmat, g) - reference) <= 2 * self.ULPS * scale
 
 
 class TestDeform:
