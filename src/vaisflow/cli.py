@@ -235,8 +235,7 @@ def cmd_check_structure(config_path: Path) -> int:
             omega = omega + CoefficientForm(spec, 2, {(0, 1): bad})
 
         r1, r2 = vm.verify_vaisman(omega, chart.theta)
-        j2 = vm._j_squared_defect(chart.jmat)
-        j2_deformed = vm._j_squared_defect(deformed.jmat)
+        j2, j2_deformed = chart.j_squared, deformed.j_squared
 
         row = {
             "resolution": res,

@@ -33,6 +33,7 @@ from .transverse import (
     _argmin_location,
     _assemble,
     _ddbar_parts,
+    _metric_with_ddbar,
     _parts,
     _spectrum,
     _spectrum_2x2,
@@ -581,17 +582,13 @@ def transverse_metric(
 ) -> HermitianField:
     """The evolving transverse metric ghat(t) + phi_{j kbar}.
 
-    The parts of ghat(t) and of phi_{j kbar} are summed and assembled once,
-    so the matrices are Hermitian by construction and their parts are
-    exactly the sums.
+    As in :func:`transverse.metric_from_potential`, the parts of the two are
+    summed and assembled once, so the matrices are Hermitian by construction
+    and their parts are exactly the sums.
     """
-    spec = state.phi.spec
     tt = state.t if t is None else t
-    basic = state.phi.basic
-    parts = _ddbar_parts(state.phi.values, spec)
-    ref = _parts(_reference_matrices(state, tt, rescaled))
-    parts += ref if basic else ref.reshape(ref.shape + (1, 1))
-    return HermitianField._assembled(spec, _assemble(parts), basic=basic)
+    ref = _reference_matrices(state, tt, rescaled)
+    return _metric_with_ddbar(state.phi.spec, ref, state.phi.values, state.phi.basic)
 
 
 def leafwise_defect(state: FlowState) -> float:

@@ -304,10 +304,10 @@ class _Plan(NamedTuple):
 _SHIFTS = ((1, -1), (2, -2), (1, 0), (-1, 0), (2, 0), (-2, 0))
 
 
-def _wrapped(offset: int, start: int, stop: int, n: int) -> slice:
-    """Planes ``start + offset .. stop - 1 + offset`` taken modulo ``n`` (no crossing)."""
-    first = (start + offset) % n
-    return slice(first, first + stop - start)
+def _wrapped(offset: int, plane: int, n: int) -> slice:
+    """Plane ``plane + offset`` taken modulo ``n``, as a one-plane slice."""
+    first = (plane + offset) % n
+    return slice(first, first + 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -319,11 +319,11 @@ def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
     shift by k planes is a shift by ``k * inner`` in the flattened array.
     One contiguous subtract over the flattened arrays then covers every
     plane; the few planes whose neighbours wrap, which that subtract filled
-    from the adjacent outer block, are overwritten by one subtract at each
-    end of the axis, or by one per plane when ``inner`` is 1.  With
-    ``halo > 0`` the source carries ``halo`` extra planes at both ends of the
-    axis (``shape`` is the source's shape) and nothing wraps.  The plan
-    holds only index objects, never array data.
+    from the adjacent outer block, are overwritten by one subtract per plane,
+    a strided loop over ``outer``.  With ``halo > 0`` the source carries
+    ``halo`` extra planes at both ends of the axis (``shape`` is the
+    source's shape) and nothing wraps.  The plan holds only index objects,
+    never array data.
     """
     outer, n_src, inner = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
     n = n_src - 2 * halo
@@ -338,14 +338,9 @@ def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
         start, stop = low * inner, (outer * n - high) * inner
         flat = (1, slice(start + a * inner, stop + a * inner),
                 slice(start + b * inner, stop + b * inner), slice(start, stop))
-        wraps = [(i0, i1) for i0, i1 in ((0, low), (n - high, n)) if i1 > i0]
-        if inner == 1:
-            # One step per plane: a strided loop over ``outer`` each, where a
-            # block of k planes would run ``outer`` inner loops of k elements.
-            wraps = [(i, i + 1) for i0, i1 in wraps for i in range(i0, i1)]
         steps[a, b] = (flat,) + tuple(
-            (0, (every, _wrapped(a, i0, i1, n)), (every, _wrapped(b, i0, i1, n)), (every, slice(i0, i1)))
-            for i0, i1 in wraps
+            (0, (every, _wrapped(a, i, n)), (every, _wrapped(b, i, n)), (every, slice(i, i + 1)))
+            for i in (*range(low), *range(n - high, n))
         )
     return _Plan((outer, n_src, inner), (outer, n, inner), steps)
 

@@ -323,20 +323,31 @@ def _ddbar_matrices(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _assemble(_ddbar_parts(values, spec))
 
 
-def metric_from_potential(h: ScalarField, base: HermitianField) -> HermitianField:
-    """g_{j kbar} = base_{j kbar} + d^2 h / dz^j dzbar^k, checked positive.
+def _metric_with_ddbar(
+    spec: GridSpec, base: np.ndarray, values: np.ndarray, basic: bool, base_basic: bool = True
+) -> HermitianField:
+    """The field of ``base`` + ddbar(``values``), summed part by part and assembled once.
 
-    For a basic ``base`` the parts of the two are summed and assembled once,
-    as in :func:`flow.transverse_metric`, so the matrices are Hermitian by
-    construction and reload from a snapshot bit for bit.
+    ``base`` holds Hermitian matrices and ``values`` a raw real array;
+    ``basic`` and ``base_basic`` say which of the two is basic, and a basic
+    operand is broadcast over the leaf axes of a full one.  The matrices are
+    Hermitian by construction and their parts are exactly the sums, so they
+    reload from a snapshot bit for bit.
     """
+    total, other = _ddbar_parts(values, spec), _parts(base)
+    if basic != base_basic:
+        if basic:
+            total, other = other, total
+        other = other.reshape(other.shape + (1, 1))
+    total += other
+    return HermitianField._assembled(spec, _assemble(total), basic=basic and base_basic)
+
+
+def metric_from_potential(h: ScalarField, base: HermitianField) -> HermitianField:
+    """g_{j kbar} = base_{j kbar} + d^2 h / dz^j dzbar^k, checked positive."""
     if not h.basic:
         raise GridError("the transverse potential must be basic")
-    if not base.basic:
-        return (base + ddbar(h)).checked_positive()
-    parts = _ddbar_parts(h.values, h.spec)
-    parts += _parts(base.matrices)
-    return HermitianField._assembled(h.spec, _assemble(parts)).checked_positive()
+    return _metric_with_ddbar(h.spec, base.matrices, h.values, True, base.basic).checked_positive()
 
 
 def _log_det_values(matrices: np.ndarray, n: int) -> np.ndarray:

@@ -130,10 +130,11 @@ def complex_structure(
     _require_full(spec)
     B = _base_matrix(spec, base)
     dc = _dc_full_potential(spec, h, B)
-    return _assemble_j(spec, _dc_values(spec, dc))
+    return _assemble_j(spec, _dc_values(spec, dc))[0]
 
 
-def _assemble_j(spec: GridSpec, dc_vals: np.ndarray) -> np.ndarray:
+def _assemble_j(spec: GridSpec, dc_vals: np.ndarray) -> tuple[np.ndarray, float]:
+    """J and its checked J^2 = -id defect (see :func:`_j_squared_defect`)."""
     D = spec.num_axes
     u_axis, v_axis = 2 * spec.n, 2 * spec.n + 1
     jmat = np.broadcast_to(_j0_matrix(D), spec.transverse_shape + (D, D)).copy()
@@ -147,7 +148,7 @@ def _assemble_j(spec: GridSpec, dc_vals: np.ndarray) -> np.ndarray:
     defect = _j_squared_defect(jmat)
     if defect > _IDENTITY_TOL:
         raise IdentityViolation(f"J^2 = -id fails with defect {defect:.3e}")
-    return jmat
+    return jmat, defect
 
 
 def _j_squared_defect(jmat: np.ndarray) -> float:
@@ -170,7 +171,7 @@ def lee_forms(
 
 
 def _lee_forms_and_j(spec: GridSpec, h: ScalarField, B: np.ndarray):
-    """(theta, theta_c, J) with every check of :func:`lee_forms`, from one d^c P and one J."""
+    """(theta, theta_c, J, J^2 defect) with every check of :func:`lee_forms`, from one d^c P and one J."""
     u_axis, v_axis = 2 * spec.n, 2 * spec.n + 1
     theta = CoefficientForm(spec, 1, {(u_axis,): ScalarField.constant(spec, 1.0)})
     dc = _dc_full_potential(spec, h, B)
@@ -180,7 +181,7 @@ def _lee_forms_and_j(spec: GridSpec, h: ScalarField, B: np.ndarray):
     theta_c = CoefficientForm(spec, 1, comps, minus_dc.linear)
 
     dc_vals = _dc_values(spec, dc)
-    jmat = _assemble_j(spec, dc_vals)
+    jmat, j_squared = _assemble_j(spec, dc_vals)
     contraction = -jmat[..., u_axis, :]
     for a in range(spec.num_axes):
         diff = float(np.max(np.abs(theta_c.component_values((a,)) - contraction[..., a])))
@@ -190,7 +191,7 @@ def _lee_forms_and_j(spec: GridSpec, h: ScalarField, B: np.ndarray):
         raise IdentityViolation("theta_c(V) = 1 fails")
     if float(np.max(np.abs(theta_c.contract_vector(_unit(spec, u_axis))))) > _IDENTITY_TOL:
         raise IdentityViolation("theta_c(U) = 0 fails")
-    return theta, theta_c, jmat
+    return theta, theta_c, jmat, j_squared
 
 
 def _unit(spec: GridSpec, axis: int) -> np.ndarray:
@@ -255,7 +256,11 @@ def verify_vaisman(omega: CoefficientForm, theta: CoefficientForm) -> tuple[floa
 
 @dataclass(frozen=True)
 class VaismanChart:
-    """A foliated chart carrying the full set of Vaisman structure tensors."""
+    """A foliated chart carrying the full set of Vaisman structure tensors.
+
+    ``j_squared`` is the J^2 = -id defect of ``jmat``, measured and checked
+    when J was assembled.
+    """
 
     spec: GridSpec
     h: ScalarField
@@ -266,6 +271,7 @@ class VaismanChart:
     jmat: np.ndarray
     omega: CoefficientForm
     frame: np.ndarray
+    j_squared: float
 
     @property
     def n(self) -> int:
@@ -286,10 +292,10 @@ def build_chart(
     B = _base_matrix(spec, base)
     base_field = HermitianField.constant(spec, B)
     metric = metric_from_potential(h, base_field)
-    theta, theta_c, jmat = _lee_forms_and_j(spec, h, B)
+    theta, theta_c, jmat, j_squared = _lee_forms_and_j(spec, h, B)
     omega = fundamental_form(theta, theta_c, metric)
     frame = _frame_from_theta_c(spec, theta_c)
-    chart = VaismanChart(spec, h, B, metric, theta, theta_c, jmat, omega, frame)
+    chart = VaismanChart(spec, h, B, metric, theta, theta_c, jmat, omega, frame, j_squared)
     _check_chart(chart)
     return chart
 

@@ -252,6 +252,15 @@ class TestMetricFromPotential:
         with pytest.raises(PositivityLost):
             metric_from_potential(h, HermitianField.identity(spec))
 
+    def test_full_base_broadcasts_the_potential(self):
+        spec = full_spec(n=2, res=8, leaf=8)
+        h = ScalarField.from_function(spec, lambda *c: -0.1 * np.cos(c[0] - c[2]) + 0.05 * np.sin(c[3]))
+        basic = metric_from_potential(h, HermitianField.identity(spec))
+        full = metric_from_potential(h, HermitianField.identity(spec, basic=False))
+        assert basic.basic and not full.basic and full.positivity_checked
+        expected = np.broadcast_to(basic.matrices[..., None, None, :, :], full.matrices.shape)
+        assert np.array_equal(_bits(full.matrices), _bits(expected))
+
     def test_non_basic_rejected(self):
         from conftest import full_spec
 

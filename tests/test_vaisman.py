@@ -268,6 +268,14 @@ class TestPerPointProducts:
         assert abs(_j_squared_defect(jmat) - reference) <= 2 * self.ULPS * scale
         assert _j_squared_defect(chart.jmat) <= 1e-15
 
+    def test_chart_carries_its_j_squared_defect(self, chart, monkeypatch):
+        # J^2 + id cancels exactly on these charts, so plant a defect below
+        # the tolerance to see that the chart keeps the one it measured.
+        assert chart.j_squared == _j_squared_defect(chart.jmat) == 0.0
+        monkeypatch.setattr("vaisflow.vaisman._j_squared_defect", lambda jmat: 3e-13)
+        deformed = deform(chart, ScalarField.from_function(chart.spec, lambda x, y: 0.1 * np.sin(y)))
+        assert deformed.j_squared == 3e-13
+
     def test_compatibility_defect(self, chart):
         # A symmetric g that is not J-compatible, so that J^T g J - g is far from 0.
         g = chart_metric_tensor(chart)
