@@ -21,6 +21,7 @@ onto the unrescaled one.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -302,7 +303,10 @@ class _Sweep:
     The operand ``phi`` and ``ld`` (log g) are the cores of buffers with
     ``_HALO`` more axis-0 planes at each end, copied from the other end
     before a sweep, so a block reads its neighbours' planes through a view.
-    ``g`` holds the metric.  The blocks share block-sized temporaries.
+    ``g`` holds the metric.  The blocks alternate between two ``lanes``
+    (even and odd blocks), each with its own block-sized temporaries, and
+    :meth:`in_lanes` sweeps the second lane on a pool worker; a one-block
+    sweep has one lane.
     """
 
     def __init__(self, shape: tuple[int, ...], hs: tuple[float, ...]):
@@ -316,23 +320,48 @@ class _Sweep:
         )
         self.g = np.empty(shape)
         planes = max(1, min(n0, _BLOCK_BYTES // (8 * math.prod(plane))))
-        temps = [np.empty((planes,) + plane) for _ in range(4)]
         leaf_axes = range(2, len(shape))
-        self.blocks = []
-        for i0 in range(0, n0, planes):
-            rows = slice(i0, min(i0 + planes, n0))
-            padded = slice(i0, rows.stop + 2 * _HALO)
-            lap, tmp, tmp1, tmp2 = (t[:rows.stop - i0] for t in temps)
-            phi = self.phi[rows]
-            self.blocks.append(_Block(
-                rows, lap, tmp,
-                metric=(_Stencil(2, padded_phi[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
-                        _Stencil(2, phi, 1, hs[1], tmp, tmp1, tmp2)),
-                ricci=(_Stencil(2, padded_ld[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
-                       _Stencil(2, self.ld[rows], 1, hs[1], tmp, tmp1, tmp2)),
-                leaf2=tuple(_Stencil(2, phi, a, hs[a], tmp, tmp1, tmp2) for a in leaf_axes),
-                leaf1=tuple(_Stencil(1, phi, a, hs[a], tmp, tmp1) for a in leaf_axes),
-            ))
+        self.lanes = []
+        for first in range(0, min(n0, 2 * planes), planes):
+            # The lane's first block is its largest: only the last block of the axis is short.
+            temps = [np.empty((min(planes, n0 - first),) + plane) for _ in range(4)]
+            lane = []
+            for i0 in range(first, n0, 2 * planes):
+                rows = slice(i0, min(i0 + planes, n0))
+                padded = slice(i0, rows.stop + 2 * _HALO)
+                lap, tmp, tmp1, tmp2 = (t[:rows.stop - i0] for t in temps)
+                phi = self.phi[rows]
+                lane.append(_Block(
+                    rows, lap, tmp,
+                    metric=(_Stencil(2, padded_phi[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
+                            _Stencil(2, phi, 1, hs[1], tmp, tmp1, tmp2)),
+                    ricci=(_Stencil(2, padded_ld[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
+                           _Stencil(2, self.ld[rows], 1, hs[1], tmp, tmp1, tmp2)),
+                    leaf2=tuple(_Stencil(2, phi, a, hs[a], tmp, tmp1, tmp2) for a in leaf_axes),
+                    leaf1=tuple(_Stencil(1, phi, a, hs[a], tmp, tmp1) for a in leaf_axes),
+                ))
+            self.lanes.append(lane)
+        self.blocks = [block for lane in self.lanes for block in lane]
+
+    def in_lanes(self, body: Callable[[list], list]) -> list:
+        """The lists ``body(blocks)`` of each lane, concatenated in lane order.
+
+        The first lane runs here, a second one on the pool worker.  Both have
+        finished before this returns or re-raises an exception of either
+        (the calling lane's first), so the caller reads and writes the
+        sweep's buffers alone again.  ``body`` runs only bound stencils and
+        numpy; callers merge its per-block results in a way that lane order
+        cannot change (``np.min``, ``np.max``, ``all``).
+        """
+        if len(self.lanes) == 1:
+            return body(self.lanes[0])
+        first, second = self.lanes
+        future = _lane_worker().submit(body, second)
+        try:
+            mine = body(first)
+        finally:
+            future.exception()  # waits for the worker's lane, without raising
+        return mine + future.result()
 
     def load(self, phi: np.ndarray) -> None:
         """Make ``phi`` the operand (no copy when it is ``self.phi``), with its halo."""
@@ -345,27 +374,60 @@ class _Sweep:
         """sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy), from a kept :func:`_evaluate`."""
         for padding, planes in self._ld_halo:
             padding[...] = planes
-        sups = []
-        for block in self.blocks:
-            lap, tmp = block.lap, block.tmp
-            _laplacian(block.ricci, lap, tmp)
-            lap *= -0.25
-            np.multiply(self.g[block.rows], class_k, out=tmp)
-            lap -= tmp
-            sups.append(np.max(np.abs(lap, out=lap)))
-        return float(np.max(sups))
+        g = self.g
+
+        def lane(blocks):
+            sups = []
+            for block in blocks:
+                lap, tmp = block.lap, block.tmp
+                _laplacian(block.ricci, lap, tmp)
+                lap *= -0.25
+                if class_k:  # else lap - 0 g is lap bit for bit: g > 0, lap is NaN where g = inf
+                    np.multiply(g[block.rows], class_k, out=tmp)
+                    lap -= tmp
+                sups.append(np.max(np.abs(lap, out=lap)))
+            return sups
+
+        return float(np.max(self.in_lanes(lane)))
 
     def leaf_defect(self) -> float:
         """sup |phi_x| + sup |phi_y| along the leaves of the loaded operand of a full grid."""
-        sups = []
-        for block in self.blocks:
-            tmp, row = block.tmp, []
-            for derivative in block.leaf1:
-                derivative()
-                row.append(np.max(np.abs(tmp, out=tmp)))
-            sups.append(row)
-        dx, dy = np.max(sups, axis=0)
+
+        def lane(blocks):
+            sups = []
+            for block in blocks:
+                tmp, row = block.tmp, []
+                for derivative in block.leaf1:
+                    derivative()
+                    row.append(np.max(np.abs(tmp, out=tmp)))
+                sups.append(row)
+            return sups
+
+        dx, dy = np.max(self.in_lanes(lane), axis=0)
         return float(dx + dy)
+
+
+_lane_workers: dict = {}  # process id -> its lane worker
+
+
+def _lane_worker():
+    """The one pool worker that sweeps the second lane of every _Sweep, started on first use.
+
+    It is kept per process id, because a forked child has no thread of its
+    parent's pool and starts its own.  The import is here, so a process
+    whose sweeps are all one block starts no thread and imports no executor.
+    """
+    pid = os.getpid()
+    worker = _lane_workers.get(pid)
+    if worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Of two threads that get here at once both use the first pool; the
+        # other pool is never submitted to, so it starts no thread.
+        worker = _lane_workers.setdefault(
+            pid, ThreadPoolExecutor(1, thread_name_prefix="vaisflow-lane")
+        )
+    return worker
 
 
 def _laplacian(stencils, lap, tmp) -> None:
@@ -460,8 +522,8 @@ def _evaluate(phi, t, ws, floor, full, out, keep=False):
     maximum per point.  For n >= 2, g holds the real parts of the metric,
     laid out as by :func:`transverse._ddbar_parts`: n = 2 takes its spectrum
     from them, n >= 3 from its matrices, assembled once.  For n = 1 phi is
-    swept block by block on the workspace's sweep of its shape,
-    bit-identical to a whole grid; g and log g go into ``out`` unless
+    swept block by block, in the lanes of the workspace's sweep of its
+    shape, bit-identical to a whole grid; g and log g go into ``out`` unless
     ``keep`` (the diagnostics) puts them into the sweep's ``g`` and ``ld``,
     where its Ricci sweep reads them.
     """
@@ -486,26 +548,33 @@ def _evaluate(phi, t, ws, floor, full, out, keep=False):
     sweep = ws.sweep(phi.shape)
     sweep.load(phi)
     g, ld = (sweep.g, sweep.ld) if keep else (out, out)
-    lows = []
-    for block in sweep.blocks:
-        rows = block.rows
-        gb = g[rows]
-        _metric_n1(block, ref[rows], gb)
-        lows.append(float(np.min(gb)))
-        if not lows[-1] > floor:
-            # Report the minimum and its location over the whole grid, as an
-            # unblocked evaluation would, and take no log of the breach.
-            for other in sweep.blocks:
-                _metric_n1(other, ref[other.rows], g[other.rows])
-            _floor_check(float(np.min(g)), floor, g)
-        lb, fb = ld[rows], out[rows]
-        np.log(gb, out=lb)
-        np.subtract(lb, log_density[rows], out=fb)
-        tmp = block.tmp
-        for leaf in block.leaf2:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
-            leaf()
-            tmp *= 0.5
-            fb += tmp
+
+    def lane(blocks):
+        lows = []
+        for block in blocks:
+            rows = block.rows
+            gb = g[rows]
+            _metric_n1(block, ref[rows], gb)
+            lows.append(float(np.min(gb)))
+            if not lows[-1] > floor:
+                break  # no log of a breach; the whole grid locates it below
+            lb, fb = ld[rows], out[rows]
+            np.log(gb, out=lb)
+            np.subtract(lb, log_density[rows], out=fb)
+            tmp = block.tmp
+            for leaf in block.leaf2:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
+                leaf()
+                tmp *= 0.5
+                fb += tmp
+        return lows
+
+    lows = sweep.in_lanes(lane)
+    if not all(low > floor for low in lows):
+        # Report the minimum and its location over the whole grid, as an
+        # unblocked evaluation would.
+        for block in sweep.blocks:
+            _metric_n1(block, ref[block.rows], g[block.rows])
+        _floor_check(float(np.min(g)), floor, g)
     return g, ld, lows, g
 
 

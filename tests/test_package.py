@@ -72,18 +72,33 @@ def _scoped_references(source: str, names):
     return sorted(set(_references(ast.parse(source), names)))
 
 
+def _metric_references(source: str):
+    """The scoped metric references; one in a function nested in _evaluate counts as _evaluate's."""
+    return sorted({
+        ("_evaluate" if scope.startswith("_evaluate.") else scope, name)
+        for scope, name in _references(ast.parse(source), _METRIC_NAMES)
+    })
+
+
 def test_one_metric_evaluation_routine():
-    """In flow.py the metric is formed and its spectrum taken only inside flow._evaluate."""
+    """In flow.py the metric is formed and its spectrum taken only inside flow._evaluate.
+
+    The n = 1 lane body, a function nested in _evaluate, is inside it; a
+    function nested anywhere else is not.
+    """
     source = Path(vaisflow.flow.__file__).read_text()
     expected = [
         ("", "_spectrum"), ("", "_spectrum_2x2"),
         ("_evaluate", "_metric_n1"), ("_evaluate", "_spectrum"), ("_evaluate", "_spectrum_2x2"),
     ]
-    assert _scoped_references(source, _METRIC_NAMES) == expected
+    assert _metric_references(source) == expected
     planted = source + "\n\ndef _second_metric(g):\n    return _spectrum(g, 1)\n"
-    assert _scoped_references(planted, _METRIC_NAMES) == sorted(
-        expected + [("_second_metric", "_spectrum")]
+    assert _metric_references(planted) == sorted(expected + [("_second_metric", "_spectrum")])
+    nested = source + (
+        "\n\ndef _outer(block, g):\n    def lane():\n"
+        "        return _metric_n1(block, g, g)\n    return lane\n"
     )
+    assert _metric_references(nested) == sorted(expected + [("_outer.lane", "_metric_n1")])
 
 
 def test_stencils_bound_only_where_a_sweep_is_built():

@@ -6,20 +6,31 @@ them (whole-grid, one fresh array per intermediate), so every comparison
 is exact: the engine promises the same operands in the same order, not
 merely the same values to rounding.  ``reference_spectrum`` writes out the
 closed-form 2 x 2 eigenvalues and determinant in the same way, and is
-itself anchored to LAPACK within a rounding bound.
+itself anchored to LAPACK within a rounding bound.  The n = 1 sweep's two
+lanes are held to the same references, and to the threads they may use.
 """
 
+import importlib
+import inspect
+import os
+import pkgutil
+import subprocess
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import basic_spec, full_spec
+import vaisflow
+from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow import flow, grid
 from vaisflow.exceptions import GridError, PositivityLost
 from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
-from vaisflow.grid import ScalarField, _Stencil, diff1, diff2
+from vaisflow.grid import GridSpec, ScalarField, _Stencil, diff1, diff2
 from vaisflow.transverse import HermitianField, metric_from_potential
 
 _C1_NEAR = 2.0 / 3.0
@@ -618,6 +629,248 @@ def test_leafwise_defect_matches_roll_reference(n):
     leaf_constant = state_of(lambda *c: 0.1 * np.sin(c[0]) * np.cos(c[1]) + 0.0 * c[-1])
     assert not leaf_constant.phi.basic
     assert flow.leafwise_defect(leaf_constant) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The sweep's two lanes
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _lane_state(phi_values=None):
+    """An extended state on 46 x 24 x 8^2, a sweep of 21-, 21- and 4-plane blocks.
+
+    The first and the last block are the calling thread's lane, the middle
+    one the worker's.  Without ``phi_values`` phi varies along the leaves;
+    with them the state is assembled directly, so its metric may be anything.
+    """
+    spec = GridSpec(
+        1, (46, 24), (TWO_PI, TWO_PI), leaf_resolution=(8, 8), leaf_periods=(TWO_PI, TWO_PI)
+    )
+    h = ScalarField.from_function(spec, lambda x, y: -0.3 * np.cos(x) + 0.1 * np.sin(2 * y))
+    omega = metric_from_potential(h, HermitianField.identity(spec))
+    if phi_values is None:
+        phi = ScalarField.from_function(
+            spec,
+            lambda x, y, u, v: 0.05 * np.sin(x) * np.cos(2 * y) + 0.02 * np.cos(u) * np.sin(x + v),
+            basic=False,
+        )
+        return initial_state(omega, phi=phi)
+    base = initial_state(omega)
+    phi = ScalarField(spec, phi_values, basic=False)
+    return FlowState(0.0, phi, base.omega_hat_0, base.chi, base.volume_density)
+
+
+_LANE_ROWS = [[slice(0, 21), slice(42, 46)], [slice(21, 42)]]
+
+
+def _lane_workspace(state, config=FlowConfig(extended=True)):
+    ws = flow._Workspace(state, config)
+    sweep = ws.sweep(state.phi.spec.full_shape)
+    assert [[block.rows for block in lane] for lane in sweep.lanes] == _LANE_ROWS
+    return ws, sweep
+
+
+@pytest.mark.parametrize("class_k", [0, -1])
+def test_two_lanes_match_the_reference(class_k):
+    """The stage, the kept metric, the Ricci sup and the leaf defect of a 3-block sweep."""
+    state = _lane_state()
+    config = FlowConfig(class_k=class_k, extended=True)
+    ws, sweep = _lane_workspace(state, config)
+    phi = np.array(state.phi.values)
+    for t in (0.0, 0.3):
+        expected = reference_rhs(phi, t, state, extended=True, rescaled=False)
+        stage = np.empty(phi.shape)
+        flow._evaluate(phi, t, ws, 1e-10, True, stage)
+        assert np.array_equal(_bits(stage), _bits(expected))
+
+        k1 = np.empty(phi.shape)
+        g, ld, lows, highs = flow._evaluate(phi, t, ws, 0.0, True, k1, keep=True)
+        metric = reference_metric(phi, t, state, False, True)
+        assert np.array_equal(_bits(g), _bits(metric))
+        assert np.array_equal(_bits(ld), _bits(np.log(metric)))
+        assert np.array_equal(_bits(k1), _bits(expected))
+        ric_sup, lo, hi, defect = reference_diagnostics(phi, t, state, config)
+        assert _bits(np.min(lows)) == _bits(lo) and _bits(np.max(highs)) == _bits(hi)
+        assert _bits(sweep.ricci_sup(class_k)) == _bits(ric_sup)
+        assert _bits(sweep.leaf_defect()) == _bits(defect) and defect > 0.0
+
+
+def test_a_breach_in_the_worker_lane_is_located():
+    """A metric negative only in the worker's block reports the global minimum and location."""
+    spike = _lane_state().phi.values.copy()
+    spike[30, 5, 3, 2] += 2.0  # ddbar of the spike is negative on rows 28-32 only
+    state = _lane_state(spike)
+    w = reference_min_eigenvalues(spike, 0.0, state, False, True)
+    breached = np.nonzero(np.min(w, axis=(1, 2, 3)) < 0)[0]
+    assert 21 <= breached.min() and breached.max() < 42
+    location = tuple(int(i) for i in np.unravel_index(np.argmin(w), w.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log of a breach
+        with pytest.raises(PositivityLost) as err:
+            ma_rhs_extended(state)
+    assert err.value.min_eigenvalue == float(np.min(w))
+    assert err.value.location == location == (30, 5, 3, 2)
+
+
+@pytest.mark.parametrize("failing", [0, 21], ids=["calling_lane", "worker_lane"])
+def test_a_lane_raises_only_after_the_other_lane_has_finished(failing, monkeypatch):
+    """A fault in one lane's block propagates once the other lane has written its rows.
+
+    The other lane's blocks are slowed down, so a fault that did not wait
+    for them would leave their rows unwritten.  The next evaluation on the
+    same sweep is bit-identical to the reference again.
+    """
+    state = _lane_state()
+    ws, sweep = _lane_workspace(state)
+    phi = np.array(state.phi.values)
+    expected = reference_rhs(phi, 0.0, state, extended=True, rescaled=False)
+    other_rows = [rows for lane in _LANE_ROWS if lane[0].start != failing for rows in lane]
+    metric = flow._metric_n1
+
+    def planted(block, ref, out):
+        if block.rows.start == failing:
+            raise RuntimeError("planted fault")
+        time.sleep(0.2)
+        metric(block, ref, out)
+
+    monkeypatch.setattr(flow, "_metric_n1", planted)
+    out = np.full(phi.shape, np.nan)
+    with pytest.raises(RuntimeError, match="planted fault"):
+        flow._evaluate(phi, 0.0, ws, 1e-10, True, out)
+    for rows in other_rows:
+        assert np.array_equal(_bits(out[rows]), _bits(expected[rows]))
+    monkeypatch.undo()
+    again = np.empty(phi.shape)
+    flow._evaluate(phi, 0.0, ws, 1e-10, True, again)
+    assert np.array_equal(_bits(again), _bits(expected))
+
+
+def test_concurrent_callers_share_the_lane_worker():
+    """Three threads sweep their own workspaces at once, with frequent switches, all exact."""
+    state = _lane_state()
+    phi = np.array(state.phi.values)
+    expected = _bits(reference_rhs(phi, 0.0, state, extended=True, rescaled=False))
+    faults = []
+
+    def caller():
+        try:
+            ws, _ = _lane_workspace(state)
+            out = np.empty(phi.shape)
+            for _ in range(10):
+                out.fill(np.nan)
+                flow._evaluate(phi, 0.0, ws, 1e-10, True, out)
+                if not np.array_equal(_bits(out), expected):
+                    faults.append("a lane result differs from the reference")
+        except Exception as exc:  # reported by the main thread below
+            faults.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert faults == []
+
+
+def _script_output(*lines):
+    """The standard output of a fresh interpreter that runs ``lines`` with this package."""
+    src = str(Path(vaisflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_a_one_block_flow_starts_no_thread():
+    """A 64^2 run is one block: it starts no thread and imports no concurrent.futures."""
+    assert _script_output(
+        "import sys, threading",
+        "import numpy as np",
+        "from vaisflow.flow import FlowConfig, initial_state, run",
+        "from vaisflow.grid import GridSpec, ScalarField",
+        "from vaisflow.transverse import HermitianField, metric_from_potential",
+        "spec = GridSpec(1, (64, 64), (2 * np.pi, 2 * np.pi))",
+        "h = ScalarField.from_function(spec, lambda x, y: -0.4 * np.cos(x))",
+        "state = initial_state(metric_from_potential(h, HermitianField.identity(spec)))",
+        "report = run(state, FlowConfig(ricci_tolerance=1e-30, max_steps=5))",
+        "print(report.steps, threading.active_count(), 'concurrent.futures' in sys.modules)",
+    ) == ["5", "1", "False"]
+
+
+def test_a_forked_child_sweeps_on_its_own_worker():
+    """The parent's lane worker does not exist in a forked child, which starts its own.
+
+    The child gives up after 30 s (exit status -14) instead of waiting on
+    the parent's worker forever.
+    """
+    assert _script_output(
+        "import os, signal",
+        "import numpy as np",
+        "from vaisflow.flow import initial_state, ma_rhs_extended",
+        "from vaisflow.grid import GridSpec, ScalarField",
+        "from vaisflow.transverse import HermitianField",
+        "spec = GridSpec(1, (32, 32), (6.0, 6.0), leaf_resolution=(8, 8), leaf_periods=(6.0, 6.0))",
+        "phi = ScalarField.from_function(",
+        "    spec, lambda x, y, u, v: 0.01 * np.cos(u) * np.sin(x + v), basic=False)",
+        "state = initial_state(HermitianField.identity(spec), phi=phi)",
+        "expected = ma_rhs_extended(state).values  # two blocks: starts the worker",
+        "pid = os.fork()",
+        "if pid == 0:",
+        "    signal.alarm(30)",
+        "    os._exit(0 if np.array_equal(ma_rhs_extended(state).values, expected) else 1)",
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))",
+    ) == ["0"]
+
+
+def _public_functions():
+    """(owner, name, function) for every public function and method of the package's modules."""
+    for info in pkgutil.iter_modules(vaisflow.__path__):
+        module = importlib.import_module(f"vaisflow.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or not getattr(value, "__module__", "").startswith("vaisflow"):
+                continue
+            if inspect.isfunction(value):
+                yield module, name, value
+            elif inspect.isclass(value) and value.__module__ == module.__name__:
+                for attr, method in vars(value).items():
+                    if not attr.startswith("_") and inspect.isfunction(method):
+                        yield value, attr, method
+
+
+def test_extended_run_calls_every_public_function_on_the_calling_thread(monkeypatch):
+    """The worker lane runs bound stencils and numpy only; a tracer sees one thread."""
+    threads = {}
+
+    def recorded(key, function):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(key, set()).add(threading.get_ident())
+            return function(*args, **kwargs)
+        return wrapper
+
+    for owner, name, function in list(_public_functions()):
+        monkeypatch.setattr(owner, name, recorded(f"{owner.__name__}.{name}", function))
+    monkeypatch.setattr(flow, "_metric_n1", recorded("lanes", flow._metric_n1))
+    state = _lane_state()
+    report = flow.run(state, FlowConfig(extended=True, ricci_tolerance=1e-30, max_steps=2))
+    assert report.steps == 2
+    lanes = threads.pop("lanes")
+    assert len(lanes) == 2  # the sweep did run on a second thread
+    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.transverse.diff2"} <= set(threads)
+    assert {key: ids for key, ids in threads.items() if ids != {threading.get_ident()}} == {}
 
 
 # ---------------------------------------------------------------------------
