@@ -24,6 +24,9 @@ Commands
     Summary statistics of a flow history to standard output.  Exit 0, or 1
     when the history is missing, unreadable, empty or malformed.
 
+Every command exits 1 as well when it cannot write an output file, with
+``cannot write output:`` and the path on standard error.
+
 The environment variable ``VAISFLOW_VERBOSITY`` (quiet / normal / debug)
 controls progress logging on standard error.
 """
@@ -115,6 +118,9 @@ def main(argv=None) -> int:
         return _EXIT_CONFIG
     except SnapshotError as exc:
         print(f"snapshot error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except OSError as exc:  # every read converts its own, so this is an output write
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     parser.error("unknown command")
     return _EXIT_CONFIG

@@ -46,29 +46,6 @@ MAX_GRID_ENTRIES = 2**24  # grid points times n^2, the entries of one n x n matr
 # The largest chart.n whose coarsest grid, 8 points per axis, stays within the limit.
 _MAX_N = max(n for n in range(1, 64) if 8 ** (2 * n) * n * n <= MAX_GRID_ENTRIES)
 
-_KNOWN_KEYS = {
-    "chart": {
-        "n",
-        "transverse_resolution",
-        "transverse_periods",
-        "leaf_resolution",
-        "leaf_periods",
-        "potential",
-        "amplitude",
-    },
-    "flow": {f.name for f in fields(FlowConfig)} | {"chi", "chi_amplitude", "t_final"},
-    "checks": {
-        "resolutions",
-        "leaf_resolution",
-        "potential",
-        "amplitude",
-        "deform_amplitude",
-        "inject_defect",
-    },
-    "output": {"directory", "checkpoint_every"},
-}
-
-
 @dataclass(frozen=True)
 class ChartSection:
     n: int = 1
@@ -142,6 +119,14 @@ class ExperimentConfig:
     output: OutputSection
 
 
+_KNOWN_KEYS = {
+    "chart": {f.name for f in fields(ChartSection)},
+    "flow": {f.name for f in fields(FlowConfig)} | {"chi", "chi_amplitude", "t_final"},
+    "checks": {f.name for f in fields(ChecksSection)},
+    "output": {f.name for f in fields(OutputSection)},
+}
+
+
 def _fail(section: str, key: str, message: str):
     raise ConfigError(f"{section}.{key}: {message}")
 
@@ -176,7 +161,32 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-_CASTS = {"int": int, "float": float, "bool": _bool}  # by FlowConfig field annotation
+# By field annotation, for the sections that :func:`_section` reads.
+_CASTS = {
+    "int": int, "float": float, "bool": _bool, "str": str,
+    "tuple[int, ...]": _ints, "tuple[int, int]": _ints,
+}
+
+
+def _preset(section: str, key: str):
+    """The validator of a key that names a potential preset."""
+    return lambda v: v in POTENTIAL_PRESETS or _fail(section, key, f"unknown preset {v!r}")
+
+
+_VALIDATORS = {
+    ("checks", "potential"): _preset("checks", "potential"),
+    ("output", "checkpoint_every"):
+        lambda v: v >= 0 or _fail("output", "checkpoint_every", "must be >= 0"),
+}
+
+
+def _section(cp, section: str, cls):
+    """``cls`` from the keys of ``section`` that the file sets; the others keep their defaults."""
+    return cls(**{
+        f.name: _get(cp, section, f.name, _CASTS[f.type], None, _VALIDATORS.get((section, f.name)))
+        for f in fields(cls)
+        if cp.has_option(section, f.name)
+    })
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -206,10 +216,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     per = _get(cp, "chart", "transverse_periods", _floats, (_TWO_PI,) * (2 * n))
     leaf_res = _get(cp, "chart", "leaf_resolution", _ints, None)
     leaf_per = _get(cp, "chart", "leaf_periods", _floats, (_TWO_PI, _TWO_PI) if leaf_res else None)
-    potential = _get(
-        cp, "chart", "potential", str, "flat",
-        lambda v: v in POTENTIAL_PRESETS or _fail("chart", "potential", f"unknown preset {v!r}"),
-    )
+    potential = _get(cp, "chart", "potential", str, "flat", _preset("chart", "potential"))
     amplitude = _get(cp, "chart", "amplitude", float, 0.0)
     chart = ChartSection(n, res, per, leaf_res, leaf_per, potential, amplitude)
     try:
@@ -217,13 +224,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except GridError as exc:
         raise ConfigError(f"chart: {exc}") from exc
 
-    flow_kwargs = {
-        f.name: _get(cp, "flow", f.name, _CASTS[f.type], None)
-        for f in fields(FlowConfig)
-        if cp.has_option("flow", f.name)
-    }
     try:
-        flow_cfg = FlowConfig(**flow_kwargs)
+        flow_cfg = _section(cp, "flow", FlowConfig)
     except GridError as exc:
         raise ConfigError(f"flow.{exc}") from exc
     if flow_cfg.extended and chart.leaf_resolution is None:
@@ -239,28 +241,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         lambda v: v > 0 or _fail("flow", "t_final", "must be positive"),
     )
 
-    checks = ChecksSection(
-        resolutions=_get(cp, "checks", "resolutions", _ints, (64, 128)),
-        leaf_resolution=_get(cp, "checks", "leaf_resolution", _ints, (8, 8)),
-        potential=_get(
-            cp, "checks", "potential", str, "cos_bump",
-            lambda v: v in POTENTIAL_PRESETS or _fail("checks", "potential", f"unknown preset {v!r}"),
-        ),
-        amplitude=_get(cp, "checks", "amplitude", float, -0.4),
-        deform_amplitude=_get(cp, "checks", "deform_amplitude", float, -0.2),
-        inject_defect=_get(cp, "checks", "inject_defect", _bool, False),
-    )
+    checks = _section(cp, "checks", ChecksSection)
     try:
         checks.grid_specs()
     except GridError as exc:
         raise ConfigError(f"checks.resolutions: {exc}") from exc
 
-    output = OutputSection(
-        directory=_get(cp, "output", "directory", str, "out"),
-        checkpoint_every=_get(
-            cp, "output", "checkpoint_every", int, 0,
-            lambda v: v >= 0 or _fail("output", "checkpoint_every", "must be >= 0"),
-        ),
-    )
+    output = _section(cp, "output", OutputSection)
 
     return ExperimentConfig(chart, flow_cfg, chi, chi_amplitude, t_final, checks, output)

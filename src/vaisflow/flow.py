@@ -31,8 +31,8 @@ from .exceptions import GridError, InexactClass, NonFinitePotential, PositivityL
 from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2, integrate
 from .transverse import (
     HermitianField,
-    _argmin_location,
     _assemble,
+    _check_floor,
     _ddbar_parts,
     _metric_with_ddbar,
     _parts,
@@ -262,11 +262,7 @@ def initial_state(
 
 def reference_form(state: FlowState, t: float) -> HermitianField:
     """omega_hat(t) = omega_hat_0 + t chi (unrescaled reference schedule)."""
-    return HermitianField(
-        state.omega_hat_0.spec,
-        state.omega_hat_0.matrices + t * state.chi.matrices,
-        basic=True,
-    )
+    return HermitianField._assembled(state.omega_hat_0.spec, _reference_matrices(state, t, False))
 
 
 def _reference_matrices(state, t: float, rescaled: bool) -> np.ndarray:
@@ -439,23 +435,23 @@ def _laplacian(stencils, lap, tmp) -> None:
 
 
 class _Workspace:
-    """What one flow run keeps from step to step, for one state's inputs and config.
+    """What one flow run keeps from step to step, for one state's inputs and ``config``.
 
-    log(volume_density), the reference metric at the last t asked for (its
-    entry for n = 1, its parts for n >= 2), the step buffers ``k2``, ``k3``,
-    ``k4``, ``arg`` and, for n = 1, a :class:`_Sweep` per grid shape, built
-    on first use.  For n = 1 the
-    config's sweep lends the step ``arg`` (its operand, so a stage argument
-    is evaluated where it is written), ``k3`` and ``k4`` (its ``g`` and
-    ``ld``, which only the diagnostics write, after the step).  No array it
-    holds is attached to a state.
+    The config, log(volume_density), the reference metric at the last t
+    asked for (its entry for n = 1, its parts for n >= 2), the step buffers
+    ``k2``, ``k3``, ``k4``, ``arg`` and, for n = 1, a :class:`_Sweep` per
+    grid shape, built on first use.  For n = 1 the config's sweep lends the
+    step ``arg`` (its operand, so a stage argument is evaluated where it is
+    written), ``k3`` and ``k4`` (its ``g`` and ``ld``, which only the
+    diagnostics write, after the step).  No array it holds is attached to a
+    state.  :meth:`rhs` is the flow's one right-hand side.
     """
 
     def __init__(self, state: FlowState, config: FlowConfig):
         spec = state.phi.spec
         if config.extended and not spec.has_leaf:
             raise GridError("extended flow needs a spec with leaf axes")
-        self.omega_hat_0, self.chi, self.rescaled = state.omega_hat_0, state.chi, config.rescaled
+        self.omega_hat_0, self.chi, self.config = state.omega_hat_0, state.chi, config
         self.spec, self.hs = spec, spec.spacings
         self.log_density = np.log(state.volume_density.values)
         self.log_density_full = self.log_density.reshape(spec.transverse_shape + (1, 1))
@@ -478,12 +474,38 @@ class _Workspace:
     def reference(self, t: float, full: bool = False) -> np.ndarray:
         """The reference metric at ``t`` (see the class), with unit leaf axes when ``full``."""
         if t != self._ref_t:
-            m = _reference_matrices(self, t, self.rescaled)
+            m = _reference_matrices(self, t, self.config.rescaled)
             ref = np.ascontiguousarray(m[..., 0, 0].real) if self.spec.n == 1 else _parts(m)
             self._ref = ref
             self._ref_full = ref.reshape(ref.shape + (1, 1))
             self._ref_t = t
         return self._ref_full if full else self._ref
+
+    def rhs(
+        self, phi: np.ndarray, t: float, out: np.ndarray | None = None, floor: float | None = None
+    ) -> np.ndarray:
+        """The flow's right-hand side at ``phi``, ``t``, written into ``out`` (when given) and returned.
+
+        ``phi`` is C-contiguous, full when the config is extended, and does
+        not overlap ``out``.  :func:`_evaluate` checks the metric against
+        ``floor``, the config's positivity floor unless given, and raises a
+        breach located; the rescaled flow then calibrates the result.
+        """
+        config = self.config
+        if out is None:
+            out = np.empty(phi.shape)
+        if floor is None:
+            floor = config.positivity_floor
+        _evaluate(phi, t, self, floor, config.extended, out)
+        if config.rescaled:
+            _calibrate(out, phi)
+        return out
+
+
+def _calibrate(f: np.ndarray, phi: np.ndarray) -> None:
+    """f -= phi, then f -= mean(f), in place: the rescaled flow's calibrated right-hand side."""
+    f -= phi
+    f -= np.mean(f)
 
 
 def _metric_n1(block: _Block, ref: np.ndarray, out: np.ndarray) -> None:
@@ -492,22 +514,6 @@ def _metric_n1(block: _Block, ref: np.ndarray, out: np.ndarray) -> None:
     _laplacian(block.metric, lap, block.tmp)
     lap *= 0.25
     np.add(lap, ref, out=out)
-
-
-def _floor_check(values_min: float, floor: float, values: np.ndarray):
-    """Raise PositivityLost unless ``values_min`` > ``floor``.
-
-    ``values`` holds the checked values per grid point; on failure the grid
-    index of their minimum becomes the error's ``location``.
-    """
-    if not values_min > floor:
-        location = _argmin_location(values)
-        raise PositivityLost(
-            f"evolving metric eigenvalue {values_min:.6e} <= floor {floor:.1e}"
-            f" at grid index {location}",
-            min_eigenvalue=values_min,
-            location=location,
-        )
 
 
 def _evaluate(phi, t, ws, floor, full, out, keep=False):
@@ -537,7 +543,7 @@ def _evaluate(phi, t, ws, floor, full, out, keep=False):
         else:
             lows, highs, ld = _spectrum(_assemble(g), n, floor)
         if ld is None:  # a floor breach, which this raises located
-            _floor_check(float(np.min(lows)), floor, lows)
+            _check_floor(lows, floor)
         np.subtract(ld, log_density, out=out)
         if full:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
             for axis in (phi.ndim - 2, phi.ndim - 1):
@@ -574,36 +580,8 @@ def _evaluate(phi, t, ws, floor, full, out, keep=False):
         # unblocked evaluation would.
         for block in sweep.blocks:
             _metric_n1(block, ref[block.rows], g[block.rows])
-        _floor_check(float(np.min(g)), floor, g)
+        _check_floor(g, floor)
     return g, ld, lows, g
-
-
-def _rhs_values(
-    phi_values: np.ndarray,
-    t: float,
-    state: FlowState,
-    *,
-    extended: bool,
-    rescaled: bool,
-    positivity_floor: float,
-    out: np.ndarray | None = None,
-    workspace: _Workspace | None = None,
-) -> np.ndarray:
-    """The flow's right-hand side, written into ``out`` (when given) and returned.
-
-    ``phi_values`` is C-contiguous and does not overlap ``out``.  Buffers and
-    invariants come from ``workspace``, built for ``state`` and this flow
-    variant, or from one made for the call.
-    """
-    if workspace is None:
-        workspace = _Workspace(state, FlowConfig(extended=extended, rescaled=rescaled))
-    if out is None:
-        out = np.empty(phi_values.shape)
-    _evaluate(phi_values, t, workspace, positivity_floor, extended, out)
-    if rescaled:
-        out -= phi_values
-        out -= np.mean(out)
-    return out
 
 
 def ma_rhs(state: FlowState, t: float | None = None, positivity_floor: float = 1e-10) -> ScalarField:
@@ -617,10 +595,7 @@ def ma_rhs(state: FlowState, t: float | None = None, positivity_floor: float = 1
     if not state.phi.basic:
         raise GridError("ma_rhs expects a basic potential; use ma_rhs_extended")
     tt = state.t if t is None else t
-    vals = _rhs_values(
-        state.phi.values, tt, state, extended=False, rescaled=False,
-        positivity_floor=positivity_floor,
-    )
+    vals = _Workspace(state, FlowConfig()).rhs(state.phi.values, tt, floor=positivity_floor)
     return ScalarField(state.phi.spec, vals, basic=True)
 
 
@@ -639,10 +614,7 @@ def ma_rhs_extended(
         raise GridError("ma_rhs_extended needs a spec with leaf axes")
     tt = state.t if t is None else t
     phi_values = np.ascontiguousarray(state.phi.as_full_values())
-    vals = _rhs_values(
-        phi_values, tt, state, extended=True, rescaled=False,
-        positivity_floor=positivity_floor,
-    )
+    vals = _Workspace(state, FlowConfig(extended=True)).rhs(phi_values, tt, floor=positivity_floor)
     return ScalarField(spec, vals, basic=False)
 
 
@@ -683,16 +655,6 @@ def _phi_operand(state: FlowState, extended: bool) -> np.ndarray:
     return np.ascontiguousarray(state.phi.as_full_values()) if extended else state.phi.values
 
 
-def _select_dt(state: FlowState, config: FlowConfig, h_min: float) -> float:
-    """The CFL step from the diagnostics' eigenvalue range; a floor breach raises, located."""
-    d = state.diagnostics
-    if not d.min_eig > config.positivity_floor:
-        transverse_metric(state, rescaled=config.rescaled).checked_positive(
-            config.positivity_floor
-        )
-    return min(config.dt_initial, config.dt_safety * h_min * h_min * d.min_eig / d.max_eig)
-
-
 def _check_steppable(state: FlowState, config: FlowConfig) -> None:
     """Raise :class:`GridError` when ``config`` cannot step ``state``'s phi."""
     if not (config.extended or state.phi.basic):
@@ -727,10 +689,11 @@ def step(
     ``config``, so a step evaluates the right-hand side three times; the
     returned state carries the first stage of the next step.  A state whose
     diagnostics that pass did not attach for its own phi, t and flow
-    variant gets them afresh.  A metric that is not positive, in the given
-    state or in the result of the step, raises :class:`PositivityLost`
-    with its global minimum eigenvalue and grid location; no log of it is
-    taken, and the result is not retried.
+    variant gets them afresh.  A metric at or below the config's floor in
+    the given state, or not positive in the result of the step, raises
+    :class:`PositivityLost` from :func:`_evaluate`, with its global minimum
+    eigenvalue and grid location; no log of it is taken, and the step is
+    not retried.
     A phi that is not basic under a config that is not extended raises
     :class:`GridError`.  :func:`run` passes its workspace, built for the
     same inputs and config, as ``_workspace``; otherwise one is made for the
@@ -740,35 +703,28 @@ def step(
     ws = _workspace or _Workspace(state, config)
     if not _diagnosed(state, config):
         state = _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0, workspace=ws)
-    dt = _select_dt(state, config, min(ws.hs))
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-
     extended = config.extended
     phi0 = _phi_operand(state, extended)
+    t0 = state.t
     k1 = _attached_stage(state, config)  # read-only
+    if k1 is None:  # none attached at or below the floor: this raises the breach, located
+        k1 = ws.rhs(phi0, t0)
+    d = state.diagnostics
+    h = min(ws.hs)
+    dt = min(config.dt_initial, config.dt_safety * h * h * d.min_eig / d.max_eig)
+    if dt_cap is not None:
+        dt = min(dt, dt_cap)
     k2, k3, k4, arg = ws.k2, ws.k3, ws.k4, ws.arg
-
-    def f(values: np.ndarray, t: float, out: np.ndarray | None) -> np.ndarray:
-        return _rhs_values(
-            values, t, state,
-            extended=extended, rescaled=config.rescaled,
-            positivity_floor=config.positivity_floor,
-            out=out, workspace=ws,
-        )
 
     def stage_argument(k: np.ndarray, c: float) -> np.ndarray:
         np.multiply(k, c, out=arg)
         return np.add(arg, phi0, out=arg)
 
-    t0 = state.t
     while True:
         try:
-            if k1 is None:  # no stage attached for this config
-                k1 = f(phi0, t0, None)
-            k2 = f(stage_argument(k1, 0.5 * dt), t0 + 0.5 * dt, k2)
-            k3 = f(stage_argument(k2, 0.5 * dt), t0 + 0.5 * dt, k3)
-            k4 = f(stage_argument(k3, dt), t0 + dt, k4)
+            k2 = ws.rhs(stage_argument(k1, 0.5 * dt), t0 + 0.5 * dt, k2)
+            k3 = ws.rhs(stage_argument(k2, 0.5 * dt), t0 + 0.5 * dt, k3)
+            k4 = ws.rhs(stage_argument(k3, dt), t0 + dt, k4)
             break
         except PositivityLost:
             dt *= 0.5
@@ -835,7 +791,7 @@ def _with_diagnostics(
 
     Both come from one :func:`_evaluate` at floor 0, so a metric that is
     not positive raises :class:`PositivityLost`, located.  The stage
-    f(phi, t) for ``config``, bit-identical to :func:`_rhs_values`, is
+    f(phi, t) for ``config``, bit-identical to :meth:`_Workspace.rhs`, is
     attached read-only with the phi, t and flow variant the diagnostics
     belong to; it is None at or below ``config``'s positivity floor and for
     a full phi that ``config`` does not extend.
@@ -844,7 +800,6 @@ def _with_diagnostics(
     """
     ws = workspace or _Workspace(state, config)
     spec = state.phi.spec
-    floor = config.positivity_floor
     values = _leaf_constant_slice(state.phi)
     leaf_varying = values is None
     if leaf_varying:
@@ -864,23 +819,16 @@ def _with_diagnostics(
     lo, hi = float(np.min(lows)), float(np.max(highs))
 
     stage = None
-    if lo > floor and (config.extended or state.phi.basic):
+    if lo > config.positivity_floor and (config.extended or state.phi.basic):
         if config.extended and not leaf_varying:
             # The leaf terms of a leaf-constant phi vanish bit for bit.
             k1 = np.broadcast_to(k1.reshape(k1.shape + (1, 1)), spec.full_shape).copy()
         if config.rescaled:
-            k1 -= _phi_operand(state, config.extended)
-            k1 -= np.mean(k1)
+            _calibrate(k1, _phi_operand(state, config.extended))
         k1.flags.writeable = False
         stage = k1
     if dphidt_sup is None:
-        rhs = stage
-        if rhs is None:
-            rhs = _rhs_values(
-                _phi_operand(state, config.extended), state.t, state,
-                extended=config.extended, rescaled=config.rescaled, positivity_floor=floor,
-                workspace=ws,
-            )
+        rhs = stage if stage is not None else ws.rhs(_phi_operand(state, config.extended), state.t)
         dphidt_sup = float(np.max(np.abs(rhs)))
 
     diagnostics = FlowDiagnostics(

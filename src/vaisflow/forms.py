@@ -29,17 +29,6 @@ def _insertion_sign(a: int, idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]
     return tuple(sorted(idx + (a,))), sign
 
 
-def _merge_sign(i1: tuple[int, ...], i2: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    if set(i1) & set(i2):
-        return None
-    merged = i1 + i2
-    perm = np.argsort(merged, kind="stable")
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return tuple(sorted(merged)), (-1 if inversions % 2 else 1)
-
-
 def _add_fields(a: ScalarField | None, b: ScalarField) -> ScalarField:
     if a is None:
         return b
@@ -170,6 +159,15 @@ class CoefficientForm:
                 comps[idx] = _add_fields(comps.get(idx), ScalarField.constant(spec, c))
         return CoefficientForm(spec, self.degree + 1, comps)
 
+    def as_vector(self, full: bool = False) -> np.ndarray:
+        """Degree-1 form as a per-point component vector v[a]."""
+        if self.degree != 1:
+            raise GridError("as_vector applies to 1-forms")
+        out = np.zeros(self.spec.shape(basic=not full) + (self.spec.num_axes,))
+        for idx in set(self.components) | set(self.linear):
+            out[..., idx[0]] = self.component_values(idx, full=full)
+        return out
+
     def as_matrix(self, full: bool = False) -> np.ndarray:
         """Degree-2 form as an antisymmetric per-point matrix W[a, b]."""
         if self.degree != 2:
@@ -228,16 +226,14 @@ def wedge_one_form(one: CoefficientForm, other: CoefficientForm) -> CoefficientF
     lins: dict[tuple[int, ...], np.ndarray] = {}
     for a, ca in coeffs.items():
         for idx, f in other.components.items():
-            res = _merge_sign((a,), idx)
-            if res is None:
+            if a in idx:
                 continue
-            new_idx, sign = res
+            new_idx, sign = _insertion_sign(a, idx)
             comps[new_idx] = _add_fields(comps.get(new_idx), f * (sign * ca))
         for idx, lin in other.linear.items():
-            res = _merge_sign((a,), idx)
-            if res is None:
+            if a in idx:
                 continue
-            new_idx, sign = res
+            new_idx, sign = _insertion_sign(a, idx)
             lins[new_idx] = lins.get(new_idx, 0.0) + (sign * ca) * lin
     return CoefficientForm(one.spec, one.degree + other.degree, comps, lins)
 

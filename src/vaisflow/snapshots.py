@@ -65,14 +65,23 @@ def _resolutions(values) -> tuple[int, ...]:
     return tuple(_integer(r, "every resolution") for r in values)
 
 
+def _periods(values) -> tuple[float, ...]:
+    """``values`` when it is a JSON list of numbers (no booleans or strings), else TypeError."""
+    if not isinstance(values, list) or any(
+        isinstance(p, bool) or not isinstance(p, (int, float)) for p in values
+    ):
+        raise TypeError(f"periods must be a list of numbers, got {values!r}")
+    return tuple(values)
+
+
 def spec_from_dict(d: dict) -> GridSpec:
     try:
         return GridSpec(
             n=_integer(d["n"], "n"),
             transverse_resolution=_resolutions(d["transverse_resolution"]),
-            transverse_periods=tuple(d["transverse_periods"]),
+            transverse_periods=_periods(d["transverse_periods"]),
             leaf_resolution=_resolutions(d["leaf_resolution"]) if d.get("leaf_resolution") else None,
-            leaf_periods=tuple(d["leaf_periods"]) if d.get("leaf_periods") else None,
+            leaf_periods=_periods(d["leaf_periods"]) if d.get("leaf_periods") else None,
         )
     except (KeyError, TypeError, ValueError, GridError) as exc:
         raise SnapshotError(f"malformed grid spec: {exc}") from exc

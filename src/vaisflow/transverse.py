@@ -132,15 +132,7 @@ class HermitianField:
 
     def checked_positive(self, floor: float = EPS_POSITIVITY) -> "HermitianField":
         """Return the field flagged positive, or raise :class:`PositivityLost`."""
-        lows = _spectrum(self.matrices, self.spec.n)[0]
-        lo = float(np.min(lows))
-        if not lo > floor:
-            loc = _argmin_location(lows)
-            raise PositivityLost(
-                f"minimum eigenvalue {lo:.6e} <= {floor:.1e} at grid index {loc}",
-                min_eigenvalue=lo,
-                location=loc,
-            )
+        _check_floor(_spectrum(self.matrices, self.spec.n)[0], floor)
         return HermitianField._assembled(self.spec, self.matrices, self.basic, positivity_checked=True)
 
     def scaled(self, c: float) -> "HermitianField":
@@ -231,6 +223,22 @@ def _clears(lows: np.ndarray, floor: float | None) -> bool:
 def _argmin_location(values: np.ndarray) -> tuple[int, ...]:
     """The grid index of the smallest of ``values``, one per grid point."""
     return tuple(int(i) for i in np.unravel_index(np.argmin(values), values.shape))
+
+
+def _check_floor(values: np.ndarray, floor: float) -> None:
+    """Raise :class:`PositivityLost` unless every one of ``values`` exceeds ``floor``.
+
+    ``values`` holds one lowest eigenvalue per grid point; the error carries
+    their minimum and its grid index as ``location``.
+    """
+    lo = float(np.min(values))
+    if not lo > floor:
+        loc = _argmin_location(values)
+        raise PositivityLost(
+            f"minimum eigenvalue {lo:.6e} <= {floor:.1e} at grid index {loc}",
+            min_eigenvalue=lo,
+            location=loc,
+        )
 
 
 def ddbar(f: ScalarField) -> HermitianField:

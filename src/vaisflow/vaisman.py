@@ -109,15 +109,6 @@ def _j0_matrix(D: int) -> np.ndarray:
     return j0
 
 
-def _dc_values(spec: GridSpec, dc: CoefficientForm) -> np.ndarray:
-    """Evaluate the d^c 1-form as per-point component vectors."""
-    D = spec.num_axes
-    out = np.zeros(spec.transverse_shape + (D,))
-    for a in range(2 * spec.n):
-        out[..., a] = dc.component_values((a,))
-    return out
-
-
 def complex_structure(
     h: ScalarField, base: HermitianField | None = None, spec: GridSpec | None = None
 ) -> np.ndarray:
@@ -130,7 +121,7 @@ def complex_structure(
     _require_full(spec)
     B = _base_matrix(spec, base)
     dc = _dc_full_potential(spec, h, B)
-    return _assemble_j(spec, _dc_values(spec, dc))[0]
+    return _assemble_j(spec, dc.as_vector())[0]
 
 
 def _assemble_j(spec: GridSpec, dc_vals: np.ndarray) -> tuple[np.ndarray, float]:
@@ -180,8 +171,7 @@ def _lee_forms_and_j(spec: GridSpec, h: ScalarField, B: np.ndarray):
     comps[(v_axis,)] = ScalarField.constant(spec, 1.0)
     theta_c = CoefficientForm(spec, 1, comps, minus_dc.linear)
 
-    dc_vals = _dc_values(spec, dc)
-    jmat, j_squared = _assemble_j(spec, dc_vals)
+    jmat, j_squared = _assemble_j(spec, dc.as_vector())
     contraction = -jmat[..., u_axis, :]
     for a in range(spec.num_axes):
         diff = float(np.max(np.abs(theta_c.component_values((a,)) - contraction[..., a])))
@@ -328,13 +318,7 @@ def _compatibility_defect(jmat: np.ndarray, g: np.ndarray) -> float:
 
 
 def _pair_form_frame(form: CoefficientForm, frame: np.ndarray) -> np.ndarray:
-    spec = form.spec
-    D = spec.num_axes
-    comps = np.zeros(spec.transverse_shape + (D,))
-    for a in range(D):
-        if (a,) in form.components or (a,) in form.linear:
-            comps[..., a] = form.component_values((a,))
-    return np.einsum("...a,...ja->...j", comps, frame)
+    return np.einsum("...a,...ja->...j", form.as_vector(), frame)
 
 
 def chart_metric_tensor(chart: VaismanChart) -> np.ndarray:
@@ -369,15 +353,7 @@ def q_homothety(chart: VaismanChart, a: float) -> np.ndarray:
     """
     if not a > 0:
         raise NonPositiveScale(f"homothety scale must be positive, got {a}")
-    spec = chart.spec
-    D = spec.num_axes
     g = chart_metric_tensor(chart)
-    th = np.zeros(spec.transverse_shape + (D,))
-    tc = np.zeros(spec.transverse_shape + (D,))
-    for ax in range(D):
-        if (ax,) in chart.theta.components or (ax,) in chart.theta.linear:
-            th[..., ax] = chart.theta.component_values((ax,))
-        if (ax,) in chart.theta_c.components or (ax,) in chart.theta_c.linear:
-            tc[..., ax] = chart.theta_c.component_values((ax,))
+    th, tc = chart.theta.as_vector(), chart.theta_c.as_vector()
     rank1 = np.einsum("...a,...b->...ab", tc, tc) + np.einsum("...a,...b->...ab", th, th)
     return a * g + (a * a - a) * rank1

@@ -10,7 +10,7 @@ import vaisflow.cli as cli_module
 import vaisflow.flow as flow_module
 from conftest import ENCODED_FAULTS, basic_spec, encoded_fault, list_dict
 from vaisflow.cli import main
-from vaisflow.config import MAX_GRID_ENTRIES, load_config
+from vaisflow.config import MAX_GRID_ENTRIES, ChecksSection, OutputSection, load_config
 from vaisflow.grid import ScalarField
 from vaisflow.snapshots import field_to_dict, load_snapshot, save_snapshot
 from vaisflow.transverse import HermitianField, metric_from_potential
@@ -143,12 +143,12 @@ class TestCmdFlow:
         assert len(failure["location"]) == 2
 
     def test_non_finite_potential_exit_code(self, tmp_path, monkeypatch):
-        def nan_rhs(values, t, state, *, out=None, **kwargs):
-            out = np.empty(values.shape) if out is None else out
+        def nan_rhs(self, phi, t, out=None, floor=None):
+            out = np.empty(phi.shape) if out is None else out
             out.fill(np.nan)
             return out
 
-        monkeypatch.setattr(flow_module, "_rhs_values", nan_rhs)
+        monkeypatch.setattr(flow_module._Workspace, "rhs", nan_rhs)
         cfg = write_config(tmp_path / "bump.cfg", BUMP_FLOW.format(out=tmp_path / "out"))
         assert main(["flow", cfg]) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -286,6 +286,24 @@ class TestCmdFlow:
         assert main(["flow", cfg]) == 1
         assert "output.directory" in capsys.readouterr().err
 
+    def test_unwritable_history_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "history.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path / "flat.cfg", FLAT_FLOW.format(out=out))
+        assert main(["flow", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write output:" in err and str(out / "history.csv") in err
+
+
+class TestLoadConfig:
+    def test_checks_from_the_keys_present(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.cfg", "[checks]\npotential = flat\n"))
+        assert cfg.checks == ChecksSection(potential="flat")
+
+    def test_empty_file_takes_the_section_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "e.cfg", ""))
+        assert (cfg.checks, cfg.output) == (ChecksSection(), OutputSection())
+
 
 class TestCmdCheckStructure:
     def test_passes(self, tmp_path):
@@ -348,6 +366,14 @@ class TestCmdCheckStructure:
         err = capsys.readouterr().err
         assert "d omega = theta ^ omega" in err
 
+    def test_unwritable_checks_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "checks.json").mkdir(parents=True)
+        cfg = write_config(tmp_path / "checks.cfg", CHECKS.format(defect="false", out=out))
+        assert main(["check-structure", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write output:" in err and str(out / "checks.json") in err
+
 
 class TestCmdFitEinstein:
     def test_flow_endpoint_is_ricci_flat(self, tmp_path):
@@ -376,6 +402,15 @@ class TestCmdFitEinstein:
         assert abs(fit["lambda"] - 0.5) < 1e-10
         assert fit["homothety_a"] == 1.0
         assert fit["weyl_residual"] < 1e-10
+
+    def test_unwritable_report_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_snapshot(HermitianField.identity(basic_spec(res=8)), path)
+        out = tmp_path / "nonexistent" / "x.json"
+        assert main(["fit-einstein", str(path), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write output:" in err and str(out) in err
+        assert not out.parent.exists()
 
     def test_malformed_snapshot(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

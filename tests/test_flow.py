@@ -280,6 +280,31 @@ class TestStep:
         assert err.value.location == argmin
         assert err.value.min_eigenvalue == report.failure["min_eigenvalue"]
 
+    def test_extended_floor_breach_located_on_the_full_grid(self):
+        """A leaf-constant phi under the extended flow: step and run report the same breach.
+
+        The diagnostics pass reads the transverse slice, but the breach is
+        located on the full grid, with 2n + 2 indices.
+        """
+        spec, base = bump_state(spec=full_spec(res=16, leaf=8))  # min eigenvalue 0.9
+        phi = ScalarField.from_function(
+            spec, lambda x, y, u, v: 0.05 * np.sin(x) * np.cos(y) + 0.0 * u, basic=False
+        )
+        st = FlowState(0.0, phi, base.omega_hat_0, base.chi, base.volume_density)
+        config = FlowConfig(extended=True, positivity_floor=0.95, ricci_tolerance=1e-30)
+        g = transverse_metric(st).matrices[..., 0, 0].real
+        argmin = tuple(int(i) for i in np.unravel_index(np.argmin(g), g.shape))
+        assert len(argmin) == 2 * spec.n + 2 and 0.0 < g.min() < 0.95
+        with pytest.raises(PositivityLost) as err:
+            step(st, config)
+        report = run(st, config)
+        assert (report.reason, report.steps, report.history) == ("positivity_lost", 0, [])
+        assert report.failure == {
+            "min_eigenvalue": err.value.min_eigenvalue, "location": err.value.location,
+        }
+        assert err.value.location == argmin
+        assert err.value.min_eigenvalue <= 0.95
+
     def test_step_floor_guard(self, monkeypatch):
         # The halving loop's hard floor; stage failures that persist at any
         # dt cannot arise from admissible smoothing dynamics, so drive the
@@ -289,7 +314,7 @@ class TestStep:
         def always_lost(*args, **kwargs):
             raise PositivityLost("forced")
 
-        monkeypatch.setattr(flow_module, "_rhs_values", always_lost)
+        monkeypatch.setattr(flow_module._Workspace, "rhs", always_lost)
         with pytest.raises(StepFloor):
             step(st, FlowConfig())
 
@@ -368,12 +393,12 @@ class TestRun:
     def test_non_finite_phi_from_a_step(self, monkeypatch):
         spec, st = bump_state(res=16)
 
-        def nan_rhs(values, t, state, *, out=None, **kwargs):
-            out = np.empty(values.shape) if out is None else out
+        def nan_rhs(self, phi, t, out=None, floor=None):
+            out = np.empty(phi.shape) if out is None else out
             out.fill(np.nan)
             return out
 
-        monkeypatch.setattr(flow_module, "_rhs_values", nan_rhs)
+        monkeypatch.setattr(flow_module._Workspace, "rhs", nan_rhs)
         report = run(st, FlowConfig(ricci_tolerance=1e-30))
         assert (report.reason, report.steps, len(report.history)) == ("non_finite", 0, 1)
         assert report.failure is None

@@ -4,7 +4,8 @@ It imports nothing beyond the standard library and numpy: numpy is the one
 dependency ``pyproject.toml`` declares, and any other import would be an
 optional path that this suite does not run.  It reaches LAPACK's eigvalsh
 and slogdet from one routine only, so no second eigenvalue path can grow,
-and the flow forms its metric in one routine only, for the same reason.
+and the flow forms its metric in one routine only, for the same reason:
+the public metric and its positivity check serve only the initial state.
 The flow binds its stencils only where it builds a sweep, so a run binds
 them once, and it assembles complex matrices only for the public
 transverse metric and the n >= 3 spectrum, so its steps run on real parts.
@@ -99,6 +100,27 @@ def test_one_metric_evaluation_routine():
         "        return _metric_n1(block, g, g)\n    return lane\n"
     )
     assert _metric_references(nested) == sorted(expected + [("_outer.lane", "_metric_n1")])
+
+
+_PUBLIC_METRIC_NAMES = {"checked_positive", "transverse_metric"}
+
+
+def test_public_metric_only_for_the_initial_state():
+    """In flow.py checked_positive and transverse_metric are referenced only in initial_state.
+
+    Every floor breach a step or a run meets is then raised by
+    flow._evaluate, not by a second metric formed through a public name.
+    """
+    source = Path(vaisflow.flow.__file__).read_text()
+    expected = [("initial_state", "checked_positive"), ("initial_state", "transverse_metric")]
+    assert _scoped_references(source, _PUBLIC_METRIC_NAMES) == expected
+    planted = source + (
+        "\n\ndef _dt(state, floor):\n"
+        "    return transverse_metric(state).checked_positive(floor)\n"
+    )
+    assert _scoped_references(planted, _PUBLIC_METRIC_NAMES) == sorted(
+        expected + [("_dt", "checked_positive"), ("_dt", "transverse_metric")]
+    )
 
 
 def test_stencils_bound_only_where_a_sweep_is_built():

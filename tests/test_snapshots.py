@@ -144,6 +144,20 @@ class TestMalformed:
         with pytest.raises(SnapshotError, match="malformed grid spec: .* must be an integer"):
             field_from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [
+        ("transverse_periods", "66"),
+        ("transverse_periods", ["6.28", "6.28"]),
+        ("transverse_periods", [True, True]),
+        ("leaf_periods", "66"),
+        ("leaf_periods", [6.0, "6.28"]),
+        ("leaf_periods", [True, 6.0]),
+    ])
+    def test_periods_must_be_a_list_of_numbers(self, key, value):
+        d = list_dict(ScalarField.zeros(full_spec(res=8, leaf=8)))
+        d["spec"][key] = value
+        with pytest.raises(SnapshotError, match="malformed grid spec: periods must be a list of numbers"):
+            field_from_dict(d)
+
     @pytest.mark.parametrize("values", [5, "abc", {"a": 1}, None])
     def test_values_not_a_list(self, values):
         d = list_dict(ScalarField.zeros(basic_spec(res=8)))

@@ -380,10 +380,7 @@ def test_rhs_step_and_residual_bit_identical(case):
         expected = reference_rhs(phi_values, t, state, extended=config.extended, rescaled=False)
         assert np.array_equal(got, expected)
     assert np.array_equal(
-        flow._rhs_values(
-            phi_values, 0.3, state, extended=config.extended, rescaled=config.rescaled,
-            positivity_floor=1e-10,
-        ),
+        flow._Workspace(state, config).rhs(phi_values, 0.3),
         reference_rhs(phi_values, 0.3, state, extended=config.extended, rescaled=config.rescaled),
     )
 
@@ -446,13 +443,13 @@ def test_attached_stage_is_the_right_hand_side(case):
 
 def _count_rhs_calls(monkeypatch):
     calls = []
-    evaluate = flow._rhs_values
+    evaluate = flow._Workspace.rhs
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return evaluate(*args, **kwargs)
+    def counted(self, phi, t, out=None, floor=None):
+        calls.append(t)
+        return evaluate(self, phi, t, out, floor)
 
-    monkeypatch.setattr(flow, "_rhs_values", counted)
+    monkeypatch.setattr(flow._Workspace, "rhs", counted)
     return calls
 
 
@@ -497,7 +494,7 @@ def test_stale_stage_is_never_reused(monkeypatch):
     """A new phi or t, or another flow variant, gets its diagnostics and first stage afresh.
 
     The step's dt then comes from the state's own metric, and its first
-    stage from the new diagnostics pass, not from ``_rhs_values``.
+    stage from the new diagnostics pass, not from ``_Workspace.rhs``.
     """
     first = flow.step(_n1_basic_state(), FlowConfig())
     leaf_constant = flow.step(_n1_leaf_constant_state(), FlowConfig())
@@ -594,13 +591,13 @@ def test_run_stops_at_the_last_positive_state(case, monkeypatch):
     config = FlowConfig(extended=extended, ricci_tolerance=1e-30)
     phi0 = np.array(state.phi.as_full_values()) if extended else state.phi.values
 
-    def steep(values, t, state, *, out=None, **kwargs):
+    def steep(self, phi, t, out=None, floor=None):
         # Stages of -1e4 phi0 flip the sign of ddbar phi in the step's result.
-        out = np.empty(values.shape) if out is None else out
+        out = np.empty(phi.shape) if out is None else out
         np.multiply(phi0, -1e4, out=out)
         return out
 
-    monkeypatch.setattr(flow, "_rhs_values", steep)
+    monkeypatch.setattr(flow._Workspace, "rhs", steep)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = flow.run(state, config)
