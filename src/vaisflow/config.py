@@ -190,12 +190,20 @@ def _section(cp, section: str, cls):
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The experiment config in the file at ``path``.
+
+    Raises :class:`ConfigError` when the file does not exist, cannot be
+    read (a directory, say) or decoded, or does not parse or validate.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        cp.read(path)
+        with open(path) as fh:
+            cp.read_file(fh, source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

@@ -62,6 +62,8 @@ __all__ = [
 
 DT_FLOOR = 1e-12
 DIVERGENCE_FACTOR = 1e6
+# The end of RK4's real stability interval: |R(z)| = 1 at z = -_RK4_REAL_BOUND.
+_RK4_REAL_BOUND = 2.785293563405282
 # Bytes per float64 array of one axis-0 block of an n = 1 sweep: a block has
 # as many planes as fit, at least one.  On the 64^2 x 16^2 grid a block is 2
 # planes, so its whole evaluation stays in a 2 MiB L2 cache instead of
@@ -88,11 +90,14 @@ class FlowConfig:
 
     ``class_k`` is the proportionality sign k in c_1^b = k [omega_0]
     (0 or -1); convergence is measured on sup || Ric(omega) - k omega ||.
+    ``dt_safety`` is the fraction of RK4's stability bound that a step
+    takes, at most ``dt_initial`` (see :func:`step`); at 1 the grid's
+    highest mode is neutral, not damped.
     """
 
     class_k: int = 0
     dt_initial: float = 0.05
-    dt_safety: float = 0.5
+    dt_safety: float = 0.8
     max_steps: int = 100_000
     ricci_tolerance: float = 1e-6
     rescaled: bool = False
@@ -163,6 +168,29 @@ def _derived(state: FlowState, **changes) -> FlowState:
 # Volume form
 # ---------------------------------------------------------------------------
 
+def _axis_symbol(resolution: int, period: float) -> np.ndarray:
+    """Fourier symbol of the fourth-order second difference along one periodic axis.
+
+    sigma(kappa) = -(1 - cos kappa)(7 - cos kappa) / (3 h^2) at numpy's FFT
+    frequencies; it is <= 0, and largest in magnitude, 16 / (3 h^2), at the
+    Nyquist mode of an even resolution.
+    """
+    h = period / resolution
+    c = np.cos(2.0 * np.pi * np.fft.fftfreq(resolution))
+    return -((1.0 - c) * (7.0 - c) / 3.0) / (h * h)
+
+
+def _symbol_sup(resolutions, periods) -> float:
+    """max |sum_a sigma_a| over the grid of these axes.
+
+    Each sigma_a is <= 0, so that is the sum of their maxima.
+    """
+    total = 0.0
+    for resolution, period in zip(resolutions, periods):
+        total = total + float(np.max(np.abs(_axis_symbol(resolution, period))))
+    return total
+
+
 def _transverse_fft_symbol(spec: GridSpec) -> np.ndarray:
     """Fourier symbol of the ddbar-trace operator 0.25 * sum_j (Sx_j + Sy_j).
 
@@ -170,15 +198,11 @@ def _transverse_fft_symbol(spec: GridSpec) -> np.ndarray:
     so inverting it reproduces grid-exact potentials.
     """
     total = np.zeros(spec.transverse_shape)
-    for a in range(2 * spec.n):
-        N = spec.transverse_resolution[a]
-        h = spec.transverse_periods[a] / N
-        kappa = 2.0 * np.pi * np.fft.fftfreq(N)
-        c = np.cos(kappa)
-        s_axis = -((1.0 - c) * (7.0 - c) / 3.0) / (h * h)
+    axes = zip(spec.transverse_resolution, spec.transverse_periods)
+    for a, (resolution, period) in enumerate(axes):
         shape = [1] * (2 * spec.n)
-        shape[a] = N
-        total = total + s_axis.reshape(shape)
+        shape[a] = resolution
+        total = total + _axis_symbol(resolution, period).reshape(shape)
     return 0.25 * total
 
 
@@ -248,9 +272,9 @@ def initial_state(
     omega_hat_0 = omega_hat_0.checked_positive()
     if chi is None:
         chi = HermitianField.zeros(spec)
-    if phi is None:
-        phi = ScalarField.zeros(spec, basic=True)
     _, density = build_volume_form(omega_hat_0, chi, exactness_tol)
+    if phi is None:  # the metric is omega_hat_0, checked above
+        return FlowState(0.0, ScalarField.zeros(spec, basic=True), omega_hat_0, chi, density)
     state = FlowState(0.0, phi, omega_hat_0, chi, density)
     transverse_metric(state).checked_positive()
     return state
@@ -265,8 +289,8 @@ def reference_form(state: FlowState, t: float) -> HermitianField:
     return HermitianField._assembled(state.omega_hat_0.spec, _reference_matrices(state, t, False))
 
 
-def _reference_matrices(state, t: float, rescaled: bool) -> np.ndarray:
-    """omega_hat(t) of a FlowState or _Workspace."""
+def _reference_matrices(state: FlowState, t: float, rescaled: bool) -> np.ndarray:
+    """The matrices of omega_hat(t) (see :meth:`_Workspace.reference`, which sums their parts)."""
     if rescaled:
         w = np.exp(-t)
         return state.chi.matrices + w * (state.omega_hat_0.matrices - state.chi.matrices)
@@ -437,25 +461,45 @@ def _laplacian(stencils, lap, tmp) -> None:
 class _Workspace:
     """What one flow run keeps from step to step, for one state's inputs and ``config``.
 
-    The config, log(volume_density), the reference metric at the last t
-    asked for (its entry for n = 1, its parts for n >= 2), the step buffers
-    ``k2``, ``k3``, ``k4``, ``arg`` and, for n = 1, a :class:`_Sweep` per
-    grid shape, built on first use.  For n = 1 the config's sweep lends the
-    step ``arg`` (its operand, so a stage argument is evaluated where it is
-    written), ``k3`` and ``k4`` (its ``g`` and ``ld``, which only the
-    diagnostics write, after the step).  No array it holds is attached to a
-    state.  :meth:`rhs` is the flow's one right-hand side.
+    The config, log(volume_density), the parts of omega_hat_0 and chi (the
+    entry for n = 1) and the reference metric formed from them at the last
+    t asked for, the step buffers ``k2``, ``k3``, ``k4``, ``arg`` and, for
+    n = 1, a :class:`_Sweep` per grid shape, built on first use.  For n = 1
+    the config's sweep lends the step ``arg`` (its operand, so a stage
+    argument is evaluated where it is written), ``k3`` and ``k4`` (its
+    ``g`` and ``ld``, which only the diagnostics write, after the step).
+    No array it holds is attached to a state.  :meth:`rhs` is the flow's
+    one right-hand side.
+
+    ``symbol_sup`` is max |S_T| of :func:`_transverse_fft_symbol`, and
+    ``symbol_shift`` what the config's flow adds to the spectral radius
+    of its linearization: 0.5 max |S_leaf| when extended, 1 when
+    rescaled (see :func:`step`).
     """
 
     def __init__(self, state: FlowState, config: FlowConfig):
         spec = state.phi.spec
         if config.extended and not spec.has_leaf:
             raise GridError("extended flow needs a spec with leaf axes")
-        self.omega_hat_0, self.chi, self.config = state.omega_hat_0, state.chi, config
+        self.config = config
         self.spec, self.hs = spec, spec.spacings
         self.log_density = np.log(state.volume_density.values)
         self.log_density_full = self.log_density.reshape(spec.transverse_shape + (1, 1))
-        self._ref_t = self._ref = self._ref_full = None
+        self.symbol_sup = 0.25 * _symbol_sup(spec.transverse_resolution, spec.transverse_periods)
+        self.symbol_shift = 0.0
+        if config.extended:
+            self.symbol_shift += 0.5 * _symbol_sup(spec.leaf_resolution, spec.leaf_periods)
+        if config.rescaled:
+            self.symbol_shift += 1.0
+        p0, p_chi = _parts(state.omega_hat_0.matrices), _parts(state.chi.matrices)
+        if spec.n == 1:
+            p0, p_chi = p0[0, 0], p_chi[0, 0]
+        self._p0, self._p_chi = p0, p_chi
+        if config.rescaled:
+            self._p_gap = p0 - p_chi
+        self._ref = np.empty(p0.shape)
+        self._ref_full = self._ref.reshape(p0.shape + (1, 1))
+        self._ref_t = None
         self._sweeps = {}
         shape = spec.full_shape if config.extended else spec.transverse_shape
         self.k2 = np.empty(shape)
@@ -472,12 +516,22 @@ class _Workspace:
         return self._sweeps[shape]
 
     def reference(self, t: float, full: bool = False) -> np.ndarray:
-        """The reference metric at ``t`` (see the class), with unit leaf axes when ``full``."""
+        """The reference metric at ``t``, with unit leaf axes when ``full``; valid until the next t.
+
+        P0 + t P_chi, or P_chi + e^{-t} (P0 - P_chi) when rescaled, from the
+        parts P0 of omega_hat_0 and P_chi of chi: part by part what
+        :func:`_reference_matrices` forms in complex arithmetic.
+        """
         if t != self._ref_t:
-            m = _reference_matrices(self, t, self.config.rescaled)
-            ref = np.ascontiguousarray(m[..., 0, 0].real) if self.spec.n == 1 else _parts(m)
-            self._ref = ref
-            self._ref_full = ref.reshape(ref.shape + (1, 1))
+            ref = self._ref
+            if self.config.rescaled:
+                np.multiply(self._p_gap, np.exp(-t), out=ref)
+                ref += self._p_chi
+            elif t == 0.0:
+                np.copyto(ref, self._p0)
+            else:
+                np.multiply(self._p_chi, t, out=ref)
+                ref += self._p0
             self._ref_t = t
         return self._ref_full if full else self._ref
 
@@ -677,13 +731,24 @@ def _attached_stage(state: FlowState, config: FlowConfig) -> np.ndarray | None:
 def step(
     state: FlowState, config: FlowConfig, dt_cap: float | None = None, *, _workspace=None
 ) -> FlowState:
-    """One classical RK4 step with diffusive step-size control.
+    """One classical RK4 step, its size taken from RK4's stability bound.
 
-    dt = min(dt_initial, dt_safety * h_min^2 * lambda_min / lambda_max); a
-    PositivityLost at any internal stage halves dt and retries, down to a
-    floor of 1e-12 (then :class:`StepFloor`).  The potential is re-gauged to
-    zero spatial mean after the step (a pure additive constant, invisible to
-    the metric); a NaN or infinity in it raises :class:`NonFinitePotential`.
+    The flow linearized at frozen coefficients, d(delta phi)/dt =
+    tr(g^-1 ddbar delta phi) (+ 0.5 Delta_leaf delta phi when extended,
+    - delta phi when rescaled), has a spectral radius of at most
+
+        rho = max |S_T| / lambda_min + [extended] 0.5 max |S_leaf| + [rescaled] 1,
+
+    where S_T is the stencil symbol of :func:`_transverse_fft_symbol`,
+    S_leaf that of the leaf Laplacian and lambda_min the state's minimum
+    eigenvalue.  The step is dt = min(dt_initial, dt_safety * 2.7853 / rho),
+    2.7853 being the end of RK4's real stability interval: ``dt_safety``
+    in (0, 1] is the fraction of the bound taken, and at 1 the grid's
+    Nyquist mode is neutral.  A PositivityLost at any internal stage
+    halves dt and retries, down to a floor of 1e-12 (then
+    :class:`StepFloor`).  The potential is re-gauged to zero spatial mean
+    after the step (a pure additive constant, invisible to the metric); a
+    NaN or infinity in it raises :class:`NonFinitePotential`.
 
     The first stage is the one the state's diagnostics pass attached for
     ``config``, so a step evaluates the right-hand side three times; the
@@ -709,9 +774,8 @@ def step(
     k1 = _attached_stage(state, config)  # read-only
     if k1 is None:  # none attached at or below the floor: this raises the breach, located
         k1 = ws.rhs(phi0, t0)
-    d = state.diagnostics
-    h = min(ws.hs)
-    dt = min(config.dt_initial, config.dt_safety * h * h * d.min_eig / d.max_eig)
+    rho = ws.symbol_sup / state.diagnostics.min_eig + ws.symbol_shift
+    dt = min(config.dt_initial, config.dt_safety * _RK4_REAL_BOUND / rho)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     k2, k3, k4, arg = ws.k2, ws.k3, ws.k4, ws.arg
@@ -813,7 +877,8 @@ def _with_diagnostics(
     else:
         ric = _ddbar_parts(ld, spec)
         np.negative(ric, out=ric)
-        ric -= config.class_k * g
+        if config.class_k:  # else ric - 0 g is ric up to the sign of a zero, which sup ignores
+            ric -= config.class_k * g
         ric_sup = _sup_norm(ric)
         defect = leafwise_defect(state) if leaf_varying else 0.0
     lo, hi = float(np.min(lows)), float(np.max(highs))

@@ -109,6 +109,13 @@ class TestCmdFlow:
         assert main(["flow", cfg]) == 1
         assert "dt_initial" in capsys.readouterr().err
 
+    def test_config_path_that_is_a_directory_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where a default run would write out/
+        (tmp_path / "cfg").mkdir()
+        assert main(["flow", "cfg"]) == 1
+        assert "config error: cannot read config file cfg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         body = FLAT_FLOW.format(out=tmp_path / "out").replace(
             "class_k = 0", "class_k = 0\nwibble = 3"

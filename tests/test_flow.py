@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,9 @@ from vaisflow.flow import (
     step,
     transverse_metric,
 )
-from vaisflow.grid import ScalarField
-from vaisflow.transverse import HermitianField, ddbar, metric_from_potential
-from test_stencils import reference_diagnostics, reference_rhs
+from vaisflow.grid import GridSpec, ScalarField
+from vaisflow.transverse import HermitianField, _parts, ddbar, metric_from_potential
+from test_stencils import FLOW_CASES, reference_diagnostics, reference_rhs
 
 
 def bump_state(res=64, amplitude=-0.4, chi=None, spec=None):
@@ -335,6 +337,78 @@ class TestStep:
             run(st, FlowConfig(ricci_tolerance=1e-30, max_steps=2))
         expected = reference_diagnostics(np.array(phi.values), 0.0, st, config)[0]
         assert flow_module.ricci_residual(st, config) == expected > 0.0
+
+
+def _scaled_flat_state(spec, scale, seed=0):
+    """omega_hat_0 = scale I with phi a seeded noise of amplitude 1e-6: the flow must damp it."""
+    rng = np.random.default_rng(seed)
+    phi = ScalarField(spec, 1e-6 * rng.standard_normal(spec.transverse_shape), basic=True)
+    return initial_state(HermitianField.identity(spec).scaled(scale), phi=phi)
+
+
+class TestStabilityBound:
+    """step's dt is a fixed fraction of RK4's stability bound for the flow's linearization."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.45, 0.3])
+    def test_scaled_flat_metric_decays(self, scale):
+        # The bound scales with 1 / lambda_min, so a small metric takes small steps.
+        report = run(
+            _scaled_flat_state(basic_spec(res=32), scale),
+            FlowConfig(max_steps=400, ricci_tolerance=1e-30),
+        )
+        assert report.steps == 400
+        assert report.history[-1]["ricci_sup"] < report.history[0]["ricci_sup"]
+
+    def test_scaled_flat_metric_decays_n2(self):
+        # dt_initial out of the way: the rule alone sets every step.
+        report = run(
+            _scaled_flat_state(basic_spec(n=2, res=8), 0.45),
+            FlowConfig(dt_initial=10.0, max_steps=150, ricci_tolerance=1e-30),
+        )
+        assert report.steps == 150
+        assert all(row["dt"] < 10.0 for row in report.history[1:])
+        assert report.history[-1]["ricci_sup"] < report.history[0]["ricci_sup"]
+
+    @pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n1_basic_rescaled", "n2"])
+    def test_dt_is_the_closed_form(self, case):
+        make_state, config = FLOW_CASES[case]
+        config = replace(config, dt_initial=10.0)
+        state = make_state()
+        spec = state.phi.spec
+        hs = spec.spacings
+        nyquist = [16.0 / (3.0 * h * h) for h in hs]  # max |sigma_a|, at the Nyquist mode
+        min_eig = flow_module._with_diagnostics(state, config, 0.0, 0.0).diagnostics.min_eig
+        rho = 0.25 * sum(nyquist[:2 * spec.n]) / min_eig
+        if config.extended:
+            rho += 0.5 * sum(nyquist[2 * spec.n:])
+        if config.rescaled:
+            rho += 1.0
+        dt = step(state, config).diagnostics.dt
+        assert dt == pytest.approx(0.8 * 2.785293563405282 / rho, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", [
+        basic_spec(res=16),
+        GridSpec(1, (16, 24), (TWO_PI, 3.0)),
+        GridSpec(2, (8, 12, 10, 8), (TWO_PI, 5.0, 4.0, TWO_PI)),
+    ], ids=["equal", "unequal_n1", "unequal_n2"])
+    def test_symbol_sup_is_the_volume_form_symbols(self, spec):
+        st = initial_state(HermitianField.identity(spec))
+        ws = flow_module._Workspace(st, FlowConfig())
+        assert ws.symbol_sup == np.max(np.abs(flow_module._transverse_fft_symbol(spec)))
+
+
+@pytest.mark.parametrize("rescaled", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+def test_workspace_reference_is_the_parts_of_the_reference_matrices(n, rescaled):
+    """The workspace sums the parts of omega_hat_0 and chi to the parts of the complex schedule."""
+    spec = basic_spec(n=n, res=8)
+    h = ScalarField.from_function(spec, lambda *x: -0.3 * np.cos(x[0]) * np.cos(x[-1]))
+    psi = ScalarField.from_function(spec, lambda *x: 0.2 * np.sin(sum(x)))
+    st = initial_state(metric_from_potential(h, HermitianField.identity(spec)), ddbar(psi))
+    ws = flow_module._Workspace(st, FlowConfig(rescaled=rescaled))
+    for t in (0.0, 0.3, 0.3, 1.7, 0.0):
+        parts = _parts(flow_module._reference_matrices(st, t, rescaled))
+        assert np.array_equal(ws.reference(t), parts[0, 0] if n == 1 else parts)
 
 
 class TestRun:

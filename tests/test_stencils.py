@@ -188,10 +188,20 @@ def reference_step(state, config):
     extended = config.extended
     phi0 = np.array(state.phi.as_full_values()) if extended else state.phi.values
     g = reference_metric(phi0, state.t, state, config.rescaled, extended)
-    lows, highs = (g, g) if spec.n == 1 else reference_spectrum(g)[:2]
-    lo, hi = float(np.min(lows)), float(np.max(highs))
-    h_min = min(spec.spacings)
-    dt = min(config.dt_initial, config.dt_safety * h_min * h_min * lo / hi)
+    lows = g if spec.n == 1 else reference_spectrum(g)[0]
+    lo = float(np.min(lows))
+    hs = spec.spacings
+
+    def nyquist_sup(axes):  # max |sigma| of the fourth-order second difference, summed over axes
+        return sum((2.0 * 8.0 / 3.0 / (hs[a] * hs[a]) for a in axes), 0.0)
+
+    shift = 0.0
+    if extended:
+        shift += 0.5 * nyquist_sup(range(2 * spec.n, 2 * spec.n + 2))
+    if config.rescaled:
+        shift += 1.0
+    rho = 0.25 * nyquist_sup(range(2 * spec.n)) / lo + shift
+    dt = min(config.dt_initial, config.dt_safety * 2.785293563405282 / rho)
 
     def f(values, t):
         return reference_rhs(values, t, state, extended=extended, rescaled=config.rescaled)
