@@ -28,12 +28,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exceptions import GridError, InexactClass, NonFinitePotential, PositivityLost, StepFloor
-from .grid import GridSpec, ScalarField, _Stencil, diff1, diff2, integrate
+from .grid import GridSpec, ScalarField, _Stencil, diff1, integrate
 from .transverse import (
     HermitianField,
     _assemble,
     _check_floor,
-    _ddbar_parts,
+    _ddbar_program,
     _metric_with_ddbar,
     _parts,
     _spectrum,
@@ -300,36 +300,37 @@ def _reference_matrices(state: FlowState, t: float, rescaled: bool) -> np.ndarra
 
 
 class _Block(NamedTuple):
-    """The rows of one axis-0 block of a :class:`_Sweep`, and its stencils, bound once.
+    """The rows of one axis-0 block of a :class:`_Sweep`, and its programs, bound once.
 
-    ``metric`` and ``ricci`` are the (xx, yy) pairs of phi and of log g into
-    the block's temporaries (``lap``, ``tmp``); ``leaf2`` and ``leaf1`` the
-    leaf-axis second and first derivatives of phi into ``tmp`` (none on a
-    transverse grid).
+    ``metric`` and ``ricci`` are the ddbar programs
+    (:func:`transverse._ddbar_program`) of phi and of log det g into the
+    lane's ``parts``; ``leaf2`` and ``leaf1`` the leaf-axis second and first
+    derivatives of phi into ``tmp`` (none on a transverse grid).
     """
 
     rows: slice
-    lap: np.ndarray
+    parts: np.ndarray
     tmp: np.ndarray
-    metric: tuple
-    ricci: tuple
+    metric: Callable[[], None]
+    ricci: Callable[[], None]
     leaf2: tuple
     leaf1: tuple
 
 
 class _Sweep:
-    """The n = 1 evaluation of one grid shape, in axis-0 blocks whose stencils are bound once.
+    """The evaluation of one grid shape, in axis-0 blocks whose stencils are bound once.
 
-    The operand ``phi`` and ``ld`` (log g) are the cores of buffers with
+    The operand ``phi`` and ``ld`` (log det g) are the cores of buffers with
     ``_HALO`` more axis-0 planes at each end, copied from the other end
     before a sweep, so a block reads its neighbours' planes through a view.
-    ``g`` holds the metric.  The blocks alternate between two ``lanes``
-    (even and odd blocks), each with its own block-sized temporaries, and
-    :meth:`in_lanes` sweeps the second lane on a pool worker; a one-block
-    sweep has one lane.
+    ``g`` holds the parts of the metric, shape (n, n) + ``shape``, laid out
+    as by :func:`transverse._ddbar_parts`.  The blocks alternate between two
+    ``lanes`` (even and odd blocks), each with its own block-sized
+    temporaries, and :meth:`in_lanes` sweeps the second lane on a pool
+    worker; a one-block sweep has one lane.
     """
 
-    def __init__(self, shape: tuple[int, ...], hs: tuple[float, ...]):
+    def __init__(self, shape: tuple[int, ...], hs: tuple[float, ...], n: int):
         n0, plane = shape[0], shape[1:]
         padded_phi, padded_ld = (np.empty((n0 + 2 * _HALO,) + plane) for _ in range(2))
         self.phi, self.ld = padded_phi[_HALO:-_HALO], padded_ld[_HALO:-_HALO]
@@ -338,25 +339,29 @@ class _Sweep:
             ((p[:_HALO], p[n0:n0 + _HALO]), (p[n0 + _HALO:], p[_HALO:2 * _HALO]))
             for p in (padded_phi, padded_ld)
         )
-        self.g = np.empty(shape)
+        self.g = np.empty((n, n) + shape)
         planes = max(1, min(n0, _BLOCK_BYTES // (8 * math.prod(plane))))
-        leaf_axes = range(2, len(shape))
+        leaf_axes = range(2 * n, len(shape))
+        # Program temporaries: three of a block's rows, for n >= 2 three with its halo too.
+        pads = (0,) * 3 + ((2 * _HALO,) * 3 if n > 1 else ())
         self.lanes = []
         for first in range(0, min(n0, 2 * planes), planes):
             # The lane's first block is its largest: only the last block of the axis is short.
-            temps = [np.empty((min(planes, n0 - first),) + plane) for _ in range(4)]
+            size = min(planes, n0 - first)
+            lane_parts = np.empty((n, n, size) + plane)
+            lane_temps = [np.empty((size + pad,) + plane) for pad in pads]
             lane = []
             for i0 in range(first, n0, 2 * planes):
                 rows = slice(i0, min(i0 + planes, n0))
-                padded = slice(i0, rows.stop + 2 * _HALO)
-                lap, tmp, tmp1, tmp2 = (t[:rows.stop - i0] for t in temps)
+                m, padded = rows.stop - i0, slice(i0, rows.stop + 2 * _HALO)
+                parts = lane_parts[:, :, :m]
+                temps = [t[:m + pad] for t, pad in zip(lane_temps, pads)]
+                tmp, tmp1, tmp2 = temps[:3]
                 phi = self.phi[rows]
                 lane.append(_Block(
-                    rows, lap, tmp,
-                    metric=(_Stencil(2, padded_phi[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
-                            _Stencil(2, phi, 1, hs[1], tmp, tmp1, tmp2)),
-                    ricci=(_Stencil(2, padded_ld[padded], 0, hs[0], lap, tmp1, tmp2, _HALO),
-                           _Stencil(2, self.ld[rows], 1, hs[1], tmp, tmp1, tmp2)),
+                    rows, parts, tmp,
+                    metric=_ddbar_program(padded_phi[padded], _HALO, hs, parts, temps),
+                    ricci=_ddbar_program(padded_ld[padded], _HALO, hs, parts, temps),
                     leaf2=tuple(_Stencil(2, phi, a, hs[a], tmp, tmp1, tmp2) for a in leaf_axes),
                     leaf1=tuple(_Stencil(1, phi, a, hs[a], tmp, tmp1) for a in leaf_axes),
                 ))
@@ -391,7 +396,7 @@ class _Sweep:
             padding[...] = planes
 
     def ricci_sup(self, class_k: int) -> float:
-        """sup |Ric - k g| with Ric = -0.25 (ld_xx + ld_yy), from a kept :func:`_evaluate`."""
+        """sup |Ric - k g| with Ric = -ddbar log det g, from a kept :func:`_evaluate`."""
         for padding, planes in self._ld_halo:
             padding[...] = planes
         g = self.g
@@ -399,13 +404,14 @@ class _Sweep:
         def lane(blocks):
             sups = []
             for block in blocks:
-                lap, tmp = block.lap, block.tmp
-                _laplacian(block.ricci, lap, tmp)
-                lap *= -0.25
-                if class_k:  # else lap - 0 g is lap bit for bit: g > 0, lap is NaN where g = inf
-                    np.multiply(g[block.rows], class_k, out=tmp)
-                    lap -= tmp
-                sups.append(np.max(np.abs(lap, out=lap)))
+                ddbar_ld, tmp = block.parts, block.tmp
+                block.ricci()
+                # |Ric - k g| = |ddbar ld + k g| bit for bit: a negation is exact.
+                if class_k:
+                    for jk in np.ndindex(ddbar_ld.shape[:2]):
+                        np.multiply(g[jk][block.rows], class_k, out=tmp)
+                        ddbar_ld[jk] += tmp
+                sups.append(_sup_norm(ddbar_ld))
             return sups
 
         return float(np.max(self.in_lanes(lane)))
@@ -450,24 +456,16 @@ def _lane_worker():
     return worker
 
 
-def _laplacian(stencils, lap, tmp) -> None:
-    """lap = f_xx + f_yy from a block's bound (xx into ``lap``, yy into ``tmp``) pair."""
-    xx, yy = stencils
-    xx()
-    yy()
-    lap += tmp
-
-
 class _Workspace:
     """What one flow run keeps from step to step, for one state's inputs and ``config``.
 
-    The config, log(volume_density), the parts of omega_hat_0 and chi (the
-    entry for n = 1) and the reference metric formed from them at the last
-    t asked for, the step buffers ``k2``, ``k3``, ``k4``, ``arg`` and, for
-    n = 1, a :class:`_Sweep` per grid shape, built on first use.  For n = 1
-    the config's sweep lends the step ``arg`` (its operand, so a stage
-    argument is evaluated where it is written), ``k3`` and ``k4`` (its
-    ``g`` and ``ld``, which only the diagnostics write, after the step).
+    The config, log(volume_density), the parts of omega_hat_0 and chi and
+    the reference metric formed from them at the last t asked for, the step
+    buffers ``k2``, ``k3``, ``k4``, ``arg`` and a :class:`_Sweep` per grid
+    shape, built on first use.  The config's sweep lends the step ``arg``
+    (its operand, so a stage argument is evaluated where it is written),
+    ``k3`` and ``k4`` (the first part of its ``g``, and its ``ld``, which
+    only the diagnostics write, after the step).
     No array it holds is attached to a state.  :meth:`rhs` is the flow's
     one right-hand side.
 
@@ -492,8 +490,6 @@ class _Workspace:
         if config.rescaled:
             self.symbol_shift += 1.0
         p0, p_chi = _parts(state.omega_hat_0.matrices), _parts(state.chi.matrices)
-        if spec.n == 1:
-            p0, p_chi = p0[0, 0], p_chi[0, 0]
         self._p0, self._p_chi = p0, p_chi
         if config.rescaled:
             self._p_gap = p0 - p_chi
@@ -503,16 +499,13 @@ class _Workspace:
         self._sweeps = {}
         shape = spec.full_shape if config.extended else spec.transverse_shape
         self.k2 = np.empty(shape)
-        if spec.n == 1:
-            sweep = self.sweep(shape)
-            self.k3, self.k4, self.arg = sweep.g, sweep.ld, sweep.phi
-        else:
-            self.k3, self.k4, self.arg = (np.empty(shape) for _ in range(3))
+        sweep = self.sweep(shape)
+        self.k3, self.k4, self.arg = sweep.g[0, 0], sweep.ld, sweep.phi
 
     def sweep(self, shape: tuple[int, ...]) -> _Sweep:
-        """The n = 1 sweep of ``shape``, built on the first call for it."""
+        """The sweep of ``shape``, built on the first call for it."""
         if shape not in self._sweeps:
-            self._sweeps[shape] = _Sweep(shape, self.hs)
+            self._sweeps[shape] = _Sweep(shape, self.hs, self.spec.n)
         return self._sweeps[shape]
 
     def reference(self, t: float, full: bool = False) -> np.ndarray:
@@ -562,80 +555,64 @@ def _calibrate(f: np.ndarray, phi: np.ndarray) -> None:
     f -= np.mean(f)
 
 
-def _metric_n1(block: _Block, ref: np.ndarray, out: np.ndarray) -> None:
-    """out = ref + 0.25 (phi_xx + phi_yy), the n = 1 metric on the rows of ``block``."""
-    lap = block.lap
-    _laplacian(block.metric, lap, block.tmp)
-    lap *= 0.25
-    np.add(lap, ref, out=out)
-
-
 def _evaluate(phi, t, ws, floor, full, out, keep=False):
     """The flow at ``phi``, ``t``: the one place that forms the metric g and takes its log det.
 
     g = ghat(t) + ddbar phi is checked against ``floor`` before any log; a
     breach raises :class:`PositivityLost` with the minimum and its location
     over the whole grid.  f = log det g - log density, plus 0.5 (phi_xx +
-    phi_yy) along the leaves of a ``full`` phi, goes into ``out``.  Returns
-    ``(g, log det g, lows, highs)``: the least of ``lows`` (per block for
-    n = 1, per point for n >= 2) is the minimum eigenvalue, ``highs`` the
-    maximum per point.  For n >= 2, g holds the real parts of the metric,
-    laid out as by :func:`transverse._ddbar_parts`: n = 2 takes its spectrum
-    from them, n >= 3 from its matrices, assembled once.  For n = 1 phi is
-    swept block by block, in the lanes of the workspace's sweep of its
-    shape, bit-identical to a whole grid; g and log g go into ``out`` unless
-    ``keep`` (the diagnostics) puts them into the sweep's ``g`` and ``ld``,
-    where its Ricci sweep reads them.
+    phi_yy) along the leaves of a ``full`` phi, goes into ``out``.  phi is
+    swept block by block in the lanes of the workspace's sweep of its shape,
+    bit-identical to a whole grid.  ``keep`` (the diagnostics) puts g and
+    log det g into the sweep's ``g`` and ``ld``, where its Ricci sweep reads
+    them.  Returns ``(lows, highs)``, the least and the largest eigenvalue
+    of each block.
     """
     ref = ws.reference(t, full)
     log_density = ws.log_density_full if full else ws.log_density
     n = ws.spec.n
-    if n > 1:
-        g = ref + _ddbar_parts(phi, ws.spec)
-        if n == 2:
-            lows, highs, ld = _spectrum_2x2(g[0, 0], g[1, 1], g[0, 1], g[1, 0], floor)
-        else:
-            lows, highs, ld = _spectrum(_assemble(g), n, floor)
-        if ld is None:  # a floor breach, which this raises located
-            _check_floor(lows, floor)
-        np.subtract(ld, log_density, out=out)
-        if full:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
-            for axis in (phi.ndim - 2, phi.ndim - 1):
-                tmp = diff2(phi, axis, ws.hs[axis])
-                tmp *= 0.5
-                out += tmp
-        return g, ld, lows, highs
     sweep = ws.sweep(phi.shape)
     sweep.load(phi)
-    g, ld = (sweep.g, sweep.ld) if keep else (out, out)
+
+    def metric(block, g, floor):
+        """g = ref + ddbar phi on the block's rows, and its (lows, highs, log det or None)."""
+        block.metric()
+        np.add(block.parts, ref[:, :, block.rows], out=g)
+        if n == 1:
+            return g[0, 0], g[0, 0], None
+        if n == 2:
+            return _spectrum_2x2(g[0, 0], g[1, 1], g[0, 1], g[1, 0], floor)
+        return _spectrum(_assemble(g), n, floor)
 
     def lane(blocks):
-        lows = []
+        bounds = []
         for block in blocks:
             rows = block.rows
-            gb = g[rows]
-            _metric_n1(block, ref[rows], gb)
-            lows.append(float(np.min(gb)))
-            if not lows[-1] > floor:
+            lows, highs, ld = metric(block, sweep.g[:, :, rows] if keep else block.parts, floor)
+            bounds.append((float(np.min(lows)), float(np.max(highs))))
+            if not bounds[-1][0] > floor:
                 break  # no log of a breach; the whole grid locates it below
-            lb, fb = ld[rows], out[rows]
-            np.log(gb, out=lb)
-            np.subtract(lb, log_density[rows], out=fb)
+            fb = out[rows]
+            if n == 1:
+                ld = np.log(lows, out=sweep.ld[rows] if keep else fb)
+            elif keep:
+                np.copyto(sweep.ld[rows], ld)
+            np.subtract(ld, log_density[rows], out=fb)
             tmp = block.tmp
             for leaf in block.leaf2:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
                 leaf()
                 tmp *= 0.5
                 fb += tmp
-        return lows
+        return bounds
 
-    lows = sweep.in_lanes(lane)
-    if not all(low > floor for low in lows):
+    bounds = sweep.in_lanes(lane)
+    if not all(low > floor for low, _ in bounds):
         # Report the minimum and its location over the whole grid, as an
         # unblocked evaluation would.
         for block in sweep.blocks:
-            _metric_n1(block, ref[block.rows], g[block.rows])
-        _check_floor(g, floor)
-    return g, ld, lows, g
+            out[block.rows] = metric(block, block.parts, None)[0]
+        _check_floor(out, floor)
+    return tuple(zip(*bounds))
 
 
 def ma_rhs(state: FlowState, t: float | None = None, positivity_floor: float = 1e-10) -> ScalarField:
@@ -869,18 +846,10 @@ def _with_diagnostics(
     if leaf_varying:
         values = state.phi.values
     k1 = np.empty(values.shape)
-    g, ld, lows, highs = _evaluate(values, state.t, ws, 0.0, leaf_varying, k1, keep=True)
-    if spec.n == 1:
-        sweep = ws.sweep(values.shape)
-        ric_sup = sweep.ricci_sup(config.class_k)
-        defect = sweep.leaf_defect() if leaf_varying else 0.0
-    else:
-        ric = _ddbar_parts(ld, spec)
-        np.negative(ric, out=ric)
-        if config.class_k:  # else ric - 0 g is ric up to the sign of a zero, which sup ignores
-            ric -= config.class_k * g
-        ric_sup = _sup_norm(ric)
-        defect = leafwise_defect(state) if leaf_varying else 0.0
+    lows, highs = _evaluate(values, state.t, ws, 0.0, leaf_varying, k1, keep=True)
+    sweep = ws.sweep(values.shape)
+    ric_sup = sweep.ricci_sup(config.class_k)
+    defect = sweep.leaf_defect() if leaf_varying else 0.0
     lo, hi = float(np.min(lows)), float(np.max(highs))
 
     stage = None

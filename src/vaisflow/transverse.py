@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .exceptions import (
     PositivityLost,
     SingularMetric,
 )
-from .grid import GridSpec, ScalarField, _freeze, diff1, diff2
+from .grid import GridSpec, ScalarField, _freeze, _Stencil, diff1
 
 __all__ = [
     "HermitianField",
@@ -253,37 +255,65 @@ def ddbar(f: ScalarField) -> HermitianField:
     return HermitianField._assembled(f.spec, _ddbar_matrices(f.values, f.spec), basic=f.basic)
 
 
+def _ddbar_program(
+    src: np.ndarray, halo: int, hs: tuple[float, ...], parts: np.ndarray, temps: list
+) -> Callable[[], None]:
+    """ddbar of ``src`` into ``parts`` (laid out as by :func:`_ddbar_parts`), as one callable.
+
+    ``src`` carries ``halo`` extra axis-0 planes at each end (with none it
+    wraps); ``temps`` are three arrays of a C-contiguous ``parts[j, k]``'s
+    shape and, for n >= 2, three of ``src``'s.  A mixed part takes first
+    differences along the k axes on every plane of ``src``, then along the
+    j axes, so any halo gives the same operations in the same order.
+    """
+    n = parts.shape[0]
+    tmp, tmp1, tmp2 = temps[:3]
+    steps = []
+
+    def stencil(order, operand, axis, out):
+        if halo and axis == 0:
+            return _Stencil(order, operand, 0, hs[0], out, tmp1, tmp2, halo)
+        return _Stencil(order, operand[halo:len(operand) - halo], axis, hs[axis], out, tmp1, tmp2)
+
+    def combine(op, part):  # part op= tmp, then part *= 0.25
+        steps.extend((partial(op, part, tmp, out=part), partial(np.multiply, part, 0.25, out=part)))
+
+    for k in range(n):
+        kx, ky = 2 * k, 2 * k + 1
+        steps += stencil(2, src, kx, parts[k, k]), stencil(2, src, ky, tmp)
+        combine(np.add, parts[k, k])
+        if k == 0:
+            continue
+        f_x, f_y, scratch = temps[3:]
+        steps += _Stencil(1, src, kx, hs[kx], f_x, scratch), _Stencil(1, src, ky, hs[ky], f_y, scratch)
+        for j in range(k):
+            jx, jy = 2 * j, 2 * j + 1
+            steps += stencil(1, f_x, jx, parts[j, k]), stencil(1, f_y, jy, tmp)
+            combine(np.add, parts[j, k])
+            steps += stencil(1, f_y, jx, parts[k, j]), stencil(1, f_x, jy, tmp)
+            combine(np.subtract, parts[k, j])
+
+    def program() -> None:
+        for run in steps:
+            run()
+
+    return program
+
+
 def _ddbar_parts(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     """The parts of the coefficients f_{j kbar} of :func:`ddbar` for a raw real array.
 
     Returns a real array of shape (n, n) + ``values.shape``: part [j, j] is
     f_{j jbar} = (f_{x_j x_j} + f_{y_j y_j}) / 4, and for j < k part [j, k]
     is Re f_{j kbar} = (f_{x_j x_k} + f_{y_j y_k}) / 4 and part [k, j] is
-    Im f_{j kbar} = (f_{x_j y_k} - f_{y_j x_k}) / 4.  The mixed derivatives
-    are first differences along the k axes, then along the j axes.
+    Im f_{j kbar} = (f_{x_j y_k} - f_{y_j x_k}) / 4.  It is
+    :func:`_ddbar_program` run once on the whole grid.
     """
     n = spec.n
-    hs = spec.spacings
-    parts = np.empty((n, n) + values.shape)
-    tmp = np.empty(values.shape)
-    for k in range(n):
-        kx, ky = 2 * k, 2 * k + 1
-        diag = parts[k, k]
-        diff2(values, kx, hs[kx], out=diag)
-        diag += diff2(values, ky, hs[ky], out=tmp)
-        diag *= 0.25
-        if k == 0:
-            continue
-        f_x, f_y = diff1(values, kx, hs[kx]), diff1(values, ky, hs[ky])
-        for j in range(k):
-            jx, jy = 2 * j, 2 * j + 1
-            re, im = parts[j, k], parts[k, j]
-            diff1(f_x, jx, hs[jx], out=re)
-            re += diff1(f_y, jy, hs[jy], out=tmp)
-            re *= 0.25
-            diff1(f_y, jx, hs[jx], out=im)
-            im -= diff1(f_x, jy, hs[jy], out=tmp)
-            im *= 0.25
+    src = np.ascontiguousarray(values)
+    parts = np.empty((n, n) + src.shape)
+    temps = [np.empty(src.shape) for _ in range(3 if n == 1 else 6)]
+    _ddbar_program(src, 0, spec.spacings, parts, temps)()
     return parts
 
 

@@ -408,7 +408,7 @@ def test_workspace_reference_is_the_parts_of_the_reference_matrices(n, rescaled)
     ws = flow_module._Workspace(st, FlowConfig(rescaled=rescaled))
     for t in (0.0, 0.3, 0.3, 1.7, 0.0):
         parts = _parts(flow_module._reference_matrices(st, t, rescaled))
-        assert np.array_equal(ws.reference(t), parts[0, 0] if n == 1 else parts)
+        assert np.array_equal(ws.reference(t), parts)
 
 
 class TestRun:

@@ -9,6 +9,8 @@ the public metric and its positivity check serve only the initial state.
 The flow binds its stencils only where it builds a sweep, so a run binds
 them once, and it assembles complex matrices only for the public
 transverse metric and the n >= 3 spectrum, so its steps run on real parts.
+Every ddbar, the flow's and the public one, is one bound program, and the
+flow takes no whole-grid stencil but the public leaf defect's.
 """
 
 import ast
@@ -66,7 +68,7 @@ def test_one_spectrum_routine():
     assert found == [("transverse.py", "_spectrum", "eigvalsh")]
 
 
-_METRIC_NAMES = {"_spectrum", "_spectrum_2x2", "_metric_n1"}
+_METRIC_NAMES = {"_spectrum", "_spectrum_2x2"}
 
 
 def _scoped_references(source: str, names):
@@ -84,22 +86,22 @@ def _metric_references(source: str):
 def test_one_metric_evaluation_routine():
     """In flow.py the metric is formed and its spectrum taken only inside flow._evaluate.
 
-    The n = 1 lane body, a function nested in _evaluate, is inside it; a
+    The block metric, a function nested in _evaluate, is inside it; a
     function nested anywhere else is not.
     """
     source = Path(vaisflow.flow.__file__).read_text()
     expected = [
         ("", "_spectrum"), ("", "_spectrum_2x2"),
-        ("_evaluate", "_metric_n1"), ("_evaluate", "_spectrum"), ("_evaluate", "_spectrum_2x2"),
+        ("_evaluate", "_spectrum"), ("_evaluate", "_spectrum_2x2"),
     ]
     assert _metric_references(source) == expected
     planted = source + "\n\ndef _second_metric(g):\n    return _spectrum(g, 1)\n"
     assert _metric_references(planted) == sorted(expected + [("_second_metric", "_spectrum")])
     nested = source + (
         "\n\ndef _outer(block, g):\n    def lane():\n"
-        "        return _metric_n1(block, g, g)\n    return lane\n"
+        "        return _spectrum_2x2(g, g, g, g)\n    return lane\n"
     )
-    assert _metric_references(nested) == sorted(expected + [("_outer.lane", "_metric_n1")])
+    assert _metric_references(nested) == sorted(expected + [("_outer.lane", "_spectrum_2x2")])
 
 
 _PUBLIC_METRIC_NAMES = {"checked_positive", "transverse_metric"}
@@ -132,6 +134,40 @@ def test_stencils_bound_only_where_a_sweep_is_built():
     assert _scoped_references(planted, {"_Stencil"}) == sorted(expected + [("_rebind", "_Stencil")])
 
 
+def _outer_references(source: str, names):
+    """The references by outermost enclosing function: one in a nested function counts as its own."""
+    return sorted({(scope.split(".")[0], name) for scope, name in _references(ast.parse(source), names)})
+
+
+def test_one_ddbar_program():
+    """In transverse.py a grid._Stencil is bound only in transverse._ddbar_program.
+
+    Public ddbar and ricci, the metric from a potential and every block of
+    the flow's sweep then run the same operations in the same order.
+    """
+    source = Path(vaisflow.transverse.__file__).read_text()
+    expected = [("", "_Stencil"), ("_ddbar_program", "_Stencil")]
+    assert _outer_references(source, {"_Stencil"}) == expected
+    planted = source + "\n\ndef _second_ddbar(a):\n    return _Stencil(1, a, 1, 0.1, a, a)\n"
+    assert _outer_references(planted, {"_Stencil"}) == sorted(
+        expected + [("_second_ddbar", "_Stencil")]
+    )
+
+
+def test_flow_takes_whole_grid_differences_only_for_the_leaf_defect():
+    """In flow.py diff1 and diff2 are referenced only in the public leafwise_defect.
+
+    Every other derivative the flow takes is a stencil of its sweep, bound
+    once per run.
+    """
+    source = Path(vaisflow.flow.__file__).read_text()
+    names = {"diff1", "diff2"}
+    expected = [("", "diff1"), ("leafwise_defect", "diff1")]
+    assert _outer_references(source, names) == expected
+    planted = source + "\n\ndef _leaf_terms(phi, h):\n    return diff2(phi, -1, h)\n"
+    assert _outer_references(planted, names) == sorted(expected + [("_leaf_terms", "diff2")])
+
+
 _COMPLEX_NAMES = {"_ddbar_matrices", "_assemble", "_metric_with_ddbar"}
 
 
@@ -139,14 +175,14 @@ def test_complex_ddbar_only_for_the_public_metric():
     """In flow.py complex matrices are assembled only for the public metric and n >= 3 eigvalsh.
 
     flow.transverse_metric assembles its parts once, through
-    transverse._metric_with_ddbar; flow._evaluate assembles only for the
-    n >= 3 spectrum.  transverse._ddbar_matrices is reached from no flow
+    transverse._metric_with_ddbar; flow._evaluate's block metric assembles
+    only for the n >= 3 spectrum.  transverse._ddbar_matrices is reached from no flow
     routine.
     """
     source = Path(vaisflow.flow.__file__).read_text()
     expected = [
         ("", "_assemble"), ("", "_metric_with_ddbar"),
-        ("_evaluate", "_assemble"), ("transverse_metric", "_metric_with_ddbar"),
+        ("_evaluate.metric", "_assemble"), ("transverse_metric", "_metric_with_ddbar"),
     ]
     assert _scoped_references(source, _COMPLEX_NAMES) == expected
     planted = source + "\n\ndef _stage(phi, spec):\n    return _ddbar_matrices(phi, spec)\n"

@@ -6,8 +6,8 @@ them (whole-grid, one fresh array per intermediate), so every comparison
 is exact: the engine promises the same operands in the same order, not
 merely the same values to rounding.  ``reference_spectrum`` writes out the
 closed-form 2 x 2 eigenvalues and determinant in the same way, and is
-itself anchored to LAPACK within a rounding bound.  The n = 1 sweep's two
-lanes are held to the same references, and to the threads they may use.
+itself anchored to LAPACK within a rounding bound.  The sweep's two lanes
+are held to the same references, and to the threads they may use.
 """
 
 import importlib
@@ -366,6 +366,37 @@ def _n2_state():
     return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
 
 
+def _n2_lane_state(phi_values=None):
+    """n = 2 on 20 x 16^3, a sweep of 8-, 8- and 4-plane blocks, with g_12 != 0.
+
+    The first and the last block are the calling thread's lane, the middle
+    one the worker's.  With ``phi_values`` the state is assembled directly,
+    so its metric may be anything.
+    """
+    spec = GridSpec(2, (20, 16, 16, 16), (TWO_PI,) * 4)
+    h = ScalarField.from_function(
+        spec, lambda a, b, c, d: -0.3 * np.cos(a - c) + 0.1 * np.sin(b + d)
+    )
+    omega = metric_from_potential(h, HermitianField.identity(spec))
+    if phi_values is None:
+        phi = ScalarField.from_function(spec, lambda a, b, c, d: 0.03 * np.sin(a - d) * np.cos(b + c))
+        return initial_state(omega, phi=phi)
+    base = initial_state(omega)
+    return FlowState(0.0, ScalarField(spec, phi_values), base.omega_hat_0, base.chi, base.volume_density)
+
+
+def _n2_extended_state():
+    """n = 2 on 8^4 x 8^2 with a phi that varies along the leaves: eight 1-plane blocks."""
+    spec = full_spec(n=2, res=8, leaf=8)
+    h = ScalarField.from_function(spec, lambda a, b, c, d: -0.2 * np.cos(a - c))
+    phi = ScalarField.from_function(
+        spec,
+        lambda a, b, c, d, u, v: 0.03 * np.sin(a - d) * np.cos(b) + 0.01 * np.cos(u) * np.sin(a + v),
+        basic=False,
+    )
+    return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
+
+
 FLOW_CASES = {
     "n1_basic": (_n1_basic_state, FlowConfig()),
     "n1_basic_rescaled": (_n1_basic_state, FlowConfig(class_k=-1, rescaled=True)),
@@ -374,12 +405,16 @@ FLOW_CASES = {
     # 24^2 x 8^2: a sweep of 21-plane blocks and a last block of 3
     "n1_extended_ragged": (lambda: _n1_extended_state(res=24), FlowConfig(extended=True)),
     "n2": (_n2_state, FlowConfig()),
+    "n2_ragged": (_n2_lane_state, FlowConfig(class_k=-1)),
 }
+# Too large for the 25-step run comparison; its right-hand side, step and
+# diagnostics are held to the references here.
+REFERENCE_CASES = dict(FLOW_CASES, n2_extended=(_n2_extended_state, FlowConfig(extended=True)))
 
 
-@pytest.mark.parametrize("case", sorted(FLOW_CASES))
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_rhs_step_and_residual_bit_identical(case):
-    make_state, config = FLOW_CASES[case]
+    make_state, config = REFERENCE_CASES[case]
     state = make_state()
     phi_values = np.array(state.phi.as_full_values())
     for t in (0.0, 0.3):
@@ -694,9 +729,10 @@ def test_two_lanes_match_the_reference(class_k):
         assert np.array_equal(_bits(stage), _bits(expected))
 
         k1 = np.empty(phi.shape)
-        g, ld, lows, highs = flow._evaluate(phi, t, ws, 0.0, True, k1, keep=True)
+        lows, highs = flow._evaluate(phi, t, ws, 0.0, True, k1, keep=True)
+        g, ld = sweep.g, sweep.ld
         metric = reference_metric(phi, t, state, False, True)
-        assert np.array_equal(_bits(g), _bits(metric))
+        assert np.array_equal(_bits(g[0, 0]), _bits(metric))
         assert np.array_equal(_bits(ld), _bits(np.log(metric)))
         assert np.array_equal(_bits(k1), _bits(expected))
         ric_sup, lo, hi, defect = reference_diagnostics(phi, t, state, config)
@@ -722,6 +758,30 @@ def test_a_breach_in_the_worker_lane_is_located():
     assert err.value.location == location == (30, 5, 3, 2)
 
 
+def test_an_n2_breach_in_the_worker_lane_is_located():
+    """An n = 2 metric negative only in the worker's block reports the global minimum and location."""
+    spike = _n2_lane_state().phi.values.copy()
+    # A spike in z^1 alone: g_11 is negative on rows 10-14 only, while g_22
+    # and g_12 keep lambda_max > 0, where the reference spectrum holds.
+    spike[12, 5] += 2.0
+    state = _n2_lane_state(spike)
+    ws = flow._Workspace(state, FlowConfig())
+    sweep = ws.sweep(state.phi.spec.transverse_shape)
+    assert [[block.rows for block in lane] for lane in sweep.lanes] == [
+        [slice(0, 8), slice(16, 20)], [slice(8, 16)]
+    ]
+    w = reference_min_eigenvalues(spike, 0.0, state, False, False)
+    breached = np.nonzero(np.min(w, axis=(1, 2, 3)) < 0)[0]
+    assert 8 <= breached.min() and breached.max() < 16
+    location = tuple(int(i) for i in np.unravel_index(np.argmin(w), w.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log of a breach
+        with pytest.raises(PositivityLost) as err:
+            ma_rhs(state)
+    assert err.value.min_eigenvalue == float(np.min(w))
+    assert err.value.location == location and location[:2] == (12, 5)
+
+
 @pytest.mark.parametrize("failing", [0, 21], ids=["calling_lane", "worker_lane"])
 def test_a_lane_raises_only_after_the_other_lane_has_finished(failing, monkeypatch):
     """A fault in one lane's block propagates once the other lane has written its rows.
@@ -735,15 +795,16 @@ def test_a_lane_raises_only_after_the_other_lane_has_finished(failing, monkeypat
     phi = np.array(state.phi.values)
     expected = reference_rhs(phi, 0.0, state, extended=True, rescaled=False)
     other_rows = [rows for lane in _LANE_ROWS if lane[0].start != failing for rows in lane]
-    metric = flow._metric_n1
 
-    def planted(block, ref, out):
-        if block.rows.start == failing:
-            raise RuntimeError("planted fault")
-        time.sleep(0.2)
-        metric(block, ref, out)
+    def planted(block):
+        def metric():
+            if block.rows.start == failing:
+                raise RuntimeError("planted fault")
+            time.sleep(0.2)
+            block.metric()
+        return block._replace(metric=metric)
 
-    monkeypatch.setattr(flow, "_metric_n1", planted)
+    monkeypatch.setattr(sweep, "lanes", [[planted(block) for block in lane] for lane in sweep.lanes])
     out = np.full(phi.shape, np.nan)
     with pytest.raises(RuntimeError, match="planted fault"):
         flow._evaluate(phi, 0.0, ws, 1e-10, True, out)
@@ -858,8 +919,8 @@ def _public_functions():
                         yield value, attr, method
 
 
-def test_extended_run_calls_every_public_function_on_the_calling_thread(monkeypatch):
-    """The worker lane runs bound stencils and numpy only; a tracer sees one thread."""
+def _threads_of_public_calls(state, config, monkeypatch):
+    """Run two steps; the threads each public function and each block program ran on."""
     threads = {}
 
     def recorded(key, function):
@@ -870,13 +931,27 @@ def test_extended_run_calls_every_public_function_on_the_calling_thread(monkeypa
 
     for owner, name, function in list(_public_functions()):
         monkeypatch.setattr(owner, name, recorded(f"{owner.__name__}.{name}", function))
-    monkeypatch.setattr(flow, "_metric_n1", recorded("lanes", flow._metric_n1))
-    state = _lane_state()
-    report = flow.run(state, FlowConfig(extended=True, ricci_tolerance=1e-30, max_steps=2))
+    program = flow._ddbar_program  # each block's metric and Ricci programs
+    monkeypatch.setattr(flow, "_ddbar_program", lambda *args: recorded("lanes", program(*args)))
+    report = flow.run(state(), replace(config, ricci_tolerance=1e-30, max_steps=2))
     assert report.steps == 2
+    return threads
+
+
+def test_extended_run_calls_every_public_function_on_the_calling_thread(monkeypatch):
+    """The worker lane runs bound stencils and numpy only; a tracer sees one thread."""
+    threads = _threads_of_public_calls(_lane_state, FlowConfig(extended=True), monkeypatch)
     lanes = threads.pop("lanes")
     assert len(lanes) == 2  # the sweep did run on a second thread
-    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.transverse.diff2"} <= set(threads)
+    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.ddbar"} <= set(threads)
+    assert {key: ids for key, ids in threads.items() if ids != {threading.get_ident()}} == {}
+
+
+def test_n2_run_calls_every_public_function_on_the_calling_thread(monkeypatch):
+    """The same holds for an n = 2 sweep of two lanes."""
+    threads = _threads_of_public_calls(_n2_lane_state, FlowConfig(class_k=-1), monkeypatch)
+    assert len(threads.pop("lanes")) == 2
+    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.ddbar"} <= set(threads)
     assert {key: ids for key, ids in threads.items() if ids != {threading.get_ident()}} == {}
 
 
