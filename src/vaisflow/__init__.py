@@ -3,7 +3,7 @@
 The package is organized around five numeric layers:
 
 - :mod:`vaisflow.grid`: periodic sampled fields and the difference calculus.
-- :mod:`vaisflow.transverse`: Hermitian metric fields, Ricci, Christoffel.
+- :mod:`vaisflow.transverse`: Hermitian metric fields, ddbar, Ricci.
 - :mod:`vaisflow.flow`: the potential-level Monge-Ampere flow (basic,
   leafwise-extended, and rescaled variants).
 - :mod:`vaisflow.vaisman`: chart structure tensors, deformations, and the
@@ -55,10 +55,9 @@ from .flow import (
     transverse_metric,
 )
 from .forms import CoefficientForm
-from .grid import GridSpec, ScalarField, fd_derivative, integrate, norms, wirtinger
+from .grid import GridSpec, ScalarField, fd_derivative, integrate, norms
 from .transverse import (
     HermitianField,
-    christoffel,
     ddbar,
     log_det,
     metric_from_potential,

@@ -39,7 +39,6 @@ __all__ = [
     "ScalarField",
     "FieldNorms",
     "fd_derivative",
-    "wirtinger",
     "integrate",
     "norms",
     "diff1",
@@ -486,25 +485,6 @@ def fd_derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
     h = spec.spacings[axis]
     out = (diff1 if order == 1 else diff2)(f.values, axis, h)
     return ScalarField(spec, out, basic=f.basic)
-
-
-def wirtinger(f: ScalarField, j: int, conjugate: bool = False) -> ScalarField:
-    """Wirtinger derivative d/dz^j (or d/dzbar^j) of ``f``.
-
-    Implements d/dz^j = (d/dx^j - i d/dy^j)/2 and its conjugate counterpart,
-    with ``j`` 1-based to match the coordinate labels z^1 ... z^n.
-    """
-    n = f.spec.n
-    if not 1 <= j <= n:
-        raise GridError(f"complex index j={j} out of range 1..{n}")
-    ax = 2 * (j - 1)
-    ay = ax + 1
-    hx = f.spec.spacings[ax]
-    hy = f.spec.spacings[ay]
-    dx = diff1(f.values, ax, hx)
-    dy = diff1(f.values, ay, hy)
-    sign = 1.0 if conjugate else -1.0
-    return ScalarField(f.spec, 0.5 * (dx + sign * 1j * dy), basic=f.basic)
 
 
 class FieldNorms(NamedTuple):

@@ -1,4 +1,4 @@
-"""Transverse Kahler quantities: metric from potential, Ricci, Christoffel.
+"""Transverse Kahler quantities: metric from potential, Ricci, the connection trace.
 
 Conventions
 -----------
@@ -43,7 +43,6 @@ __all__ = [
     "metric_from_potential",
     "log_det",
     "ricci",
-    "christoffel",
     "ricci_difference_check",
     "scalar_curvature",
 ]
@@ -126,11 +125,6 @@ class HermitianField:
     def zeros(cls, spec: GridSpec, basic: bool = True) -> "HermitianField":
         n = spec.n
         return cls(spec, np.zeros(spec.shape(basic) + (n, n), dtype=np.complex128), basic)
-
-    def eig_range(self) -> tuple[float, float]:
-        """(min, max) eigenvalue over all grid points."""
-        lows, highs, _ = _spectrum(self.matrices, self.spec.n)
-        return float(np.min(lows)), float(np.max(highs))
 
     def checked_positive(self, floor: float = EPS_POSITIVITY) -> "HermitianField":
         """Return the field flagged positive, or raise :class:`PositivityLost`."""
@@ -431,23 +425,6 @@ def _inverse(g: HermitianField) -> np.ndarray:
     if cond > _CONDITION_WARN:
         warnings.warn(f"metric condition number {cond:.3e} exceeds {_CONDITION_WARN:.0e}")
     return inv
-
-
-def christoffel(g: HermitianField) -> np.ndarray:
-    """Connection coefficients Gamma^k_{j l} = g^{k mbar} d g_{l mbar} / dz^j.
-
-    Returns an array of shape ``grid + (n, n, n)`` indexed ``[..., k, j, l]``.
-    """
-    spec = g.spec
-    n = spec.n
-    inv = _inverse(g)
-    out = np.zeros(g.matrices.shape[:-2] + (n, n, n), dtype=np.complex128)
-    for j in range(n):
-        dA = _d_z(g.matrices, j, spec)
-        prod = dA @ inv
-        # Gamma[k, j, l] = (dA . inv)[l, k]
-        out[..., :, j, :] = np.swapaxes(prod, -1, -2)
-    return out
 
 
 def connection_trace(g: HermitianField) -> np.ndarray:

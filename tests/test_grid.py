@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.convergence import fitted_order
 from vaisflow.exceptions import GridError
-from vaisflow.grid import GridSpec, ScalarField, fd_derivative, integrate, norms, wirtinger
+from vaisflow.grid import GridSpec, ScalarField, fd_derivative, integrate, norms
+from vaisflow.transverse import _d_z, _d_zbar
 from vaisflow.transverse import HermitianField
 
 
@@ -137,6 +138,8 @@ class TestFdDerivative:
 
 
 class TestWirtinger:
+    """d/dz^1 and d/dzbar^1 on the grid's first differences (transverse._d_z and _d_zbar)."""
+
     def test_linear_coordinates(self):
         # d(x^1)/dz = 1/2 and d(y^1)/dz = -+ i/2.  The coordinate functions
         # are linear, so the stencil is exact away from the wrap seam (two
@@ -144,37 +147,29 @@ class TestWirtinger:
         spec = basic_spec(res=64)
         interior = slice(2, -2)
         fx = ScalarField.from_function(spec, lambda x, y: x + 0.0 * y)
-        for conjugate in (False, True):
-            d = wirtinger(fx, 1, conjugate)
-            assert np.max(np.abs(d.values[interior, :] - 0.5)) < 1e-12
+        for derivative in (_d_z, _d_zbar):
+            d = derivative(fx.values, 0, spec)
+            assert np.max(np.abs(d[interior, :] - 0.5)) < 1e-12
         fy = ScalarField.from_function(spec, lambda x, y: y + 0.0 * x)
-        d = wirtinger(fy, 1, conjugate=False)
-        assert np.max(np.abs(d.values[:, interior] + 0.5j)) < 1e-12
-        dc = wirtinger(fy, 1, conjugate=True)
-        assert np.max(np.abs(dc.values[:, interior] - 0.5j)) < 1e-12
+        d = _d_z(fy.values, 0, spec)
+        assert np.max(np.abs(d[:, interior] + 0.5j)) < 1e-12
+        dc = _d_zbar(fy.values, 0, spec)
+        assert np.max(np.abs(dc[:, interior] - 0.5j)) < 1e-12
 
     def test_mixed_second_derivative(self):
         spec = basic_spec(res=128)
         f = ScalarField.from_function(spec, lambda x, y: np.cos(x))
-        d2 = wirtinger(wirtinger(f, 1, False), 1, True)
+        d2 = _d_zbar(_d_z(f.values, 0, spec), 0, spec)
         exact = -0.25 * np.cos(spec.coordinate_mesh(0))
-        assert np.max(np.abs(d2.values - exact)) < 1e-6
+        assert np.max(np.abs(d2 - exact)) < 1e-6
 
     def test_conjugation_identity_bitwise(self):
         spec = basic_spec(res=16)
         rng = np.random.default_rng(3)
         vals = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        f = ScalarField(spec, vals)
-        lhs = wirtinger(f, 1, False).conj()
-        rhs = wirtinger(f.conj(), 1, True)
-        assert np.array_equal(lhs.values, rhs.values)
-
-    def test_index_range(self):
-        f = ScalarField.zeros(basic_spec(res=16))
-        with pytest.raises(GridError):
-            wirtinger(f, 0)
-        with pytest.raises(GridError):
-            wirtinger(f, 2)
+        lhs = np.conj(_d_z(vals, 0, spec))
+        rhs = _d_zbar(np.conj(vals), 0, spec)
+        assert np.array_equal(lhs, rhs)
 
 
 class TestIntegrateAndNorms:
