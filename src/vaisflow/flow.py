@@ -565,8 +565,8 @@ def _evaluate(phi, t, ws, floor, full, out, keep=False):
     swept block by block in the lanes of the workspace's sweep of its shape,
     bit-identical to a whole grid.  ``keep`` (the diagnostics) puts g and
     log det g into the sweep's ``g`` and ``ld``, where its Ricci sweep reads
-    them.  Returns ``(lows, highs)``, the least and the largest eigenvalue
-    of each block.
+    them.  Returns ``(lows, highs)``, the least and (with ``keep``) the
+    largest eigenvalue of each block.
     """
     ref = ws.reference(t, full)
     log_density = ws.log_density_full if full else ws.log_density
@@ -589,7 +589,7 @@ def _evaluate(phi, t, ws, floor, full, out, keep=False):
         for block in blocks:
             rows = block.rows
             lows, highs, ld = metric(block, sweep.g[:, :, rows] if keep else block.parts, floor)
-            bounds.append((float(np.min(lows)), float(np.max(highs))))
+            bounds.append((float(np.min(lows)), float(np.max(highs)) if keep else None))
             if not bounds[-1][0] > floor:
                 break  # no log of a breach; the whole grid locates it below
             fb = out[rows]
