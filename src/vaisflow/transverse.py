@@ -270,7 +270,7 @@ def _ddbar_program(
         return _Stencil(order, operand[halo:len(operand) - halo], axis, hs[axis], out, tmp1, tmp2)
 
     def combine(op, part):  # part op= tmp, then part *= 0.25
-        steps.extend((partial(op, part, tmp, out=part), partial(np.multiply, part, 0.25, out=part)))
+        steps.extend((partial(op, part, tmp, part), partial(np.multiply, part, 0.25, part)))
 
     for k in range(n):
         kx, ky = 2 * k, 2 * k + 1
