@@ -76,7 +76,8 @@ def _report_bytes(report) -> tuple[bytes, bytes]:
 def _spec(n, res, leaf=None):
     if leaf is None:
         return GridSpec(n, res, (TWO_PI,) * (2 * n))
-    return GridSpec(n, res, (TWO_PI,) * (2 * n), leaf_resolution=leaf, leaf_periods=(TWO_PI, TWO_PI))
+    periods = (TWO_PI,) * (2 * n)
+    return GridSpec(n, res, periods, leaf_resolution=leaf, leaf_periods=(TWO_PI, TWO_PI))
 
 
 def _bump_state(spec, phi=None, chi=None):

@@ -135,8 +135,9 @@ def test_stencils_bound_only_where_a_sweep_is_built():
 
 
 def _outer_references(source: str, names):
-    """The references by outermost enclosing function: one in a nested function counts as its own."""
-    return sorted({(scope.split(".")[0], name) for scope, name in _references(ast.parse(source), names)})
+    """The references by outermost enclosing function: a nested function counts as its own."""
+    found = _references(ast.parse(source), names)
+    return sorted({(scope.split(".")[0], name) for scope, name in found})
 
 
 def test_one_ddbar_program():

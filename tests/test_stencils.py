@@ -379,10 +379,13 @@ def _n2_lane_state(phi_values=None):
     )
     omega = metric_from_potential(h, HermitianField.identity(spec))
     if phi_values is None:
-        phi = ScalarField.from_function(spec, lambda a, b, c, d: 0.03 * np.sin(a - d) * np.cos(b + c))
+        phi = ScalarField.from_function(
+            spec, lambda a, b, c, d: 0.03 * np.sin(a - d) * np.cos(b + c)
+        )
         return initial_state(omega, phi=phi)
     base = initial_state(omega)
-    return FlowState(0.0, ScalarField(spec, phi_values), base.omega_hat_0, base.chi, base.volume_density)
+    phi = ScalarField(spec, phi_values)
+    return FlowState(0.0, phi, base.omega_hat_0, base.chi, base.volume_density)
 
 
 def _n2_extended_state():
@@ -391,7 +394,9 @@ def _n2_extended_state():
     h = ScalarField.from_function(spec, lambda a, b, c, d: -0.2 * np.cos(a - c))
     phi = ScalarField.from_function(
         spec,
-        lambda a, b, c, d, u, v: 0.03 * np.sin(a - d) * np.cos(b) + 0.01 * np.cos(u) * np.sin(a + v),
+        lambda a, b, c, d, u, v: (
+            0.03 * np.sin(a - d) * np.cos(b) + 0.01 * np.cos(u) * np.sin(a + v)
+        ),
         basic=False,
     )
     return initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
@@ -759,7 +764,7 @@ def test_a_breach_in_the_worker_lane_is_located():
 
 
 def test_an_n2_breach_in_the_worker_lane_is_located():
-    """An n = 2 metric negative only in the worker's block reports the global minimum and location."""
+    """An n = 2 metric negative only in the worker's block: the global minimum, located."""
     spike = _n2_lane_state().phi.values.copy()
     # A spike in z^1 alone: g_11 is negative on rows 10-14 only, while g_22
     # and g_12 keep lambda_max > 0, where the reference spectrum holds.
@@ -804,7 +809,8 @@ def test_a_lane_raises_only_after_the_other_lane_has_finished(failing, monkeypat
             block.metric()
         return block._replace(metric=metric)
 
-    monkeypatch.setattr(sweep, "lanes", [[planted(block) for block in lane] for lane in sweep.lanes])
+    planted_lanes = [[planted(block) for block in lane] for lane in sweep.lanes]
+    monkeypatch.setattr(sweep, "lanes", planted_lanes)
     out = np.full(phi.shape, np.nan)
     with pytest.raises(RuntimeError, match="planted fault"):
         flow._evaluate(phi, 0.0, ws, 1e-10, True, out)
@@ -919,7 +925,7 @@ def _public_functions():
                         yield value, attr, method
 
 
-def _threads_of_public_calls(state, config, monkeypatch):
+def _threads_of_public_calls(make_state, config, monkeypatch):
     """Run two steps; the threads each public function and each block program ran on."""
     threads = {}
 
@@ -933,7 +939,7 @@ def _threads_of_public_calls(state, config, monkeypatch):
         monkeypatch.setattr(owner, name, recorded(f"{owner.__name__}.{name}", function))
     program = flow._ddbar_program  # each block's metric and Ricci programs
     monkeypatch.setattr(flow, "_ddbar_program", lambda *args: recorded("lanes", program(*args)))
-    report = flow.run(state(), replace(config, ricci_tolerance=1e-30, max_steps=2))
+    report = flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=2))
     assert report.steps == 2
     return threads
 
