@@ -66,12 +66,9 @@ from .transverse import (
 )
 from .vaisman import (
     VaismanChart,
-    adapted_frame,
     build_chart,
-    complex_structure,
     deform,
     fundamental_form,
-    lee_forms,
     q_homothety,
     verify_vaisman,
 )

@@ -95,12 +95,7 @@ def quasi_einstein_fit(ric: BlockRicci, g_T: HermitianField, n: int) -> Einstein
     lam = float(np.sum(np.conj(g) * q).real) / denom
     alpha = ric.vv_value - lam
     beta = -lam  # Ric(U, U) = 0 row
-    sup_q = float(np.max(np.abs(q - lam * g)))
-    resid = max(
-        sup_q,
-        abs(ric.vv_value - lam - alpha),
-        abs(0.0 - lam - beta),
-    )
+    resid = float(np.max(np.abs(q - lam * g)))
     return EinsteinFit(lambda_=lam, alpha=alpha, beta=beta, residual=resid, n=n)
 
 
@@ -114,8 +109,7 @@ def weyl_ricci_residual(ric: BlockRicci, g_T: HermitianField, n: int) -> float:
     """
     q_resid = float(np.max(np.abs(ric.q_block.matrices - 0.5 * n * g_T.matrices)))
     vv_resid = abs(ric.vv_value - 0.5 * n)  # theta(V) = 0
-    uu_resid = abs(0.0 + 0.5 * n - 0.5 * n)  # Ric(U,U) = 0, theta(U) = 1
-    return max(q_resid, vv_resid, uu_resid)
+    return max(q_resid, vv_resid)
 
 
 def ke_homothety(lam: float, n: int) -> float:

@@ -482,7 +482,6 @@ class _Workspace:
         self.config = config
         self.spec, self.hs = spec, spec.spacings
         self.log_density = np.log(state.volume_density.values)
-        self.log_density_full = self.log_density.reshape(spec.transverse_shape + (1, 1))
         self.symbol_sup = 0.25 * _symbol_sup(spec.transverse_resolution, spec.transverse_periods)
         self.symbol_shift = 0.0
         if config.extended:
@@ -494,7 +493,6 @@ class _Workspace:
         if config.rescaled:
             self._p_gap = p0 - p_chi
         self._ref = np.empty(p0.shape)
-        self._ref_full = self._ref.reshape(p0.shape + (1, 1))
         self._ref_t = None
         self._sweeps = {}
         shape = spec.full_shape if config.extended else spec.transverse_shape
@@ -508,8 +506,8 @@ class _Workspace:
             self._sweeps[shape] = _Sweep(shape, self.hs, self.spec.n)
         return self._sweeps[shape]
 
-    def reference(self, t: float, full: bool = False) -> np.ndarray:
-        """The reference metric at ``t``, with unit leaf axes when ``full``; valid until the next t.
+    def reference(self, t: float) -> np.ndarray:
+        """The parts of the reference metric at ``t``, valid until the next t.
 
         P0 + t P_chi, or P_chi + e^{-t} (P0 - P_chi) when rescaled, from the
         parts P0 of omega_hat_0 and P_chi of chi: part by part what
@@ -526,7 +524,7 @@ class _Workspace:
                 np.multiply(self._p_chi, t, out=ref)
                 ref += self._p0
             self._ref_t = t
-        return self._ref_full if full else self._ref
+        return self._ref
 
     def rhs(
         self, phi: np.ndarray, t: float, out: np.ndarray | None = None, floor: float | None = None
@@ -543,7 +541,7 @@ class _Workspace:
             out = np.empty(phi.shape)
         if floor is None:
             floor = config.positivity_floor
-        _evaluate(phi, t, self, floor, config.extended, out)
+        _evaluate(phi, t, self, floor, out)
         if config.rescaled:
             _calibrate(out, phi)
         return out
@@ -555,22 +553,23 @@ def _calibrate(f: np.ndarray, phi: np.ndarray) -> None:
     f -= np.mean(f)
 
 
-def _evaluate(phi, t, ws, floor, full, out, keep=False):
+def _evaluate(phi, t, ws, floor, out, keep=False):
     """The flow at ``phi``, ``t``: the one place that forms the metric g and takes its log det.
 
     g = ghat(t) + ddbar phi is checked against ``floor`` before any log; a
     breach raises :class:`PositivityLost` with the minimum and its location
     over the whole grid.  f = log det g - log density, plus 0.5 (phi_xx +
-    phi_yy) along the leaves of a ``full`` phi, goes into ``out``.  phi is
-    swept block by block in the lanes of the workspace's sweep of its shape,
-    bit-identical to a whole grid.  ``keep`` (the diagnostics) puts g and
-    log det g into the sweep's ``g`` and ``ld``, where its Ricci sweep reads
-    them.  Returns ``(lows, highs)``, the least and (with ``keep``) the
-    largest eigenvalue of each block.
+    phi_yy) along the leaves of a full phi (one with leaf axes), goes into
+    ``out``.  phi is swept block by block in the lanes of the workspace's
+    sweep of its shape, bit-identical to a whole grid.  ``keep`` (the
+    diagnostics) puts g and log det g into the sweep's ``g`` and ``ld``,
+    where its Ricci sweep reads them.  Returns ``(lows, highs)``, the least
+    and (with ``keep``) the largest eigenvalue of each block.
     """
-    ref = ws.reference(t, full)
-    log_density = ws.log_density_full if full else ws.log_density
+    ref, log_density = ws.reference(t), ws.log_density
     n = ws.spec.n
+    if phi.ndim > 2 * n:  # full: broadcast both over the leaf axes
+        ref, log_density = ref[..., None, None], log_density[..., None, None]
     sweep = ws.sweep(phi.shape)
     sweep.load(phi)
 
@@ -846,7 +845,7 @@ def _with_diagnostics(
     if leaf_varying:
         values = state.phi.values
     k1 = np.empty(values.shape)
-    lows, highs = _evaluate(values, state.t, ws, 0.0, leaf_varying, k1, keep=True)
+    lows, highs = _evaluate(values, state.t, ws, 0.0, k1, keep=True)
     sweep = ws.sweep(values.shape)
     ric_sup = sweep.ricci_sup(config.class_k)
     defect = sweep.leaf_defect() if leaf_varying else 0.0
@@ -941,9 +940,9 @@ def run(
     for k in range(1, config.max_steps + 1):
         dt_cap = None
         if t_final is not None:
-            dt_cap = t_final - state.t
-            if dt_cap <= DT_FLOOR:
+            if state.t >= t_final - DT_FLOOR:
                 return FlowReport(False, "not_converged", state.t, k - 1, history, state)
+            dt_cap = t_final - state.t
         try:
             state = step(state, config, dt_cap=dt_cap, _workspace=workspace)
         except PositivityLost as exc:
@@ -962,8 +961,6 @@ def run(
             return FlowReport(False, "diverged", state.t, k, history, state)
         if state.diagnostics.ricci_sup < config.ricci_tolerance:
             return FlowReport(True, "converged", state.t, k, history, state)
-        if t_final is not None and state.t >= t_final - DT_FLOOR:
-            return FlowReport(False, "not_converged", state.t, k, history, state)
 
     return FlowReport(False, "not_converged", state.t, config.max_steps, history, state)
 

@@ -75,31 +75,30 @@ class CoefficientForm:
 
     # -- access ------------------------------------------------------------
 
-    def component_values(self, idx: tuple[int, ...], full: bool = False) -> np.ndarray:
+    def component_values(self, idx: tuple[int, ...]) -> np.ndarray:
         """Evaluated values of one component, affine part included."""
         f = self.components.get(idx)
         lin = self.linear.get(idx)
-        basic = (f.basic if f is not None else True) and not full
-        shape = self.spec.shape(basic)
-        out = np.zeros(shape)
+        basic = f.basic if f is not None else True
+        out = np.zeros(self.spec.shape(basic))
         if f is not None:
-            out = out + (f.values if f.basic == basic else f.as_full_values())
+            out = out + f.values
         if lin is not None:
             for b, coef in enumerate(lin):
                 if coef != 0.0:
                     out = out + coef * self.spec.coordinate_mesh(b, basic)
         return out
 
-    def value(self, *indices: int, full: bool = False) -> np.ndarray:
+    def value(self, *indices: int) -> np.ndarray:
         """Component value for an arbitrary index order (sign included)."""
         if len(set(indices)) != len(indices):
-            return np.zeros(self.spec.shape(basic=not full))
+            return np.zeros(self.spec.transverse_shape)
         order = np.argsort(indices, kind="stable")
         inversions = sum(
             1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j]
         )
         sign = -1.0 if inversions % 2 else 1.0
-        return sign * self.component_values(tuple(sorted(indices)), full=full)
+        return sign * self.component_values(tuple(sorted(indices)))
 
     def sup_norm(self) -> float:
         out = 0.0
@@ -159,49 +158,42 @@ class CoefficientForm:
                 comps[idx] = _add_fields(comps.get(idx), ScalarField.constant(spec, c))
         return CoefficientForm(spec, self.degree + 1, comps)
 
-    def as_vector(self, full: bool = False) -> np.ndarray:
-        """Degree-1 form as a per-point component vector v[a]."""
+    def as_vector(self) -> np.ndarray:
+        """Degree-1 form as a per-point component vector v[a] on the transverse grid."""
         if self.degree != 1:
             raise GridError("as_vector applies to 1-forms")
-        out = np.zeros(self.spec.shape(basic=not full) + (self.spec.num_axes,))
+        out = np.zeros(self.spec.transverse_shape + (self.spec.num_axes,))
         for idx in set(self.components) | set(self.linear):
-            out[..., idx[0]] = self.component_values(idx, full=full)
+            out[..., idx[0]] = self.component_values(idx)
         return out
 
-    def as_matrix(self, full: bool = False) -> np.ndarray:
-        """Degree-2 form as an antisymmetric per-point matrix W[a, b]."""
+    def as_matrix(self) -> np.ndarray:
+        """Degree-2 form as an antisymmetric per-point matrix W[a, b] on the transverse grid."""
         if self.degree != 2:
             raise GridError("as_matrix applies to 2-forms")
         D = self.spec.num_axes
-        shape = self.spec.shape(basic=not full)
-        out = np.zeros(shape + (D, D))
+        out = np.zeros(self.spec.transverse_shape + (D, D))
         for (a, b) in set(self.components) | set(self.linear):
-            vals = self.component_values((a, b), full=full)
+            vals = self.component_values((a, b))
             out[..., a, b] = vals
             out[..., b, a] = -vals
         return out
 
-    def contract_vector(self, vec: np.ndarray) -> np.ndarray | "CoefficientForm":
-        """Interior product with a constant coordinate vector (length D).
+    def contract_vector(self, vec: np.ndarray) -> np.ndarray:
+        """Interior product of a 1-form with a constant coordinate vector (length D).
 
         Requires basic components (all chart forms are basic).
         """
+        if self.degree != 1:
+            raise GridError("contract_vector applies to 1-forms")
         vec = np.asarray(vec, dtype=np.float64)
         if any(not f.basic for f in self.components.values()):
             raise GridError("contract_vector expects basic components")
-        if self.degree == 1:
-            out = np.zeros(self.spec.transverse_shape)
-            for (a,) in set(self.components) | set(self.linear):
-                if vec[a] != 0.0:
-                    out = out + vec[a] * self.component_values((a,))
-            return out
-        w = self.as_matrix()
-        vals = np.einsum("...ab,b->...a", w, vec)
-        comps = {
-            (a,): ScalarField(self.spec, np.ascontiguousarray(vals[..., a]), basic=True)
-            for a in range(self.spec.num_axes)
-        }
-        return CoefficientForm(self.spec, 1, comps)
+        out = np.zeros(self.spec.transverse_shape)
+        for (a,) in set(self.components) | set(self.linear):
+            if vec[a] != 0.0:
+                out = out + vec[a] * self.component_values((a,))
+        return out
 
 
 def wedge_one_form(one: CoefficientForm, other: CoefficientForm) -> CoefficientForm:

@@ -16,9 +16,9 @@ with the differentiated axis in the middle; each shifted difference is one
 contiguous subtract over the flattened array plus a few small subtracts
 that overwrite the wrapped planes, so no shifted copy of the array is ever
 made.  A ``_Stencil`` is one such sweep bound to its arrays, with its
-views built once; :func:`diff1` and :func:`diff2` bind one and run it, and
-accept an ``out=`` array.  A ``_Stencil`` can also sweep a large array
-block by block from a halo of neighbouring planes.  Every route applies the
+views built once; :func:`diff1` and :func:`diff2` bind one and run it.  A
+``_Stencil`` can also sweep a large array block by block from a halo of
+neighbouring planes.  Every route applies the
 same operations to the same operands in the same order, so results are
 bit-identical whichever route, block size or output buffer is used.
 """
@@ -418,8 +418,8 @@ class _Stencil:
         self._sweep(*self._args)
 
 
-def _prepare(values: np.ndarray, axis: int, out: np.ndarray | None) -> tuple[np.ndarray, int, np.ndarray]:
-    """Contiguous operand, normalised axis and a checked (or new) output array."""
+def _prepare(values: np.ndarray, axis: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Contiguous operand, normalised axis and a new output array."""
     src = np.ascontiguousarray(values)
     if not -src.ndim <= axis < src.ndim:
         raise GridError(f"axis {axis} out of range for a {src.ndim}-d array")
@@ -429,32 +429,19 @@ def _prepare(values: np.ndarray, axis: int, out: np.ndarray | None) -> tuple[np.
             f"the periodic stencils need at least {_MIN_STENCIL_POINTS} points along an axis, "
             f"got {src.shape[axis]}"
         )
-    if out is None:
-        return src, axis, np.empty(src.shape, dtype=src.dtype)
-    if out.shape != src.shape or not out.flags.c_contiguous:
-        raise GridError("out must be a C-contiguous array of the input's shape")
-    if np.may_share_memory(out, values):
-        raise GridError("out must not overlap the input")
-    return src, axis, out
+    return src, axis, np.empty(src.shape, dtype=src.dtype)
 
 
-def diff1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order periodic first derivative along an array axis.
-
-    The result is written into ``out`` when it is given (a C-contiguous
-    array of the input's shape that does not overlap it) and returned.
-    """
-    src, axis, out = _prepare(values, axis, out)
+def diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order periodic first derivative along an array axis."""
+    src, axis, out = _prepare(values, axis)
     _Stencil(1, src, axis, h, out, np.empty_like(out))()
     return out
 
 
-def diff2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order periodic second derivative along an array axis.
-
-    ``out`` works as in :func:`diff1`.
-    """
-    src, axis, out = _prepare(values, axis, out)
+def diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order periodic second derivative along an array axis."""
+    src, axis, out = _prepare(values, axis)
     _Stencil(2, src, axis, h, out, np.empty_like(out), np.empty_like(out))()
     return out
 

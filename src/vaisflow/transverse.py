@@ -126,9 +126,12 @@ class HermitianField:
         n = spec.n
         return cls(spec, np.zeros(spec.shape(basic) + (n, n), dtype=np.complex128), basic)
 
-    def checked_positive(self, floor: float = EPS_POSITIVITY) -> "HermitianField":
-        """Return the field flagged positive, or raise :class:`PositivityLost`."""
-        _check_floor(_spectrum(self.matrices, self.spec.n)[0], floor)
+    def checked_positive(self) -> "HermitianField":
+        """Return the field flagged positive, or raise :class:`PositivityLost`.
+
+        Positive means every lowest eigenvalue exceeds :data:`EPS_POSITIVITY`.
+        """
+        _check_floor(_spectrum(self.matrices, self.spec.n)[0], EPS_POSITIVITY)
         return HermitianField._assembled(self.spec, self.matrices, self.basic, positivity_checked=True)
 
     def scaled(self, c: float) -> "HermitianField":
@@ -136,22 +139,11 @@ class HermitianField:
 
     def __add__(self, other: "HermitianField") -> "HermitianField":
         if self.basic != other.basic:
-            a, b = self.as_full(), other.as_full()
-            return HermitianField(self.spec, a.matrices + b.matrices, basic=False)
+            raise GridError("cannot add a basic and a full Hermitian field")
         return HermitianField(self.spec, self.matrices + other.matrices, self.basic)
 
     def __sub__(self, other: "HermitianField") -> "HermitianField":
         return self + other.scaled(-1.0)
-
-    def as_full(self) -> "HermitianField":
-        if not self.basic:
-            return self
-        target = self.spec.full_shape + (self.spec.n, self.spec.n)
-        reshaped = self.matrices.reshape(self.spec.transverse_shape + (1, 1, self.spec.n, self.spec.n))
-        return HermitianField(self.spec, np.broadcast_to(reshaped, target), basic=False)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.matrices)))
 
 
 def hermiticity_defect(matrices: np.ndarray) -> float:

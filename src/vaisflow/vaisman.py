@@ -39,9 +39,6 @@ from .transverse import HermitianField, ddbar, metric_from_potential
 __all__ = [
     "VaismanChart",
     "build_chart",
-    "complex_structure",
-    "adapted_frame",
-    "lee_forms",
     "fundamental_form",
     "verify_vaisman",
     "deform",
@@ -109,21 +106,6 @@ def _j0_matrix(D: int) -> np.ndarray:
     return j0
 
 
-def complex_structure(
-    h: ScalarField, base: HermitianField | None = None, spec: GridSpec | None = None
-) -> np.ndarray:
-    """Per-point matrices of J = J_0 + U (x) d^c P + V (x) (d^c P o J_0).
-
-    Checks J^2 = -id at every grid point (an orientation or derivative
-    inconsistency in the attachment forms would break it).
-    """
-    spec = h.spec if spec is None else spec
-    _require_full(spec)
-    B = _base_matrix(spec, base)
-    dc = _dc_full_potential(spec, h, B)
-    return _assemble_j(spec, dc.as_vector())[0]
-
-
 def _assemble_j(spec: GridSpec, dc_vals: np.ndarray) -> tuple[np.ndarray, float]:
     """J and its checked J^2 = -id defect (see :func:`_j_squared_defect`)."""
     D = spec.num_axes
@@ -147,22 +129,14 @@ def _j_squared_defect(jmat: np.ndarray) -> float:
     return float(np.max(np.abs(jmat @ jmat + np.eye(jmat.shape[-1]))))
 
 
-def lee_forms(
-    h: ScalarField, base: HermitianField | None = None
-) -> tuple[CoefficientForm, CoefficientForm]:
-    """The Lee form theta = dx and the anti-Lee form theta_c = -theta o J.
-
-    theta_c is assembled as dy - d^c P (which is what the contraction
-    -theta o J evaluates to) and then verified against the pointwise
-    contraction and the normalizations theta_c(V) = 1, theta_c(U) = 0.
-    """
-    spec = h.spec
-    _require_full(spec)
-    return _lee_forms_and_j(spec, h, _base_matrix(spec, base))[:2]
-
-
 def _lee_forms_and_j(spec: GridSpec, h: ScalarField, B: np.ndarray):
-    """(theta, theta_c, J, J^2 defect) with every check of :func:`lee_forms`, from one d^c P and one J."""
+    """The Lee form theta = dx, the anti-Lee form theta_c = -theta o J, J and its J^2 defect.
+
+    All from one d^c P and one J.  theta_c is assembled as dy - d^c P (which
+    is what the contraction -theta o J evaluates to) and then verified
+    against the pointwise contraction and the normalizations
+    theta_c(V) = 1, theta_c(U) = 0.
+    """
     u_axis, v_axis = 2 * spec.n, 2 * spec.n + 1
     theta = CoefficientForm(spec, 1, {(u_axis,): ScalarField.constant(spec, 1.0)})
     dc = _dc_full_potential(spec, h, B)
@@ -190,18 +164,12 @@ def _unit(spec: GridSpec, axis: int) -> np.ndarray:
     return e
 
 
-def adapted_frame(h: ScalarField, base: HermitianField | None = None) -> np.ndarray:
+def _frame_from_theta_c(spec: GridSpec, theta_c: CoefficientForm) -> np.ndarray:
     """Frame X_j = d/dz^j - theta_c(d/dz^j) V spanning Q, shape grid + (n, D).
 
     Dual to {dz^j, theta, theta_c}: dz^j(X_k) = delta_jk and
     theta(X_j) = theta_c(X_j) = 0 hold exactly, and J(X_j) = i X_j.
     """
-    spec = h.spec
-    _, theta_c = lee_forms(h, base)
-    return _frame_from_theta_c(spec, theta_c)
-
-
-def _frame_from_theta_c(spec: GridSpec, theta_c: CoefficientForm) -> np.ndarray:
     n = spec.n
     D = spec.num_axes
     v_axis = 2 * n + 1
@@ -248,8 +216,10 @@ def verify_vaisman(omega: CoefficientForm, theta: CoefficientForm) -> tuple[floa
 class VaismanChart:
     """A foliated chart carrying the full set of Vaisman structure tensors.
 
-    ``j_squared`` is the J^2 = -id defect of ``jmat``, measured and checked
-    when J was assembled.
+    ``theta`` and ``theta_c`` are the Lee and anti-Lee forms, ``jmat`` the
+    per-point matrices of J, shape grid + (D, D), and ``frame`` the adapted
+    frame X_j, shape grid + (n, D).  ``j_squared`` is the J^2 = -id defect
+    of ``jmat``, measured and checked when J was assembled.
     """
 
     spec: GridSpec
@@ -262,10 +232,6 @@ class VaismanChart:
     omega: CoefficientForm
     frame: np.ndarray
     j_squared: float
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
 
 
 def build_chart(

@@ -13,14 +13,11 @@ from vaisflow.vaisman import (
     _check_chart,
     _compatibility_defect,
     _j_squared_defect,
-    adapted_frame,
     build_chart,
     chart_metric_tensor,
-    complex_structure,
     deform,
     frame_metric_block,
     fundamental_form,
-    lee_forms,
     q_homothety,
     verify_vaisman,
 )
@@ -68,12 +65,6 @@ class TestComplexStructure:
         assert np.max(np.abs(jx - 1j * chart.frame)) < 1e-10
         jxbar = np.einsum("...ab,...jb->...ja", chart.jmat, np.conj(chart.frame))
         assert np.max(np.abs(jxbar + 1j * np.conj(chart.frame))) < 1e-10
-
-    def test_standalone_entry_point(self):
-        spec = full_spec(res=16, leaf=8)
-        h = ScalarField.from_function(spec, lambda x, y: -0.1 * np.cos(x), basic=True)
-        jmat = complex_structure(h)
-        assert jmat.shape == (16, 16, 4, 4)
 
 
 class TestLeeForms:
