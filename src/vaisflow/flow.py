@@ -620,13 +620,12 @@ def ma_rhs(state: FlowState, t: float | None = None, positivity_floor: float = 1
     phi must be basic here; the result is a basic real field.  Adding a
     constant to phi leaves the result unchanged bit for bit whenever the
     shifted values are exactly representable, because the stencils are
-    written in difference form.
+    written in difference form.  A metric at or below ``positivity_floor``
+    (which must be >= 0) raises :class:`PositivityLost`, located.
     """
     if not state.phi.basic:
         raise GridError("ma_rhs expects a basic potential; use ma_rhs_extended")
-    tt = state.t if t is None else t
-    vals = _Workspace(state, FlowConfig()).rhs(state.phi.values, tt, floor=positivity_floor)
-    return ScalarField(state.phi.spec, vals, basic=True)
+    return ScalarField(state.phi.spec, _rhs_once(state, t, positivity_floor, False), basic=True)
 
 
 def ma_rhs_extended(
@@ -642,10 +641,19 @@ def ma_rhs_extended(
     spec = state.phi.spec
     if not spec.has_leaf:
         raise GridError("ma_rhs_extended needs a spec with leaf axes")
-    tt = state.t if t is None else t
-    phi_values = np.ascontiguousarray(state.phi.as_full_values())
-    vals = _Workspace(state, FlowConfig(extended=True)).rhs(phi_values, tt, floor=positivity_floor)
-    return ScalarField(spec, vals, basic=False)
+    return ScalarField(spec, _rhs_once(state, t, positivity_floor, True), basic=False)
+
+
+def _rhs_once(state: FlowState, t: float | None, floor: float, extended: bool) -> np.ndarray:
+    """The right-hand side at ``t`` (the state's when None), on a workspace for this call.
+
+    A ``floor`` below 0, or NaN, would let a metric that is not positive
+    through to the log, so it raises :class:`GridError`.
+    """
+    if not floor >= 0:
+        raise GridError(f"positivity_floor: must be >= 0, got {floor}")
+    ws = _Workspace(state, FlowConfig(extended=extended))
+    return ws.rhs(_phi_operand(state, extended), state.t if t is None else t, floor=floor)
 
 
 def transverse_metric(

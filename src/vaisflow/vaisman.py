@@ -70,8 +70,6 @@ def _dc_full_potential(spec: GridSpec, h: ScalarField, B: np.ndarray) -> Coeffic
     Real components: (d^c P)_{x^j} = -P_{y^j}/2, (d^c P)_{y^j} = +P_{x^j}/2.
     The seed gradient is linear, (h_B)_{z^j} = sum_k B[j,k] zbar^k.
     """
-    if not h.basic or h.is_complex:
-        raise GridError("the chart potential must be basic and real")
     n = spec.n
     hs = spec.spacings
     comps: dict[tuple[int, ...], ScalarField] = {}
@@ -245,6 +243,8 @@ def build_chart(
     _require_full(spec)
     if h.spec != spec:
         raise GridError("potential and chart specs differ")
+    if not h.basic or h.is_complex:
+        raise GridError("the chart potential must be basic and real")
     B = _base_matrix(spec, base)
     base_field = HermitianField.constant(spec, B)
     metric = metric_from_potential(h, base_field)

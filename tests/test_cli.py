@@ -11,7 +11,9 @@ import vaisflow.flow as flow_module
 from conftest import ENCODED_FAULTS, basic_spec, encoded_fault, list_dict
 from vaisflow.cli import main
 from vaisflow.config import MAX_GRID_ENTRIES, ChecksSection, OutputSection, load_config
+from vaisflow.exceptions import ConfigError
 from vaisflow.grid import ScalarField
+from vaisflow.presets import chi_field, potential_field
 from vaisflow.snapshots import field_to_dict, load_snapshot, save_snapshot
 from vaisflow.transverse import HermitianField, metric_from_potential
 
@@ -311,6 +313,26 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path / "e.cfg", ""))
         assert (cfg.checks, cfg.output) == (ChecksSection(), OutputSection())
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="does not exist"):
+            load_config(tmp_path / "absent.cfg")
+
+    def test_parse_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(write_config(tmp_path / "p.cfg", "n = 1\n"))  # no section header
+
+    def test_unknown_section(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown section \[charts\]"):
+            load_config(write_config(tmp_path / "s.cfg", "[charts]\nn = 1\n"))
+
+
+def test_unknown_preset_names():
+    spec = basic_spec(res=8)
+    with pytest.raises(ConfigError, match="unknown potential preset 'bogus'"):
+        potential_field(spec, "bogus")
+    with pytest.raises(ConfigError, match="unknown chi preset 'bogus'"):
+        chi_field(spec, "bogus")
+
 
 class TestCmdCheckStructure:
     def test_passes(self, tmp_path):
@@ -364,6 +386,21 @@ class TestCmdCheckStructure:
         cfg = write_config(tmp_path / "nan.cfg", body)
         assert main(["check-structure", cfg]) == 4
         assert "chart construction at 32" in capsys.readouterr().err
+
+    def test_d_theta_row(self, tmp_path, capsys, monkeypatch):
+        # d theta = 0 holds exactly on every chart (theta = dx), so plant a residual.
+        verify = cli_module.vm.verify_vaisman
+        monkeypatch.setattr(
+            cli_module.vm, "verify_vaisman", lambda omega, theta: (verify(omega, theta)[0], 1e-9)
+        )
+        cfg = write_config(
+            tmp_path / "checks.cfg", CHECKS.format(defect="false", out=tmp_path / "out")
+        )
+        assert main(["check-structure", cfg]) == 4
+        err = capsys.readouterr().err
+        assert "FAILED: d theta = 0 fails at 32: residual 1.000e-09" in err
+        failures = json.loads((tmp_path / "out" / "checks.json").read_text())["failures"]
+        assert len(failures) == 2 and all(f.startswith("d theta = 0 fails") for f in failures)
 
     def test_injected_defect_detected(self, tmp_path, capsys):
         cfg = write_config(
@@ -489,6 +526,13 @@ class TestCmdReport:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.csv")]) == 1
+
+    @pytest.mark.parametrize("text", ["", ",".join(flow_module.HISTORY_COLUMNS) + "\n"])
+    def test_empty_history_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "history.csv"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == "empty history\n"
 
     @pytest.mark.parametrize("fault, named", [
         ("missing_column", "no 'ricci_sup' column"),

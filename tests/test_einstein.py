@@ -12,7 +12,7 @@ from vaisflow.einstein import (
     scalar_curvature_relation,
     weyl_ricci_residual,
 )
-from vaisflow.exceptions import DegenerateScale
+from vaisflow.exceptions import DegenerateScale, GridError
 from vaisflow.grid import ScalarField
 from vaisflow.transverse import HermitianField, metric_from_potential, ricci
 
@@ -204,3 +204,23 @@ class TestScalarCurvature:
         spec, g, ric_T = flat_blocks()
         block = assemble_full_ricci(ric_T, g, 1)
         assert abs(frame_scalar_curvature(block, g) - scalar_curvature_relation(-0.5, 1)) < 1e-8
+
+
+class TestGuards:
+    def test_fields_on_different_grids(self):
+        _, g, _ = flat_blocks(res=16)
+        _, _, ric_T = flat_blocks(res=8)
+        with pytest.raises(GridError, match="different grids"):
+            assemble_full_ricci(ric_T, g, 1)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_homothety_scale_must_be_positive(self, a):
+        _, g, ric_T = flat_blocks()
+        with pytest.raises(DegenerateScale, match="must be positive"):
+            apply_ke_homothety(g, ric_T, a, 1)
+
+    @pytest.mark.parametrize("lee_norm", [0.0, -1.0])
+    def test_lee_norm_must_be_positive(self, lee_norm):
+        _, g, ric_T = flat_blocks()
+        with pytest.raises(GridError, match="Lee form norm"):
+            p0k_check(assemble_full_ricci(ric_T, g, 1), g, 1, lee_norm=lee_norm)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,14 @@ class TestBuildVolumeForm:
         F, density = build_volume_form(HermitianField.identity(spec), ddbar(psi))
         assert np.ptp(F.values - psi.values) < 1e-6
 
+    def test_traceless_inexact_class_detected(self):
+        # A constant off-diagonal chi has trace 0, so the trace solve gives
+        # F = 0 and only the full matrix residual sees that chi is not exact.
+        spec = basic_spec(n=2, res=8)
+        chi = HermitianField.constant(spec, np.array([[0.0, 0.1], [0.1, 0.0]]))
+        with pytest.raises(InexactClass, match="misses the target by 1.000e-01"):
+            build_volume_form(HermitianField.identity(spec), chi)
+
     def test_inexact_class_detected(self):
         spec = basic_spec(res=32)
         with pytest.raises(InexactClass):
@@ -146,6 +155,30 @@ class TestMaRhs:
         bad = FlowState(0.0, phi, st.omega_hat_0, st.chi, st.volume_density)
         with pytest.raises(PositivityLost):
             ma_rhs(bad)
+
+    @pytest.mark.parametrize("floor", [-10.0, -1e-300, np.nan])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_a_floor_below_zero_is_rejected(self, floor, extended):
+        # g = 1 + 4.5 cos(x) / 4 goes down to -0.125: a negative floor would
+        # pass it to the log, so it raises before any evaluation.
+        spec = full_spec(res=16, leaf=8)
+        st = initial_state(HermitianField.identity(spec))
+        phi = ScalarField.from_function(spec, lambda x, y: 4.5 * np.cos(x))
+        bad = FlowState(0.0, phi, st.omega_hat_0, st.chi, st.volume_density)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no log of a negative value
+            with pytest.raises(GridError, match="positivity_floor"):
+                (ma_rhs_extended if extended else ma_rhs)(bad, positivity_floor=floor)
+            with pytest.raises(PositivityLost):
+                (ma_rhs_extended if extended else ma_rhs)(bad, positivity_floor=0.0)
+
+    def test_full_phi_rejected(self):
+        spec = full_spec(res=16, leaf=8)
+        st = initial_state(HermitianField.identity(spec))
+        full = FlowState(0.0, ScalarField.zeros(spec, basic=False), st.omega_hat_0, st.chi,
+                         st.volume_density)
+        with pytest.raises(GridError, match="use ma_rhs_extended"):
+            ma_rhs(full)
 
 
 class TestMaRhsExtended:
@@ -320,6 +353,11 @@ class TestStep:
         with pytest.raises(StepFloor):
             step(st, FlowConfig())
 
+    def test_extended_flow_needs_leaf_axes(self):
+        spec, st = bump_state(res=16)
+        with pytest.raises(GridError, match="extended flow needs a spec with leaf axes"):
+            step(st, FlowConfig(extended=True))
+
     @pytest.mark.parametrize("leaf_amplitude", [0.0, 0.02])
     def test_phi_that_is_not_basic_needs_the_extended_flow(self, leaf_amplitude):
         """step and run name the error; ricci_residual still diagnoses the state."""
@@ -477,6 +515,18 @@ class TestRun:
         assert (report.reason, report.steps, len(report.history)) == ("non_finite", 0, 1)
         assert report.failure is None
         assert np.all(np.isfinite(report.final_state.phi.values))
+
+    def test_step_floor_reported(self, monkeypatch):
+        # Every stage breaches, so dt halves down to the floor.
+        spec, st = bump_state(res=16)
+
+        def breach(self, phi, t, out=None, floor=None):
+            raise PositivityLost("planted breach")
+
+        monkeypatch.setattr(flow_module._Workspace, "rhs", breach)
+        report = run(st, FlowConfig(ricci_tolerance=1e-30))
+        assert (report.reason, report.steps, len(report.history)) == ("step_floor", 0, 1)
+        assert report.failure is None and report.final_t == 0.0
 
     def test_divergence_guard_reported(self, monkeypatch):
         # On the periodic chart an exact chi cannot move the class, so the

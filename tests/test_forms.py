@@ -98,3 +98,45 @@ class TestHermitianToRealTwoForm:
         dz[1] = -0.5j
         val = np.einsum("a,...ab,b->...", dz, mat, np.conj(dz))
         assert np.max(np.abs(val + 1j)) < 1e-14  # omega(X, Xbar) = -i g
+
+
+class TestFormGuards:
+    """Every validation raise of CoefficientForm and wedge_one_form."""
+
+    @pytest.fixture
+    def spec(self):
+        return full_spec(res=16, leaf=8)
+
+    def test_degree_and_linear_shape(self, spec):
+        with pytest.raises(GridError, match="only degrees 1, 2, 3"):
+            CoefficientForm(spec, 4)
+        with pytest.raises(GridError, match="one entry per axis"):
+            CoefficientForm(spec, 1, {}, {(0,): np.zeros(3)})
+
+    def test_sum_of_different_degrees(self, spec):
+        with pytest.raises(GridError, match="different degree"):
+            CoefficientForm(spec, 1) + CoefficientForm(spec, 2)
+
+    def test_degree_of_each_view(self, spec):
+        two = CoefficientForm(spec, 2, {(0, 1): ScalarField.constant(spec, 1.0)})
+        with pytest.raises(GridError, match="as_vector applies to 1-forms"):
+            two.as_vector()
+        with pytest.raises(GridError, match="as_matrix applies to 2-forms"):
+            one_form(spec, **{"0": ScalarField.constant(spec, 1.0)}).as_matrix()
+        with pytest.raises(GridError, match="contract_vector applies to 1-forms"):
+            two.contract_vector(np.ones(4))
+
+    def test_contraction_needs_basic_components(self, spec):
+        full = one_form(spec, **{"0": ScalarField.zeros(spec, basic=False)})
+        with pytest.raises(GridError, match="expects basic components"):
+            full.contract_vector(np.ones(4))
+
+    def test_wedge_needs_a_constant_one_form_on_the_left(self, spec):
+        other = one_form(spec, **{"1": ScalarField.constant(spec, 1.0)})
+        two = CoefficientForm(spec, 2, {(0, 1): ScalarField.constant(spec, 1.0)})
+        with pytest.raises(GridError, match="expects a 1-form on the left"):
+            wedge_one_form(two, other)
+        lin = np.zeros(4)
+        lin[0] = 1.0
+        with pytest.raises(GridError, match="constant coefficients"):
+            wedge_one_form(CoefficientForm(spec, 1, {}, {(1,): lin}), other)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.convergence import fitted_order
 from vaisflow.exceptions import GridError
-from vaisflow.grid import GridSpec, ScalarField, fd_derivative, integrate, norms
+from vaisflow.grid import GridSpec, ScalarField, _Stencil, fd_derivative, integrate, norms
 from vaisflow.transverse import _d_z, _d_zbar
 from vaisflow.transverse import HermitianField
 
@@ -43,6 +43,68 @@ class TestGridSpec:
         f = ScalarField.zeros(basic_spec(res=16))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+
+class TestSpecGuards:
+    """The raises of a spec's axis and shape queries, and of its period count."""
+
+    def test_period_count(self):
+        with pytest.raises(GridError, match="expected 2 transverse periods, got 1"):
+            GridSpec(1, (64, 64), (TWO_PI,))
+
+    def test_full_shape_needs_leaf_axes(self):
+        with pytest.raises(GridError, match="no leaf axes"):
+            basic_spec(res=16).shape(basic=False)
+
+    def test_axis_range_and_basic_coordinates(self):
+        spec = full_spec(res=16, leaf=8)
+        with pytest.raises(GridError, match="axis 4 out of range"):
+            spec.is_leaf_axis(4)
+        with pytest.raises(GridError, match="axis -1 out of range"):
+            spec.coordinate(-1)
+        with pytest.raises(GridError, match="no leaf coordinates"):
+            spec.coordinate_mesh(2, basic=True)
+
+
+class TestScalarFieldOperators:
+    def test_values(self):
+        spec = basic_spec(res=16)
+        a = np.random.default_rng(5).standard_normal((16, 16))
+        b = np.random.default_rng(6).standard_normal((16, 16))
+        f, g = ScalarField(spec, a), ScalarField(spec, b)
+        assert np.array_equal((f + 2.5).values, a + 2.5)
+        assert np.array_equal((f - 2.5).values, a - 2.5)
+        assert np.array_equal((f * g).values, a * b)
+        assert np.array_equal((-f).values, -a)
+        assert np.array_equal(ScalarField(spec, a + 1j * b).conj().values, a - 1j * b)
+
+    def test_layouts_must_match(self):
+        spec = full_spec(res=16, leaf=8)
+        with pytest.raises(GridError, match="different grids"):
+            ScalarField.zeros(spec) + ScalarField.zeros(full_spec(res=32, leaf=8))
+        with pytest.raises(GridError, match="basic and full"):
+            ScalarField.zeros(spec) * ScalarField.zeros(spec, basic=False)
+
+
+def test_a_halo_holds_two_planes():
+    src, out, tmp1, tmp2 = (np.empty((16, 8)) for _ in range(4))
+    with pytest.raises(GridError, match="at least the stencil's 2 planes, got 1"):
+        _Stencil(2, src, 0, 0.1, out, tmp1, tmp2, halo=1)
+
+
+class TestFittedOrder:
+    def test_fourth_order(self):
+        res = np.array([32, 64, 128])
+        assert abs(fitted_order(res, 3.0 / res**4) - 4.0) < 1e-12
+
+    @pytest.mark.parametrize("resolutions, errors, message", [
+        ([32], [1e-3], "length >= 2"),
+        ([32, 64], [1e-3], "length >= 2"),
+        ([32, 64], [1e-3, 0.0], "must be positive"),
+    ])
+    def test_rejects(self, resolutions, errors, message):
+        with pytest.raises(ValueError, match=message):
+            fitted_order(resolutions, errors)
 
 
 class TestFrozenValues:

@@ -190,3 +190,46 @@ def test_complex_ddbar_only_for_the_public_metric():
     assert _scoped_references(planted, _COMPLEX_NAMES) == sorted(
         expected + [("_stage", "_ddbar_matrices")]
     )
+
+
+def _exports(init_source: str) -> set[str]:
+    """The names a package ``__init__`` imports from its modules."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _used(sources) -> set[str]:
+    """The names called (``f(...)`` or ``m.f(...)``) or subclassed in any of ``sources``."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            targets = [node.func] if isinstance(node, ast.Call) else []
+            if isinstance(node, ast.ClassDef):
+                targets = node.bases
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    used.add(target.id)
+                elif isinstance(target, ast.Attribute):
+                    used.add(target.attr)
+    return used
+
+
+def test_every_export_is_called():
+    """Every name vaisflow/__init__.py exports is called somewhere in src/ or tests/.
+
+    A class whose only use is as a base, such as the exceptions' common
+    ``VaisflowError``, counts as used.  An export that nothing calls is a
+    second copy of something, or dead.
+    """
+    init = Path(vaisflow.__file__)
+    paths = sorted(init.parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    sources = [path.read_text() for path in paths]
+    exports = _exports(init.read_text())
+    assert "build_chart" in exports and "VaisflowError" in exports
+    assert sorted(exports - _used(sources)) == []
+    planted = init.read_text() + "\nfrom .vaisman import _unused_export\n"
+    assert sorted(_exports(planted) - _used(sources)) == ["_unused_export"]

@@ -165,6 +165,17 @@ class TestMalformed:
         with pytest.raises(SnapshotError, match="values must be a list"):
             field_from_dict(d)
 
+    @pytest.mark.parametrize("values", [["a", 1], [1.0, None], [[1.0, "x"], [0.0, 0.0]]])
+    def test_list_values_that_are_not_numbers(self, values):
+        d = list_dict(ScalarField.zeros(basic_spec(res=8)))
+        d["values"] = values
+        with pytest.raises(SnapshotError, match="malformed values array"):
+            field_from_dict(d)
+
+    def test_only_fields_are_written(self):
+        with pytest.raises(SnapshotError, match="cannot snapshot a ndarray"):
+            field_to_dict(np.zeros((8, 8)))
+
     def test_field_not_an_object(self, tmp_path):
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps({"metric": [1, 2, 3]}))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.convergence import fitted_order
-from vaisflow.exceptions import GridError, NonPositiveDeterminant, PositivityLost
+from vaisflow.exceptions import GridError, NonPositiveDeterminant, PositivityLost, SingularMetric
 from vaisflow.grid import GridSpec, ScalarField, diff1, diff2
 from vaisflow.transverse import (
     HermitianField,
@@ -66,6 +66,15 @@ class TestHermitianField:
         mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         full = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
         assert hermiticity_defect(mats) == float(full)
+
+    def test_constant_needs_an_n_by_n_matrix(self):
+        with pytest.raises(GridError, match="expected an 2 x 2 matrix"):
+            HermitianField.constant(basic_spec(n=2, res=8), np.eye(3))
+
+    def test_basic_and_full_fields_do_not_add(self):
+        spec = full_spec(res=16, leaf=8)
+        with pytest.raises(GridError, match="basic and a full"):
+            HermitianField.identity(spec) + HermitianField.identity(spec, basic=False)
 
     def test_positivity_check(self):
         spec = basic_spec(res=16)
@@ -512,6 +521,10 @@ class TestChristoffel:
         trace = connection_trace(g)
         target = _d_z(log_det(g).values, 0, spec)
         assert np.max(np.abs(trace[..., 0] - target)) < 1e-5
+
+    def test_singular_metric_is_located(self):
+        with pytest.raises(SingularMetric, match=r"singular near grid index \(0, 0\)"):
+            connection_trace(HermitianField.zeros(basic_spec(res=16)))
 
     def test_condition_number_warning(self):
         spec = basic_spec(n=2, res=8)

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, full_spec
+import vaisflow.vaisman as vaisman
+from conftest import TWO_PI, basic_spec, full_spec
 from vaisflow.convergence import fitted_order
 from vaisflow.exceptions import GridError, IdentityViolation, NonPositiveScale, PositivityLost
 from vaisflow.forms import CoefficientForm
@@ -227,6 +228,79 @@ class TestCheckChart:
     def test_planted_fault_raises(self, chart, field, message):
         with pytest.raises(IdentityViolation, match=message):
             _check_chart(_planted(chart, field))
+
+
+class TestGuards:
+    """The argument guards of chart construction, and the identity raises no chart reaches.
+
+    J^2 = -id and the three theta_c identities hold by construction, so
+    their raises are reached only with a fault planted in J or in the
+    unit vectors U and V.
+    """
+
+    def test_needs_leaf_axes(self):
+        spec = basic_spec(res=16)
+        with pytest.raises(GridError, match="needs leaf axes"):
+            build_chart(spec, ScalarField.zeros(spec))
+
+    def test_potential_on_another_grid(self, flat_chart):
+        spec, _ = flat_chart
+        other = full_spec(res=16, leaf=8)
+        with pytest.raises(GridError, match="specs differ"):
+            build_chart(spec, ScalarField.zeros(other))
+
+    @pytest.mark.parametrize("kind", ["full", "complex"])
+    def test_potential_must_be_basic_and_real(self, flat_chart, kind):
+        spec, _ = flat_chart
+        h = ScalarField.zeros(spec, basic=False) if kind == "full" else ScalarField.constant(spec, 0j)
+        with pytest.raises(GridError, match="must be basic and real"):
+            build_chart(spec, h)
+
+    def test_base_metric_must_be_constant(self, flat_chart):
+        spec, _ = flat_chart
+        base = HermitianField(spec, np.linspace(1.0, 2.0, 32 * 32).reshape(32, 32, 1, 1))
+        with pytest.raises(GridError, match="constant coefficients"):
+            build_chart(spec, ScalarField.zeros(spec), base)
+
+    def test_j_squared_raise(self, flat_chart, monkeypatch):
+        spec, chart = flat_chart
+        monkeypatch.setattr(vaisman, "_j_squared_defect", lambda jmat: 2e-10)
+        with pytest.raises(IdentityViolation, match=r"^J\^2 = -id fails with defect 2.000e-10$"):
+            build_chart(spec, chart.h)
+
+    def test_theta_c_against_the_contraction(self, flat_chart, monkeypatch):
+        spec, chart = flat_chart
+        assemble = vaisman._assemble_j
+
+        def planted(spec, dc_vals):
+            jmat, defect = assemble(spec, dc_vals)
+            jmat[..., 2, 0] += 1e-6  # the U row, which -theta o J reads
+            return jmat, defect
+
+        monkeypatch.setattr(vaisman, "_assemble_j", planted)
+        with pytest.raises(IdentityViolation, match=r"^theta_c disagrees with -theta o J on axis 0"):
+            build_chart(spec, chart.h)
+
+    @pytest.mark.parametrize(
+        "axis, message", [(3, r"^theta_c\(V\) = 1 fails$"), (2, r"^theta_c\(U\) = 0 fails$")]
+    )
+    def test_theta_c_normalizations(self, flat_chart, monkeypatch, axis, message):
+        spec, chart = flat_chart
+        unit = vaisman._unit
+        # V (axis 3) becomes 2 V, or U (axis 2) becomes U + V: theta_c reads 2, or 1.
+        planted = {3: 2.0 * unit(spec, 3), 2: unit(spec, 2) + unit(spec, 3)}
+        monkeypatch.setattr(
+            vaisman, "_unit", lambda spec, a: planted[a] if a == axis else unit(spec, a)
+        )
+        with pytest.raises(IdentityViolation, match=message):
+            build_chart(spec, chart.h)
+
+    def test_affine_parts_must_cancel(self, flat_chart):
+        spec, chart = flat_chart
+        lin = np.zeros(4)
+        lin[0] = 1.0  # x^1 dx^1 ^ dy^1, whose wedge with theta nothing cancels
+        with pytest.raises(IdentityViolation, match="affine parts fail to cancel"):
+            verify_vaisman(CoefficientForm(spec, 2, {}, {(0, 1): lin}), chart.theta)
 
 
 class TestPerPointProducts:
