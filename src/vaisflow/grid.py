@@ -18,9 +18,9 @@ that overwrite the wrapped planes, so no shifted copy of the array is ever
 made.  A ``_Stencil`` is one such sweep bound to its arrays, with its
 views built once; :func:`diff1` and :func:`diff2` bind one and run it.  A
 ``_Stencil`` can also sweep a large array block by block from a halo of
-neighbouring planes.  Every route applies the
-same operations to the same operands in the same order, so results are
-bit-identical whichever route, block size or output buffer is used.
+neighbouring planes.  Every route applies the same operations to the same
+operands in the same order, so results are bit-identical whichever route,
+block size or output buffer is used.
 """
 
 from __future__ import annotations
