@@ -42,8 +42,6 @@ import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import einstein as es
 from . import flow as fl
 from . import vaisman as vm
@@ -58,8 +56,6 @@ from .exceptions import (
     PositivityLost,
     SnapshotError,
 )
-from .forms import CoefficientForm
-from .grid import ScalarField
 from .presets import chi_field, potential_field
 from .snapshots import load_metric_bundle, save_snapshot
 from .transverse import HermitianField, metric_from_potential, ricci
@@ -230,14 +226,7 @@ def cmd_check_structure(config_path: Path) -> int:
             failures.append(f"chart construction at {res}: {exc}")
             continue
 
-        omega = chart.omega
-        if checks.inject_defect:
-            bad = ScalarField.from_function(
-                spec, lambda *c: 0.01 * np.sin(c[2 * spec.n]) + 0.0 * c[0], basic=False
-            )
-            omega = omega + CoefficientForm(spec, 2, {(0, 1): bad})
-
-        r1, r2 = vm.verify_vaisman(omega, chart.theta)
+        r1, r2 = vm.verify_vaisman(chart.omega, chart.theta)
         j2, j2_deformed = chart.j_squared, deformed.j_squared
 
         row = {

@@ -73,7 +73,6 @@ class ChecksSection:
     potential: str = "cos_bump"
     amplitude: float = -0.4
     deform_amplitude: float = -0.2
-    inject_defect: bool = False
 
     def grid_specs(self) -> list[GridSpec]:
         """One n = 1 spec per resolution, all with 2 pi periods.

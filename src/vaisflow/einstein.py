@@ -49,7 +49,6 @@ class BlockRicci:
     q_block: HermitianField
     vv_value: float
     n: int
-    cross_blocks_zero: bool = True
 
 
 @dataclass(frozen=True)
@@ -139,23 +138,15 @@ def apply_ke_homothety(
     return g_new, assemble_full_ricci(ricci_T, g_new, n)
 
 
-def p0k_check(
-    ric: BlockRicci, g_T: HermitianField, n: int, lee_norm: float = 1.0, tol: float = 1e-8
-) -> tuple[bool, float]:
-    """Residual of Ric = (n ||theta||^2 / 2) g - (n/2) theta (x) theta.
+def p0k_check(ric: BlockRicci, g_T: HermitianField, n: int) -> tuple[bool, float]:
+    """(residual < 1e-8, residual) of Ric = (n ||theta||^2 / 2) g - (n/2) theta (x) theta.
 
-    Returns (passes, residual); a flat Weyl connection forces this closed
-    form, and with unit Lee norm it coincides with the Einstein-Weyl
-    condition.
+    A flat Weyl connection forces this closed form.  The chart's Lee form
+    is theta = dx, so ||theta|| = 1 and the residual is the Einstein-Weyl
+    residual of :func:`weyl_ricci_residual` (the U row is 0 exactly).
     """
-    if not lee_norm > 0:
-        raise GridError("the Lee form norm must be positive")
-    target = 0.5 * n * lee_norm * lee_norm
-    q_resid = float(np.max(np.abs(ric.q_block.matrices - target * g_T.matrices)))
-    vv_resid = abs(ric.vv_value - target)
-    uu_resid = abs(0.0 - target + 0.5 * n)
-    residual = max(q_resid, vv_resid, uu_resid)
-    return residual < tol, residual
+    residual = weyl_ricci_residual(ric, g_T, n)
+    return residual < 1e-8, residual
 
 
 def scalar_curvature_relation(lam: float, n: int) -> float:

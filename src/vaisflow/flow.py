@@ -62,6 +62,8 @@ __all__ = [
 
 DT_FLOOR = 1e-12
 DIVERGENCE_FACTOR = 1e6
+# Relative tolerance of build_volume_form's ddbar-exactness checks on chi.
+_EXACTNESS_TOL = 1e-8
 # The end of RK4's real stability interval: |R(z)| = 1 at z = -_RK4_REAL_BOUND.
 _RK4_REAL_BOUND = 2.785293563405282
 # Bytes per float64 array of one axis-0 block of an n = 1 sweep: a block has
@@ -206,11 +208,7 @@ def _transverse_fft_symbol(spec: GridSpec) -> np.ndarray:
     return 0.25 * total
 
 
-def build_volume_form(
-    omega0: HermitianField,
-    chi: HermitianField,
-    exactness_tol: float = 1e-8,
-) -> tuple[ScalarField, ScalarField]:
+def build_volume_form(omega0: HermitianField, chi: HermitianField) -> tuple[ScalarField, ScalarField]:
     """Solve for F with ddbar F = chi - ddbar log det(g_0); return (F, density).
 
     The scalar Poisson problem for F is obtained by tracing the coefficient
@@ -222,8 +220,8 @@ def build_volume_form(
     ------
     InexactClass
         If the trace source has a nonzero mean or the full matrix residual
-        sup || ddbar F - (chi - ddbar log det g_0) || exceeds
-        ``exactness_tol``: chi is not ddbar-exact on this chart.
+        sup || ddbar F - (chi - ddbar log det g_0) || exceeds 1e-8 (relative
+        to the largest entry, at least 1): chi is not ddbar-exact on this chart.
     """
     spec = omega0.spec
     ld0 = log_det(omega0)
@@ -232,7 +230,7 @@ def build_volume_form(
 
     scale = max(1.0, float(np.max(np.abs(source.matrices))))
     mean = float(np.mean(trace))
-    if abs(mean) > exactness_tol * scale:
+    if abs(mean) > _EXACTNESS_TOL * scale:
         raise InexactClass(
             f"trace of (chi - ddbar log det g0) has mean {mean:.3e}; "
             "the class is not ddbar-exact on this chart"
@@ -247,9 +245,9 @@ def build_volume_form(
     f_field = ScalarField(spec, f_vals, basic=True)
 
     residual = float(np.max(np.abs(ddbar(f_field).matrices - source.matrices)))
-    if residual > exactness_tol * scale:
+    if residual > _EXACTNESS_TOL * scale:
         raise InexactClass(
-            f"ddbar F misses the target by {residual:.3e} (tolerance {exactness_tol:.1e}); "
+            f"ddbar F misses the target by {residual:.3e} (tolerance {_EXACTNESS_TOL:.1e}); "
             "chi is not ddbar-exact on this chart"
         )
 
@@ -265,14 +263,13 @@ def initial_state(
     omega_hat_0: HermitianField,
     chi: HermitianField | None = None,
     phi: ScalarField | None = None,
-    exactness_tol: float = 1e-8,
 ) -> FlowState:
     """Assemble an admissible flow state at t = 0."""
     spec = omega_hat_0.spec
     omega_hat_0 = omega_hat_0.checked_positive()
     if chi is None:
         chi = HermitianField.zeros(spec)
-    _, density = build_volume_form(omega_hat_0, chi, exactness_tol)
+    _, density = build_volume_form(omega_hat_0, chi)
     if phi is None:  # the metric is omega_hat_0, checked above
         return FlowState(0.0, ScalarField.zeros(spec, basic=True), omega_hat_0, chi, density)
     state = FlowState(0.0, phi, omega_hat_0, chi, density)

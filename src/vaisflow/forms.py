@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import GridError
-from .grid import GridSpec, ScalarField, fd_derivative
+from .grid import GridSpec, ScalarField, _check_same_grid, fd_derivative
 
 __all__ = ["CoefficientForm", "wedge_one_form", "hermitian_to_real_two_form"]
 
@@ -63,8 +63,6 @@ class CoefficientForm:
                 raise GridError(f"bad component index {idx} for degree {self.degree}")
             if any(not 0 <= a < D for a in idx):
                 raise GridError(f"component index {idx} out of range")
-            if f.is_complex:
-                raise GridError("form components must be real")
         for idx, lin in self.linear.items():
             lin = np.asarray(lin, dtype=np.float64)
             if lin.shape != (D,):
@@ -114,6 +112,7 @@ class CoefficientForm:
         return CoefficientForm(self.spec, self.degree, comps, lins)
 
     def __add__(self, other: "CoefficientForm") -> "CoefficientForm":
+        _check_same_grid(self, other)
         if self.degree != other.degree:
             raise GridError("cannot add forms of different degree")
         comps = dict(self.components)
@@ -203,6 +202,7 @@ def wedge_one_form(one: CoefficientForm, other: CoefficientForm) -> CoefficientF
     the model; the chart's Lee form is the constant dx, which is all the
     package needs.
     """
+    _check_same_grid(one, other)
     if one.degree != 1:
         raise GridError("wedge_one_form expects a 1-form on the left")
     if one.linear:

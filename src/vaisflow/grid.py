@@ -173,15 +173,8 @@ class GridSpec:
         return float(np.prod(hs))
 
 
-def _freeze(values, dtype=None) -> np.ndarray:
-    """A read-only C-contiguous copy of ``values`` as ``dtype``.
-
-    Without ``dtype`` the copy is complex128 for complex input and float64
-    otherwise.
-    """
-    values = np.asarray(values)
-    if dtype is None:
-        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+def _freeze(values, dtype) -> np.ndarray:
+    """A read-only C-contiguous copy of ``values`` as ``dtype``."""
     out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
@@ -189,11 +182,12 @@ def _freeze(values, dtype=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real- or complex-valued sampled function over the grid.
+    """Real-valued sampled function over the grid.
 
     ``basic`` fields are stored without leaf axes; querying them at any leaf
     coordinate returns the same value by construction.  Values are frozen
-    (read-only) after construction; all operations return new fields.
+    (read-only float64) after construction; complex values raise
+    :class:`GridError`.  All operations return new fields.
     """
 
     spec: GridSpec
@@ -201,7 +195,9 @@ class ScalarField:
     basic: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
+        if np.iscomplexobj(self.values):
+            raise GridError("scalar field values must be real")
+        object.__setattr__(self, "values", _freeze(self.values, np.float64))
         expected = self.spec.shape(self.basic)
         if self.values.shape != expected:
             raise GridError(
@@ -209,9 +205,8 @@ class ScalarField:
             )
 
     @classmethod
-    def constant(cls, spec: GridSpec, value: float | complex, basic: bool = True) -> "ScalarField":
-        dtype = np.complex128 if isinstance(value, complex) else np.float64
-        return cls(spec, np.full(spec.shape(basic), value, dtype=dtype), basic)
+    def constant(cls, spec: GridSpec, value: float, basic: bool = True) -> "ScalarField":
+        return cls(spec, np.full(spec.shape(basic), value), basic)
 
     @classmethod
     def zeros(cls, spec: GridSpec, basic: bool = True) -> "ScalarField":
@@ -226,10 +221,6 @@ class ScalarField:
         coords = [spec.coordinate_mesh(a, basic) for a in range(naxes)]
         vals = np.broadcast_to(fn(*coords), spec.shape(basic))
         return cls(spec, np.array(vals), basic)
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
 
     def as_full_values(self) -> np.ndarray:
         """Values broadcast over the leaf axes (read-only view for basic fields)."""
@@ -266,13 +257,15 @@ class ScalarField:
     def __neg__(self):
         return self.with_values(-self.values)
 
-    def conj(self) -> "ScalarField":
-        return self.with_values(np.conj(self.values))
+
+def _check_same_grid(a, b):
+    """Raise :class:`GridError` unless fields or forms ``a`` and ``b`` share one spec."""
+    if a.spec is not b.spec and a.spec != b.spec:
+        raise GridError("fields live on different grids")
 
 
 def _check_same_layout(a: ScalarField, b: ScalarField):
-    if a.spec is not b.spec and a.spec != b.spec:
-        raise GridError("fields live on different grids")
+    _check_same_grid(a, b)
     if a.basic != b.basic:
         raise GridError("cannot combine basic and full fields directly; broadcast first")
 
@@ -467,8 +460,7 @@ def fd_derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
     if order not in (1, 2):
         raise GridError(f"derivative order must be 1 or 2, got {order}")
     if f.basic and spec.is_leaf_axis(axis):
-        zeros = np.zeros(spec.transverse_shape, dtype=f.values.dtype)
-        return ScalarField(spec, zeros, basic=True)
+        return ScalarField.zeros(spec)
     h = spec.spacings[axis]
     out = (diff1 if order == 1 else diff2)(f.values, axis, h)
     return ScalarField(spec, out, basic=f.basic)
@@ -481,9 +473,7 @@ class FieldNorms(NamedTuple):
 
 
 def integrate(f: ScalarField) -> float:
-    """Integral of a real field over its own axes (periodic midpoint rule)."""
-    if f.is_complex:
-        raise GridError("integrate expects a real-valued field")
+    """Integral of a field over its own axes (periodic midpoint rule)."""
     return float(np.sum(f.values)) * f.spec.cell_volume(f.basic)
 
 
@@ -491,6 +481,5 @@ def norms(f: ScalarField) -> FieldNorms:
     """Sup norm over grid points, integral L2 norm, and mean value."""
     sup = float(np.max(np.abs(f.values))) if f.values.size else 0.0
     vol = f.spec.cell_volume(f.basic)
-    l2 = float(np.sqrt(np.sum(np.abs(f.values) ** 2) * vol))
-    mean = complex(np.mean(f.values))
-    return FieldNorms(sup, l2, mean.real if not f.is_complex else mean)
+    l2 = float(np.sqrt(np.sum(f.values ** 2) * vol))
+    return FieldNorms(sup, l2, float(np.mean(f.values)))

@@ -5,10 +5,9 @@ Snapshot schema: a JSON object with keys ``spec`` (n, resolutions, periods),
 ``f64le-base64`` encoding stores the values as the base64 of their
 little-endian float64 bytes, in row-major order over the documented axis
 order (x^1, y^1, ..., x^n, y^n, x, y).  The ``layout`` says which reals
-they are:
+they are, one layout per kind:
 
-* ``real``: a real scalar, one value per point;
-* ``complex``: a complex scalar, interleaved (re, im) pairs;
+* ``real``: a scalar field (scalar fields are real), one value per point;
 * ``parts``: a Hermitian field, the n x n real planes of
   :func:`transverse._parts` one after the other: plane (j, j) holds
   Re g_{j jbar}, and for j < k plane (j, k) holds Re g_{j kbar} and plane
@@ -16,8 +15,9 @@ they are:
   they are Hermitian by construction.
 
 Without ``encoding`` (and ``layout``) the reader takes the list form:
-``values`` is a flat list of numbers, complex numbers as [re, im] pairs,
-and Hermitian fields flatten the n x n matrix row-major at each point.
+``values`` is a flat list, one number per point for a scalar field, and
+for a Hermitian field the n x n matrix flattened row-major at each point,
+each complex entry an [re, im] pair.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def spec_from_dict(d: dict) -> GridSpec:
 
 ENCODING = "f64le-base64"
 
-# The layouts an encoded payload may have, by snapshot kind.
-_LAYOUTS = {"scalar": ("real", "complex"), "hermitian": ("parts",)}
+# The layout of an encoded payload, by snapshot kind.
+_LAYOUTS = {"scalar": "real", "hermitian": "parts"}
 _F64LE = np.dtype("<f8")
 
 
@@ -99,16 +99,9 @@ def _payload(layout: str, reals: np.ndarray) -> dict:
     return {"encoding": ENCODING, "layout": layout, "values": base64.b64encode(data).decode("ascii")}
 
 
-def _array_payload(values: np.ndarray) -> dict:
-    """The payload of a real array, or of a complex one as interleaved (re, im) pairs."""
-    if np.iscomplexobj(values):
-        return _payload("complex", np.ascontiguousarray(values, dtype=np.complex128).view(np.float64))
-    return _payload("real", values)
-
-
 def field_to_dict(field: ScalarField | HermitianField) -> dict:
     if isinstance(field, ScalarField):
-        kind, payload = "scalar", _array_payload(field.values)
+        kind, payload = "scalar", _payload("real", field.values)
     elif isinstance(field, HermitianField):
         kind, payload = "hermitian", _payload("parts", _parts(field.matrices))
     else:
@@ -128,10 +121,10 @@ def _decode_list(raw: list, complex_: bool) -> np.ndarray:
 
 
 def _decode_base64(raw, layout, kind: str) -> np.ndarray:
-    """The values of an encoded payload whose ``layout`` fits ``kind``: complex for ``complex``, else real."""
-    if layout not in ("real", "complex", "parts"):
+    """The real values of an encoded payload whose ``layout`` fits ``kind``."""
+    if layout not in _LAYOUTS.values():
         raise SnapshotError(f"unknown layout {layout!r}")
-    if layout not in _LAYOUTS[kind]:
+    if layout != _LAYOUTS[kind]:
         raise SnapshotError(f"layout {layout!r} does not fit a {kind} field")
     if not isinstance(raw, str):
         raise SnapshotError("encoded values must be a base64 string")
@@ -141,19 +134,14 @@ def _decode_base64(raw, layout, kind: str) -> np.ndarray:
         raise SnapshotError(f"encoded values are not base64: {exc}") from exc
     if len(data) % _F64LE.itemsize:
         raise SnapshotError(f"{len(data)} bytes are not a whole number of float64 values")
-    reals = np.frombuffer(data, dtype=_F64LE)
-    if layout != "complex":
-        return reals
-    if reals.size % 2:
-        raise SnapshotError(f"{reals.size} float64 values do not form (re, im) pairs")
-    return reals.view(np.dtype("<c16"))
+    return np.frombuffer(data, dtype=_F64LE)
 
 
 def _decode(d: dict, kind: str) -> tuple[np.ndarray, str]:
     """The flat values of a snapshot's payload, and their layout.
 
     The list form gives the layout ``matrices`` for Hermitian fields (n x n
-    complex entries per point) and ``real`` or ``complex`` for scalars.
+    complex entries per point) and ``real`` for scalars.
     """
     raw = d["values"]
     if "encoding" in d:
@@ -165,8 +153,7 @@ def _decode(d: dict, kind: str) -> tuple[np.ndarray, str]:
         raise SnapshotError("values must be a list")
     if kind == "hermitian":
         return _decode_list(raw, True), "matrices"
-    complex_ = bool(raw) and isinstance(raw[0], list)
-    return _decode_list(raw, complex_), "complex" if complex_ else "real"
+    return _decode_list(raw, False), "real"
 
 
 def _field(kind: str, spec: GridSpec, basic: bool, values: np.ndarray, layout: str):

@@ -34,7 +34,7 @@ from .exceptions import (
     PositivityLost,
     SingularMetric,
 )
-from .grid import GridSpec, ScalarField, _freeze, _Stencil, diff1
+from .grid import GridSpec, ScalarField, _check_same_grid, _freeze, _Stencil, diff1
 
 __all__ = [
     "HermitianField",
@@ -67,7 +67,6 @@ class HermitianField:
     spec: GridSpec
     matrices: np.ndarray
     basic: bool = True
-    positivity_checked: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", _freeze(self.matrices, np.complex128))
@@ -77,9 +76,7 @@ class HermitianField:
             raise GridError(f"matrices are not Hermitian (defect {defect:.3e})")
 
     @classmethod
-    def _assembled(
-        cls, spec: GridSpec, matrices: np.ndarray, basic: bool = True, positivity_checked: bool = False
-    ) -> "HermitianField":
+    def _assembled(cls, spec: GridSpec, matrices: np.ndarray, basic: bool = True) -> "HermitianField":
         """A field of ``matrices`` that are Hermitian by construction.
 
         ``matrices`` is a C-contiguous complex128 array that the caller
@@ -89,10 +86,7 @@ class HermitianField:
         skipped.
         """
         field = object.__new__(cls)
-        for name, value in (
-            ("spec", spec), ("matrices", matrices), ("basic", basic),
-            ("positivity_checked", positivity_checked),
-        ):
+        for name, value in (("spec", spec), ("matrices", matrices), ("basic", basic)):
             object.__setattr__(field, name, value)
         matrices.flags.writeable = False
         field._check_shape_and_finite()
@@ -127,17 +121,18 @@ class HermitianField:
         return cls(spec, np.zeros(spec.shape(basic) + (n, n), dtype=np.complex128), basic)
 
     def checked_positive(self) -> "HermitianField":
-        """Return the field flagged positive, or raise :class:`PositivityLost`.
+        """Return the field itself when it is positive, or raise :class:`PositivityLost`.
 
         Positive means every lowest eigenvalue exceeds :data:`EPS_POSITIVITY`.
         """
         _check_floor(_spectrum(self.matrices, self.spec.n)[0], EPS_POSITIVITY)
-        return HermitianField._assembled(self.spec, self.matrices, self.basic, positivity_checked=True)
+        return self
 
     def scaled(self, c: float) -> "HermitianField":
         return HermitianField(self.spec, c * self.matrices, self.basic)
 
     def __add__(self, other: "HermitianField") -> "HermitianField":
+        _check_same_grid(self, other)
         if self.basic != other.basic:
             raise GridError("cannot add a basic and a full Hermitian field")
         return HermitianField(self.spec, self.matrices + other.matrices, self.basic)
@@ -236,8 +231,6 @@ def ddbar(f: ScalarField) -> HermitianField:
     fixed leaf coordinates, extending the operator to functions that vary
     along the leaves; the result is then a full Hermitian field.
     """
-    if f.is_complex:
-        raise GridError("ddbar expects a real-valued field")
     return HermitianField._assembled(f.spec, _ddbar_matrices(f.values, f.spec), basic=f.basic)
 
 

@@ -243,8 +243,8 @@ def build_chart(
     _require_full(spec)
     if h.spec != spec:
         raise GridError("potential and chart specs differ")
-    if not h.basic or h.is_complex:
-        raise GridError("the chart potential must be basic and real")
+    if not h.basic:
+        raise GridError("the chart potential must be basic")
     B = _base_matrix(spec, base)
     base_field = HermitianField.constant(spec, B)
     metric = metric_from_potential(h, base_field)
@@ -305,8 +305,8 @@ def deform(chart: VaismanChart, phi: ScalarField) -> VaismanChart:
     d^c phi, and J gains the matching attachment terms; all chart invariants
     are re-verified on the result.
     """
-    if not phi.basic or phi.is_complex:
-        raise GridError("the deformation function must be basic and real")
+    if not phi.basic:
+        raise GridError("the deformation function must be basic")
     base_field = HermitianField.constant(chart.spec, chart.base)
     return build_chart(chart.spec, chart.h + phi, base_field)
 

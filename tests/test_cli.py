@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,10 +9,12 @@ import pytest
 
 import vaisflow.cli as cli_module
 import vaisflow.flow as flow_module
+import vaisflow.vaisman as vm
 from conftest import ENCODED_FAULTS, basic_spec, encoded_fault, list_dict
 from vaisflow.cli import main
 from vaisflow.config import MAX_GRID_ENTRIES, ChecksSection, OutputSection, load_config
 from vaisflow.exceptions import ConfigError
+from vaisflow.forms import CoefficientForm
 from vaisflow.grid import ScalarField
 from vaisflow.presets import chi_field, potential_field
 from vaisflow.snapshots import field_to_dict, load_snapshot, save_snapshot
@@ -79,7 +82,6 @@ resolutions = 32 64
 leaf_resolution = 8 8
 potential = cos_bump
 amplitude = -0.4
-inject_defect = {defect}
 
 [output]
 directory = {out}
@@ -337,7 +339,7 @@ def test_unknown_preset_names():
 class TestCmdCheckStructure:
     def test_passes(self, tmp_path):
         cfg = write_config(
-            tmp_path / "checks.cfg", CHECKS.format(defect="false", out=tmp_path / "out")
+            tmp_path / "checks.cfg", CHECKS.format(out=tmp_path / "out")
         )
         assert main(["check-structure", cfg]) == 0
         payload = json.loads((tmp_path / "out" / "checks.json").read_text())
@@ -345,7 +347,7 @@ class TestCmdCheckStructure:
         assert not payload["failures"]
 
     def test_flat_chart_exact(self, tmp_path):
-        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+        body = CHECKS.format(out=tmp_path / "out").replace(
             "potential = cos_bump", "potential = flat"
         )
         cfg = write_config(tmp_path / "flat_checks.cfg", body)
@@ -354,7 +356,7 @@ class TestCmdCheckStructure:
         assert all(row["r1"] < 1e-12 for row in payload["results"])
 
     def test_invalid_resolution_is_a_config_error(self, tmp_path, capsys):
-        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+        body = CHECKS.format(out=tmp_path / "out").replace(
             "resolutions = 32 64", "resolutions = 63 64"
         )
         cfg = write_config(tmp_path / "odd.cfg", body)
@@ -363,7 +365,7 @@ class TestCmdCheckStructure:
 
     @pytest.mark.parametrize("resolutions", ["", "64"])
     def test_fewer_than_two_resolutions_is_a_config_error(self, tmp_path, capsys, resolutions):
-        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+        body = CHECKS.format(out=tmp_path / "out").replace(
             "resolutions = 32 64", f"resolutions = {resolutions}"
         )
         cfg = write_config(tmp_path / "one.cfg", body)
@@ -372,7 +374,7 @@ class TestCmdCheckStructure:
         assert not (tmp_path / "out" / "checks.json").exists()
 
     def test_grid_above_the_point_limit_is_a_config_error(self, tmp_path, capsys):
-        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+        body = CHECKS.format(out=tmp_path / "out").replace(
             "resolutions = 32 64", "resolutions = 64 1024"
         )
         cfg = write_config(tmp_path / "huge.cfg", body)
@@ -380,7 +382,7 @@ class TestCmdCheckStructure:
         assert "config error: checks.resolutions:" in capsys.readouterr().err
 
     def test_non_finite_amplitude_fails_construction(self, tmp_path, capsys):
-        body = CHECKS.format(defect="false", out=tmp_path / "out").replace(
+        body = CHECKS.format(out=tmp_path / "out").replace(
             "amplitude = -0.4", "amplitude = nan"
         )
         cfg = write_config(tmp_path / "nan.cfg", body)
@@ -394,7 +396,7 @@ class TestCmdCheckStructure:
             cli_module.vm, "verify_vaisman", lambda omega, theta: (verify(omega, theta)[0], 1e-9)
         )
         cfg = write_config(
-            tmp_path / "checks.cfg", CHECKS.format(defect="false", out=tmp_path / "out")
+            tmp_path / "checks.cfg", CHECKS.format(out=tmp_path / "out")
         )
         assert main(["check-structure", cfg]) == 4
         err = capsys.readouterr().err
@@ -402,10 +404,18 @@ class TestCmdCheckStructure:
         failures = json.loads((tmp_path / "out" / "checks.json").read_text())["failures"]
         assert len(failures) == 2 and all(f.startswith("d theta = 0 fails") for f in failures)
 
-    def test_injected_defect_detected(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "checks.cfg", CHECKS.format(defect="true", out=tmp_path / "out")
-        )
+    def test_injected_defect_detected(self, tmp_path, monkeypatch, capsys):
+        build_chart = vm.build_chart
+
+        def with_defect(spec, h, base=None):  # plants 0.01 sin(x) in omega's (x^1, y^1) entry
+            chart = build_chart(spec, h, base)
+            bad = ScalarField.from_function(
+                spec, lambda *c: 0.01 * np.sin(c[2 * spec.n]) + 0.0 * c[0], basic=False
+            )
+            return dataclasses.replace(chart, omega=chart.omega + CoefficientForm(spec, 2, {(0, 1): bad}))
+
+        monkeypatch.setattr(vm, "build_chart", with_defect)
+        cfg = write_config(tmp_path / "checks.cfg", CHECKS.format(out=tmp_path / "out"))
         assert main(["check-structure", cfg]) == 4
         err = capsys.readouterr().err
         assert "d omega = theta ^ omega" in err
@@ -413,7 +423,7 @@ class TestCmdCheckStructure:
     def test_unwritable_checks_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "checks.json").mkdir(parents=True)
-        cfg = write_config(tmp_path / "checks.cfg", CHECKS.format(defect="false", out=out))
+        cfg = write_config(tmp_path / "checks.cfg", CHECKS.format(out=out))
         assert main(["check-structure", cfg]) == 1
         err = capsys.readouterr().err
         assert "cannot write output:" in err and str(out / "checks.json") in err

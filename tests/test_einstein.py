@@ -37,7 +37,6 @@ class TestAssembleFullRicci:
         block = assemble_full_ricci(ric_T, g, 1)
         assert np.max(np.abs(block.q_block.matrices + 0.5 * g.matrices)) == 0.0
         assert block.vv_value == 0.5
-        assert block.cross_blocks_zero
 
     def test_transversally_einstein(self):
         spec, g, ric_T = ke_blocks(kappa=1.0)
@@ -170,21 +169,28 @@ class TestP0K:
         n = 1
         spec, g, ric_T = ke_blocks(kappa=0.5 * n + 0.5, n=n)
         block = assemble_full_ricci(ric_T, g, n)
-        ok, resid = p0k_check(block, g, n, lee_norm=1.0)
+        ok, resid = p0k_check(block, g, n)
         assert ok and resid < 1e-10
 
     def test_flat_fails(self):
         spec, g, ric_T = flat_blocks()
         block = assemble_full_ricci(ric_T, g, 1)
-        ok, resid = p0k_check(block, g, 1, lee_norm=1.0)
+        ok, resid = p0k_check(block, g, 1)
         assert not ok
         assert abs(resid - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 1.7])
+    def test_residual_is_the_einstein_weyl_residual(self, kappa):
+        spec, g, ric_T = ke_blocks(kappa=kappa, n=2)
+        block = assemble_full_ricci(ric_T, g, 2)
+        residual = weyl_ricci_residual(block, g, 2)
+        assert p0k_check(block, g, 2) == (residual < 1e-8, residual)
 
     def test_p0k_implies_einstein_weyl_at_unit_norm(self):
         n = 1
         spec, g, ric_T = ke_blocks(kappa=1.0, n=n)
         block = assemble_full_ricci(ric_T, g, n)
-        ok, _ = p0k_check(block, g, n, lee_norm=1.0)
+        ok, _ = p0k_check(block, g, n)
         assert ok
         assert weyl_ricci_residual(block, g, n) < 1e-8
 
@@ -218,9 +224,3 @@ class TestGuards:
         _, g, ric_T = flat_blocks()
         with pytest.raises(DegenerateScale, match="must be positive"):
             apply_ke_homothety(g, ric_T, a, 1)
-
-    @pytest.mark.parametrize("lee_norm", [0.0, -1.0])
-    def test_lee_norm_must_be_positive(self, lee_norm):
-        _, g, ric_T = flat_blocks()
-        with pytest.raises(GridError, match="Lee form norm"):
-            p0k_check(assemble_full_ricci(ric_T, g, 1), g, 1, lee_norm=lee_norm)

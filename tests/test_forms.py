@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import full_spec
+from conftest import TWO_PI, full_spec
 from vaisflow.exceptions import GridError
 from vaisflow.forms import CoefficientForm, hermitian_to_real_two_form, wedge_one_form
-from vaisflow.grid import ScalarField
+from vaisflow.grid import GridSpec, ScalarField
 from vaisflow.transverse import HermitianField
 
 
@@ -116,6 +116,16 @@ class TestFormGuards:
     def test_sum_of_different_degrees(self, spec):
         with pytest.raises(GridError, match="different degree"):
             CoefficientForm(spec, 1) + CoefficientForm(spec, 2)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "wedge"])
+    def test_forms_on_different_grids_do_not_combine(self, op):
+        a = GridSpec(1, (8, 8), (TWO_PI, TWO_PI))
+        b = GridSpec(1, (8, 8), (1.0, 1.0))
+        f = one_form(a, **{"0": ScalarField.constant(a, 1.0)})
+        g = one_form(b, **{"1": ScalarField.constant(b, 1.0)})
+        combine = {"add": f.__add__, "sub": f.__sub__, "wedge": lambda g: wedge_one_form(f, g)}[op]
+        with pytest.raises(GridError, match="different grids"):
+            combine(g)
 
     def test_degree_of_each_view(self, spec):
         two = CoefficientForm(spec, 2, {(0, 1): ScalarField.constant(spec, 1.0)})

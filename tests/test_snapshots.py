@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import ENCODED_FAULTS, basic_spec, encoded_fault, full_spec, list_dict
-from vaisflow.exceptions import SnapshotError
+from vaisflow.exceptions import GridError, SnapshotError
 from vaisflow.grid import ScalarField
 from vaisflow.snapshots import (
     ENCODING,
-    _array_payload,
     field_from_dict,
     field_to_dict,
     load_metric_bundle,
@@ -31,10 +30,13 @@ class TestScalarRoundTrip:
         assert np.array_equal(g.values, f.values)
 
     def test_complex_full(self, tmp_path):
+        """A complex field is refused before it can be written; its real part round-trips."""
         spec = full_spec(res=16, leaf=8)
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((16, 16, 8, 8)) + 1j * rng.standard_normal((16, 16, 8, 8))
-        f = ScalarField(spec, vals, basic=False)
+        with pytest.raises(GridError, match="scalar field values must be real"):
+            ScalarField(spec, vals, basic=False)
+        f = ScalarField(spec, vals.real, basic=False)
         path = tmp_path / "c.json"
         save_snapshot(f, path)
         g = load_snapshot(path)
@@ -172,6 +174,12 @@ class TestMalformed:
         with pytest.raises(SnapshotError, match="malformed values array"):
             field_from_dict(d)
 
+    def test_scalar_list_form_has_no_pairs(self):
+        d = list_dict(ScalarField.zeros(basic_spec(res=8)))
+        d["values"] = [[1.0, 0.0]] * 64
+        with pytest.raises(SnapshotError, match="malformed values array"):
+            field_from_dict(d)
+
     def test_only_fields_are_written(self):
         with pytest.raises(SnapshotError, match="cannot snapshot a ndarray"):
             field_to_dict(np.zeros((8, 8)))
@@ -231,18 +239,25 @@ FINITE_SPECIALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e-300, 1 / 3]
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
 def test_encoding_round_trips_specials_bit_exact(dtype):
-    """The payload of a strided array holds the bits of its float64 (or complex128) values."""
-    values = np.array(SPECIALS, dtype=np.float64)
+    """The payload of a field made from a strided array holds the bits of its float64 values.
+
+    A complex array has no scalar payload: the field refuses it first.
+    """
+    values = np.resize(np.array(SPECIALS), (8, 16))
     if np.issubdtype(dtype, np.complexfloating):
-        pairs = np.empty((len(SPECIALS),) * 2, dtype=np.complex128)
-        pairs.real, pairs.imag = values[:, None], values[None, ::-1]
+        pairs = np.empty(values.shape, dtype=np.complex128)
+        pairs.real, pairs.imag = values, values[:, ::-1]
         values = pairs
     with np.errstate(over="ignore"):  # 1e308 is infinite in single precision
-        values = values.astype(dtype)[::2]  # a strided view
-    wide = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64)
-    d = _array_payload(values)
-    assert d["layout"] == ("complex" if np.iscomplexobj(values) else "real")
-    assert np.array_equal(_bits(_reals(d)), _bits(wide).reshape(-1))
+        values = values.astype(dtype)[:, ::2]  # a strided view
+    spec = basic_spec(res=8)
+    if np.iscomplexobj(values):
+        with pytest.raises(GridError, match="scalar field values must be real"):
+            ScalarField(spec, values)
+        return
+    d = field_to_dict(ScalarField(spec, values))
+    assert d["layout"] == "real"
+    assert np.array_equal(_bits(_reals(d)), _bits(values.astype(np.float64)).reshape(-1))
 
 
 def _special_parts(n, shape, rng):
@@ -282,6 +297,10 @@ class TestEncodedRoundTrip:
             values = pairs
         with np.errstate(over="ignore"):  # 1e308 is infinite in single precision
             values = values.astype(dtype)[::-2]  # a strided view
+        if np.iscomplexobj(values):  # never written: the field refuses complex values
+            with pytest.raises(GridError, match="scalar field values must be real"):
+                ScalarField(spec, values[0], basic)
+            return
         f = ScalarField(spec, values[0], basic)
         path = tmp_path / "f.json"
         save_snapshot(f, path)
@@ -334,14 +353,16 @@ class TestMalformedEncoded:
     def test_real_scalar_in_another_layout(self, layout):
         d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
         d["layout"] = layout
-        with pytest.raises(SnapshotError, match="does not fit" if layout == "parts" else "invalid"):
+        with pytest.raises(SnapshotError, match="does not fit" if layout == "parts" else "unknown layout"):
             field_from_dict(d)
 
-    def test_unpaired_complex_values(self):
-        d = field_to_dict(ScalarField(basic_spec(res=8), np.zeros((8, 8), dtype=complex)))
-        d["values"] = base64.b64encode(base64.b64decode(d["values"])[:-8]).decode()
-        with pytest.raises(SnapshotError, match=r"\(re, im\) pairs"):
-            field_from_dict(d)
+    def test_old_complex_scalar_snapshot(self):
+        """A complex scalar as interleaved (re, im) pairs, whatever their count, is not read."""
+        d = field_to_dict(ScalarField.zeros(basic_spec(res=8)))
+        for count in (128, 127):
+            d["layout"], d["values"] = "complex", base64.b64encode(np.ones(count).tobytes()).decode()
+            with pytest.raises(SnapshotError, match="unknown layout 'complex'"):
+                field_from_dict(d)
 
     def test_identity_as_written(self):
         d = field_to_dict(HermitianField.identity(basic_spec(n=2, res=8)))

@@ -76,10 +76,18 @@ class TestHermitianField:
         with pytest.raises(GridError, match="basic and a full"):
             HermitianField.identity(spec) + HermitianField.identity(spec, basic=False)
 
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_fields_on_different_grids_do_not_add(self, op):
+        a = GridSpec(1, (8, 8), (TWO_PI, TWO_PI))
+        b = GridSpec(1, (8, 8), (1.0, 1.0))
+        f, g = HermitianField.identity(a), HermitianField.identity(b)
+        with pytest.raises(GridError, match="different grids"):
+            f + g if op == "add" else f - g
+
     def test_positivity_check(self):
         spec = basic_spec(res=16)
-        good = HermitianField.identity(spec).checked_positive()
-        assert good.positivity_checked
+        good = HermitianField.identity(spec)
+        assert good.checked_positive() is good
         bad = HermitianField.constant(spec, np.array([[-1.0]]))
         with pytest.raises(PositivityLost) as err:
             bad.checked_positive()
@@ -132,7 +140,7 @@ class TestDdbar:
 
     def test_complex_rejected(self):
         spec = basic_spec(res=16)
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="must be real"):
             ddbar(ScalarField.constant(spec, 1.0 + 0j))
 
 
@@ -248,7 +256,6 @@ class TestMetricFromPotential:
         spec = basic_spec(res=16)
         g = metric_from_potential(ScalarField.zeros(spec), HermitianField.identity(spec))
         assert np.array_equal(g.matrices, HermitianField.identity(spec).matrices)
-        assert g.positivity_checked
 
     def test_cos_bump(self):
         spec, g = bump_metric(res=64)
@@ -266,7 +273,7 @@ class TestMetricFromPotential:
         h = ScalarField.from_function(spec, lambda *c: -0.1 * np.cos(c[0] - c[2]) + 0.05 * np.sin(c[3]))
         basic = metric_from_potential(h, HermitianField.identity(spec))
         full = metric_from_potential(h, HermitianField.identity(spec, basic=False))
-        assert basic.basic and not full.basic and full.positivity_checked
+        assert basic.basic and not full.basic
         expected = np.broadcast_to(basic.matrices[..., None, None, :, :], full.matrices.shape)
         assert np.array_equal(_bits(full.matrices), _bits(expected))
 
