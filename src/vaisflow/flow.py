@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -33,12 +34,12 @@ from .transverse import (
     HermitianField,
     _assemble,
     _check_floor,
+    _ddbar_parts,
     _ddbar_program,
     _metric_with_ddbar,
     _parts,
     _spectrum,
     _spectrum_2x2,
-    ddbar,
     log_det,
 )
 
@@ -147,8 +148,10 @@ class FlowState:
     chi: HermitianField
     volume_density: ScalarField
     diagnostics: FlowDiagnostics | None = None
-    # (phi, t, extended, rescaled, f(phi, t) or None) from the diagnostics
-    # pass, which attaches it; ``replace`` and the constructor leave it None.
+    # (phi, t, extended, rescaled, f(phi, t) or None, a weak reference to the
+    # workspace, its evaluation count and the swept shape) from the
+    # diagnostics pass, which attaches it; ``replace`` and the constructor
+    # leave it None.
     _stage: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -225,12 +228,12 @@ def build_volume_form(omega0: HermitianField, chi: HermitianField) -> tuple[Scal
     """
     spec = omega0.spec
     ld0 = log_det(omega0)
-    source = chi - ddbar(ld0)
-    trace = np.trace(source.matrices, axis1=-2, axis2=-1).real
+    source = _parts(chi.matrices) - _ddbar_parts(ld0.values, spec)
+    trace = np.trace(source)
 
-    scale = max(1.0, float(np.max(np.abs(source.matrices))))
+    scale = max(1.0, _sup_norm(source))
     mean = float(np.mean(trace))
-    if abs(mean) > _EXACTNESS_TOL * scale:
+    if not abs(mean) <= _EXACTNESS_TOL * scale:  # NaN, from a log det that overflowed, too
         raise InexactClass(
             f"trace of (chi - ddbar log det g0) has mean {mean:.3e}; "
             "the class is not ddbar-exact on this chart"
@@ -242,9 +245,8 @@ def build_volume_form(omega0: HermitianField, chi: HermitianField) -> tuple[Scal
         sol_hat = np.where(symbol != 0.0, rhs_hat / symbol, 0.0)
     sol_hat.flat[0] = 0.0
     f_vals = np.fft.ifftn(sol_hat).real
-    f_field = ScalarField(spec, f_vals, basic=True)
 
-    residual = float(np.max(np.abs(ddbar(f_field).matrices - source.matrices)))
+    residual = _sup_norm(source - _ddbar_parts(f_vals, spec))
     if residual > _EXACTNESS_TOL * scale:
         raise InexactClass(
             f"ddbar F misses the target by {residual:.3e} (tolerance {_EXACTNESS_TOL:.1e}); "
@@ -469,7 +471,10 @@ class _Workspace:
     ``symbol_sup`` is max |S_T| of :func:`_transverse_fft_symbol`, and
     ``symbol_shift`` what the config's flow adds to the spectral radius
     of its linearization: 0.5 max |S_leaf| when extended, 1 when
-    rescaled (see :func:`step`).
+    rescaled (see :func:`step`).  ``evaluations`` counts the
+    :func:`_evaluate` calls on it; every write to a sweep's ``g``, the
+    step's ``k3`` included, happens in such a call or after one, so a
+    sweep's ``g`` is as a pass left it while the count stands.
     """
 
     def __init__(self, state: FlowState, config: FlowConfig):
@@ -492,6 +497,7 @@ class _Workspace:
         self._ref = np.empty(p0.shape)
         self._ref_t = None
         self._sweeps = {}
+        self.evaluations = 0
         shape = spec.full_shape if config.extended else spec.transverse_shape
         self.k2 = np.empty(shape)
         sweep = self.sweep(shape)
@@ -563,6 +569,7 @@ def _evaluate(phi, t, ws, floor, out, keep=False):
     where its Ricci sweep reads them.  Returns ``(lows, highs)``, the least
     and (with ``keep``) the largest eigenvalue of each block.
     """
+    ws.evaluations += 1
     ref, log_density = ws.reference(t), ws.log_density
     n = ws.spec.n
     if phi.ndim > 2 * n:  # full: broadcast both over the leaf axes
@@ -660,11 +667,33 @@ def transverse_metric(
 
     As in :func:`transverse.metric_from_potential`, the parts of the two are
     summed and assembled once, so the matrices are Hermitian by construction
-    and their parts are exactly the sums.
+    and their parts are exactly the sums.  At the state's own t, and for
+    the flow variant (``rescaled``) whose diagnostics pass it got, the parts
+    that pass left in its workspace are assembled, while no pass has run
+    there since: the same sums, bit for bit.
     """
     tt = state.t if t is None else t
+    kept = _kept_metric(state, tt, rescaled)
+    if kept is not None:
+        return HermitianField._assembled(state.phi.spec, _assemble(kept), basic=state.phi.basic)
     ref = _reference_matrices(state, tt, rescaled)
     return _metric_with_ddbar(state.phi.spec, ref, state.phi.values, state.phi.basic)
+
+
+def _kept_metric(state: FlowState, t: float, rescaled: bool) -> np.ndarray | None:
+    """The parts of g(t) that the state's diagnostics pass left in its sweep, or None.
+
+    None unless ``t`` is the state's t, ``rescaled`` the variant of that
+    pass, its workspace is alive with no pass run since, and the sweep was
+    of phi's own shape (a leaf-constant full phi is swept on its slice).
+    """
+    record = state._stage
+    if record is None or t != state.t or record[3] != rescaled:
+        return None
+    ws, evaluations, shape = record[5](), record[6], record[7]
+    if ws is None or ws.evaluations != evaluations or shape != state.phi.values.shape:
+        return None
+    return ws.sweep(shape).g
 
 
 def leafwise_defect(state: FlowState) -> float:
@@ -839,7 +868,10 @@ def _with_diagnostics(
     f(phi, t) for ``config``, bit-identical to :meth:`_Workspace.rhs`, is
     attached read-only with the phi, t and flow variant the diagnostics
     belong to; it is None at or below ``config``'s positivity floor and for
-    a full phi that ``config`` does not extend.
+    a full phi that ``config`` does not extend.  The record also holds a
+    weak reference to the workspace, its evaluation count and the swept
+    shape, by which :func:`transverse_metric` finds the metric this pass
+    left in the sweep.
     ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)| from the
     stage, or evaluates f afresh, raising :class:`PositivityLost`.
     """
@@ -873,7 +905,10 @@ def _with_diagnostics(
         ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,
         leafwise_defect=defect, dt=dt,
     )
-    record = (state.phi, state.t, config.extended, config.rescaled, stage)
+    record = (
+        state.phi, state.t, config.extended, config.rescaled, stage,
+        weakref.ref(ws), ws.evaluations, values.shape,
+    )
     return _derived(state, diagnostics=diagnostics, _stage=record)
 
 

@@ -71,9 +71,7 @@ class HermitianField:
     def __post_init__(self):
         object.__setattr__(self, "matrices", _freeze(self.matrices, np.complex128))
         self._check_shape_and_finite()
-        defect = hermiticity_defect(self.matrices)
-        if defect > _HERMITICITY_TOL * max(1.0, float(np.max(np.abs(self.matrices)))):
-            raise GridError(f"matrices are not Hermitian (defect {defect:.3e})")
+        _check_hermitian(self.matrices)
 
     @classmethod
     def _assembled(cls, spec: GridSpec, matrices: np.ndarray, basic: bool = True) -> "HermitianField":
@@ -108,17 +106,20 @@ class HermitianField:
 
     @classmethod
     def constant(cls, spec: GridSpec, matrix: np.ndarray, basic: bool = True) -> "HermitianField":
+        """``matrix`` at every point, checked once: finite and Hermitian, as in construction."""
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (spec.n, spec.n):
             raise GridError(f"expected an {spec.n} x {spec.n} matrix")
-        shape = spec.shape(basic)
-        values = np.broadcast_to(matrix, shape + matrix.shape)
-        return cls(spec, np.array(values), basic)
+        if not np.all(np.isfinite(matrix)):
+            raise GridError("matrix entries must be finite")
+        _check_hermitian(matrix)
+        values = np.broadcast_to(matrix, spec.shape(basic) + matrix.shape)
+        return cls._assembled(spec, np.array(values, order="C"), basic)
 
     @classmethod
     def zeros(cls, spec: GridSpec, basic: bool = True) -> "HermitianField":
         n = spec.n
-        return cls(spec, np.zeros(spec.shape(basic) + (n, n), dtype=np.complex128), basic)
+        return cls._assembled(spec, np.zeros(spec.shape(basic) + (n, n), dtype=np.complex128), basic)
 
     def checked_positive(self) -> "HermitianField":
         """Return the field itself when it is positive, or raise :class:`PositivityLost`.
@@ -151,6 +152,13 @@ def hermiticity_defect(matrices: np.ndarray) -> float:
         np.max(np.abs(matrices[..., i, i:] - np.conj(matrices[..., i:, i])))
         for i in range(matrices.shape[-1])
     ]))
+
+
+def _check_hermitian(matrices: np.ndarray) -> None:
+    """Raise :class:`GridError` unless ``matrices`` are Hermitian to within 1e-12 of max(1, |entry|)."""
+    defect = hermiticity_defect(matrices)
+    if defect > _HERMITICITY_TOL * max(1.0, float(np.max(np.abs(matrices)))):
+        raise GridError(f"matrices are not Hermitian (defect {defect:.3e})")
 
 
 def _spectrum(matrices: np.ndarray, n: int, floor: float | None = None):

@@ -103,6 +103,16 @@ class TestBuildVolumeForm:
         with pytest.raises(InexactClass, match="misses the target by 1.000e-01"):
             build_volume_form(HermitianField.identity(spec), chi)
 
+    def test_overflowing_log_det_is_rejected(self):
+        # det g0 = 1e400 is infinite, so the source is NaN: no density is made of it.
+        spec = basic_spec(n=2, res=8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InexactClass, match="has mean nan"
+        ):
+            build_volume_form(
+                HermitianField.constant(spec, 1e200 * np.eye(2)), HermitianField.zeros(spec)
+            )
+
     def test_inexact_class_detected(self):
         spec = basic_spec(res=32)
         with pytest.raises(InexactClass):

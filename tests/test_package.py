@@ -175,15 +175,16 @@ _COMPLEX_NAMES = {"_ddbar_matrices", "_assemble", "_metric_with_ddbar"}
 def test_complex_ddbar_only_for_the_public_metric():
     """In flow.py complex matrices are assembled only for the public metric and n >= 3 eigvalsh.
 
-    flow.transverse_metric assembles its parts once, through
-    transverse._metric_with_ddbar; flow._evaluate's block metric assembles
-    only for the n >= 3 spectrum.  transverse._ddbar_matrices is reached from no flow
-    routine.
+    flow.transverse_metric assembles its parts once: the parts a
+    diagnostics pass kept, or those of transverse._metric_with_ddbar;
+    flow._evaluate's block metric assembles only for the n >= 3 spectrum.
+    transverse._ddbar_matrices is reached from no flow routine.
     """
     source = Path(vaisflow.flow.__file__).read_text()
     expected = [
         ("", "_assemble"), ("", "_metric_with_ddbar"),
-        ("_evaluate.metric", "_assemble"), ("transverse_metric", "_metric_with_ddbar"),
+        ("_evaluate.metric", "_assemble"),
+        ("transverse_metric", "_assemble"), ("transverse_metric", "_metric_with_ddbar"),
     ]
     assert _scoped_references(source, _COMPLEX_NAMES) == expected
     planted = source + "\n\ndef _stage(phi, spec):\n    return _ddbar_matrices(phi, spec)\n"

@@ -330,6 +330,21 @@ class TestEncodedRoundTrip:
         a = (tmp_path / "a.json").read_bytes()
         assert a == (tmp_path / "b.json").read_bytes() == (tmp_path / "c.json").read_bytes()
 
+    @pytest.mark.parametrize("kind", ["scalar", "hermitian"])
+    @pytest.mark.parametrize("n, basic", [(1, True), (1, False), (2, True), (2, False)])
+    def test_save_writes_the_json_of_the_dict(self, tmp_path, kind, n, basic):
+        """The file is json.dumps(field_to_dict(field)), byte for byte."""
+        spec = basic_spec(n=n, res=8) if basic else full_spec(n=n, res=8, leaf=8)
+        rng = np.random.default_rng(n)
+        if kind == "scalar":
+            field = ScalarField(spec, rng.standard_normal(spec.shape(basic)), basic)
+        else:
+            field = HermitianField._assembled(
+                spec, _assemble(_special_parts(n, spec.shape(basic), rng)), basic
+            )
+        save_snapshot(field, tmp_path / "f.json")
+        assert (tmp_path / "f.json").read_bytes() == json.dumps(field_to_dict(field)).encode()
+
     def test_list_form_and_encoded_give_the_same_field(self):
         spec = basic_spec(n=2, res=8)
         h = ScalarField.from_function(spec, lambda *c: -0.1 * np.cos(c[0]) * np.sin(c[3]))

@@ -31,7 +31,7 @@ from vaisflow import flow, grid
 from vaisflow.exceptions import GridError, PositivityLost
 from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
 from vaisflow.grid import GridSpec, ScalarField, _Stencil, diff1, diff2
-from vaisflow.transverse import HermitianField, metric_from_potential
+from vaisflow.transverse import HermitianField, ddbar, metric_from_potential
 
 _C1_NEAR = 2.0 / 3.0
 _C1_FAR = -1.0 / 12.0
@@ -943,7 +943,7 @@ def test_extended_run_calls_every_public_function_on_the_calling_thread(monkeypa
     threads = _threads_of_public_calls(_lane_state, FlowConfig(extended=True), monkeypatch)
     lanes = threads.pop("lanes")
     assert len(lanes) == 2  # the sweep did run on a second thread
-    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.ddbar"} <= set(threads)
+    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.log_det"} <= set(threads)
     assert {key: ids for key, ids in threads.items() if ids != {threading.get_ident()}} == {}
 
 
@@ -951,7 +951,7 @@ def test_n2_run_calls_every_public_function_on_the_calling_thread(monkeypatch):
     """The same holds for an n = 2 sweep of two lanes."""
     threads = _threads_of_public_calls(_n2_lane_state, FlowConfig(class_k=-1), monkeypatch)
     assert len(threads.pop("lanes")) == 2
-    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.ddbar"} <= set(threads)
+    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.log_det"} <= set(threads)
     assert {key: ids for key, ids in threads.items() if ids != {threading.get_ident()}} == {}
 
 
@@ -997,6 +997,92 @@ def test_progress_states_stay_valid(case):
     for current, phi, stage in seen:
         assert np.array_equal(current.phi.values, phi)
         assert np.array_equal(flow._attached_stage(current, config), stage)
+
+
+def _with_chi(make_state):
+    """The state of ``make_state`` with chi = ddbar psi, an exact class that is not 0."""
+    state = make_state()
+    psi = ScalarField.from_function(state.phi.spec, lambda *c: 0.1 * np.cos(c[0]) * np.sin(c[1]))
+    return initial_state(state.omega_hat_0, chi=ddbar(psi), phi=state.phi)
+
+
+KEPT_CASES = dict(
+    STAGE_CASES,
+    n1_extended_rescaled_chi=(
+        lambda: _with_chi(_n1_extended_state), FlowConfig(extended=True, rescaled=True)
+    ),
+    n1_basic_chi=(lambda: _with_chi(_n1_basic_state), FlowConfig(class_k=-1)),
+)
+
+
+def _recomputed_metric(state, rescaled):
+    ref = flow._reference_matrices(state, state.t, rescaled)
+    return flow._metric_with_ddbar(state.phi.spec, ref, state.phi.values, state.phi.basic)
+
+
+def _same_field(a, b):
+    return (a.spec, a.basic) == (b.spec, b.basic) and np.array_equal(
+        a.matrices.view(np.uint64), b.matrices.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_kept_metric_is_the_recomputed_one(case):
+    """At every progress call transverse_metric has the recomputed bits.
+
+    It assembles the parts the diagnostics pass kept whenever that pass
+    swept phi's own grid: always, but for a leaf-constant full phi, which
+    is swept on its slice.  Another t or flow variant is never kept.
+    """
+    make_state, config = KEPT_CASES[case]
+    kept = []
+
+    def check(k, row, current):
+        rescaled = config.rescaled
+        kept.append(flow._kept_metric(current, current.t, rescaled) is not None)
+        assert flow._kept_metric(current, current.t + 0.125, rescaled) is None
+        assert flow._kept_metric(current, current.t, not rescaled) is None
+        got = flow.transverse_metric(current, rescaled=rescaled)
+        assert _same_field(got, _recomputed_metric(current, rescaled))
+
+    report = flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=4), progress=check)
+    assert report.steps == 4
+    assert kept == [True] + [not case.startswith("n1_leaf_constant")] * 4
+
+
+def test_a_state_read_after_more_steps_is_recomputed(monkeypatch):
+    """A progress state read after the run has stepped on gets its metric recomputed, same bits.
+
+    The step lends its k3 from the sweep's metric, so a kept metric read
+    then would be wrong.  Once the run has returned, no state keeps its
+    workspace alive.
+    """
+    state = _n1_basic_state()
+    recomputed = []
+    metric_with_ddbar = flow._metric_with_ddbar
+
+    def spy(*args):
+        recomputed.append(args)
+        return metric_with_ddbar(*args)
+
+    monkeypatch.setattr(flow, "_metric_with_ddbar", spy)
+    states, metrics = [], []
+
+    def keep(k, row, current):
+        states.append(current)
+        metrics.append(flow.transverse_metric(current))
+        if k == 3:
+            assert recomputed == []
+            again = [flow.transverse_metric(earlier) for earlier in states[:-1]]
+            assert len(recomputed) == 3
+            assert all(_same_field(a, m) for a, m in zip(again, metrics))
+
+    report = flow.run(state, FlowConfig(ricci_tolerance=1e-30, max_steps=3), progress=keep)
+    assert report.steps == 3 and len(states) == 4
+    assert all(s._stage[5]() is None for s in states)
+    recomputed.clear()
+    assert _same_field(flow.transverse_metric(report.final_state), metrics[-1])
+    assert len(recomputed) == 1
 
 
 def test_each_run_builds_a_workspace_for_its_own_inputs(monkeypatch):

@@ -71,6 +71,31 @@ class TestHermitianField:
         with pytest.raises(GridError, match="expected an 2 x 2 matrix"):
             HermitianField.constant(basic_spec(n=2, res=8), np.eye(3))
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "not Hermitian"),
+        ([[1.0, 0.0], [0.0, 1.0 + 1e-9j]], "not Hermitian"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+    ])
+    def test_constant_checks_its_matrix(self, matrix, message):
+        with pytest.raises(GridError, match=message):
+            HermitianField.constant(basic_spec(n=2, res=8), np.array(matrix))
+
+    @pytest.mark.parametrize("basic", [True, False])
+    def test_constant_and_zeros_equal_the_checked_fields(self, basic):
+        """Checked once, not per point: the same bits as construction, within the same tolerance."""
+        spec = full_spec(n=2, res=8, leaf=8)
+        shape = spec.shape(basic) + (2, 2)
+        for matrix in ([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]], [[1.0, 5e-13], [0.0, 1.0]]):
+            matrix = np.array(matrix, dtype=np.complex128)
+            expected = HermitianField(spec, np.broadcast_to(matrix, shape), basic)
+            got = HermitianField.constant(spec, matrix, basic)
+            assert np.array_equal(got.matrices.view(np.uint64), expected.matrices.view(np.uint64))
+            assert got.matrices.flags.c_contiguous and not got.matrices.flags.writeable
+        zeros = HermitianField.zeros(spec, basic)
+        assert zeros.matrices.shape == shape and not np.any(zeros.matrices)
+        assert not zeros.matrices.flags.writeable
+
     def test_basic_and_full_fields_do_not_add(self):
         spec = full_spec(res=16, leaf=8)
         with pytest.raises(GridError, match="basic and a full"):
