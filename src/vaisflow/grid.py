@@ -198,6 +198,23 @@ class ScalarField:
         if np.iscomplexobj(self.values):
             raise GridError("scalar field values must be real")
         object.__setattr__(self, "values", _freeze(self.values, np.float64))
+        self._check_shape()
+
+    @classmethod
+    def _adopted(cls, spec: GridSpec, values: np.ndarray, basic: bool = True) -> "ScalarField":
+        """A field over ``values``, a C-contiguous float64 array that the caller hands over.
+
+        ``values`` is taken without a copy and made read-only, so no one
+        writes it again; its shape is checked as in construction.
+        """
+        field = object.__new__(cls)
+        for name, value in (("spec", spec), ("values", values), ("basic", basic)):
+            object.__setattr__(field, name, value)
+        values.flags.writeable = False
+        field._check_shape()
+        return field
+
+    def _check_shape(self):
         expected = self.spec.shape(self.basic)
         if self.values.shape != expected:
             raise GridError(

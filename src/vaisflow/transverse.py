@@ -383,6 +383,18 @@ def _log_det_values(matrices: np.ndarray, n: int) -> np.ndarray:
     return ld
 
 
+def _checked_log_det(g: HermitianField) -> np.ndarray:
+    """log det per point of ``g``, from the one spectrum that also checks it positive.
+
+    As in :meth:`HermitianField.checked_positive`, a lowest eigenvalue at or
+    below :data:`EPS_POSITIVITY` raises :class:`PositivityLost`, located,
+    and no log is taken.
+    """
+    lows, _, ld = _spectrum(g.matrices, g.spec.n, EPS_POSITIVITY)
+    _check_floor(lows, EPS_POSITIVITY)
+    return ld
+
+
 def log_det(g: HermitianField) -> ScalarField:
     """Pointwise log det of a positive Hermitian field."""
     return ScalarField(g.spec, _log_det_values(g.matrices, g.spec.n), basic=g.basic)

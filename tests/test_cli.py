@@ -457,6 +457,33 @@ class TestCmdFitEinstein:
         assert fit["homothety_a"] == 1.0
         assert fit["weyl_residual"] < 1e-10
 
+    def test_einstein_weyl_residual_is_computed_once(self, tmp_path, monkeypatch):
+        """The p0k residual is the Einstein-Weyl one: one computation fills both keys."""
+        import vaisflow.einstein as es
+
+        spec = basic_spec(res=8)
+        g = HermitianField.identity(spec)
+        path = tmp_path / "off.json"
+        ricci = HermitianField(spec, 0.75 * g.matrices)
+        path.write_text(json.dumps({"metric": list_dict(g), "ricci": list_dict(ricci)}))
+        calls = []
+        residual = es.weyl_ricci_residual
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(es, "weyl_ricci_residual", counted)
+        out = tmp_path / "off.fit.json"
+        assert main(["fit-einstein", str(path), "-o", str(out)]) == 0
+        fit = json.loads(out.read_text())
+        assert len(calls) == 1
+        assert fit["weyl_residual"] == fit["p0k_residual"] > 0.1 and fit["p0k_ok"] is False
+        assert list(fit) == [
+            "n", "lambda", "alpha", "beta", "residual", "constraints_ok", "weyl_residual",
+            "homothety_a", "p0k_ok", "p0k_residual",
+        ]
+
     def test_unwritable_report_exits_1(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         save_snapshot(HermitianField.identity(basic_spec(res=8)), path)

@@ -6,7 +6,14 @@ import pytest
 
 import vaisflow.flow as flow_module
 from conftest import TWO_PI, basic_spec, full_spec
-from vaisflow.exceptions import GridError, InexactClass, PositivityLost, StepFloor
+from vaisflow import transverse
+from vaisflow.exceptions import (
+    GridError,
+    InexactClass,
+    NonPositiveDeterminant,
+    PositivityLost,
+    StepFloor,
+)
 from vaisflow.flow import (
     FlowConfig,
     FlowState,
@@ -120,6 +127,43 @@ class TestBuildVolumeForm:
                 HermitianField.identity(spec),
                 HermitianField.constant(spec, np.array([[0.3]])),
             )
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_spectrum_checks_and_weighs_omega_hat_0(self, n, monkeypatch):
+        """The positivity check and the volume form's log det come from one spectrum.
+
+        The density is build_volume_form's, bit for bit.
+        """
+        spec = basic_spec(n=n, res=16 if n == 1 else 8)
+        h = ScalarField.from_function(spec, lambda *c: -0.3 * np.cos(c[0]) + 0.1 * np.sin(c[-1]))
+        g0 = metric_from_potential(h, HermitianField.identity(spec))
+        calls = []
+        spectrum = transverse._spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(transverse, "_spectrum", counted)
+        st = initial_state(g0)
+        monkeypatch.undo()
+        assert calls == [(n, transverse.EPS_POSITIVITY)]
+        _, density = build_volume_form(g0, HermitianField.zeros(spec))
+        assert np.array_equal(st.volume_density.values, density.values)
+
+    def test_non_positive_omega_hat_0_is_located(self):
+        """initial_state raises the located PositivityLost; build_volume_form still its own error."""
+        spec = basic_spec(res=16)
+        entries = np.ones(spec.transverse_shape)
+        entries[3, 5], entries[9, 2] = -0.5, 1e-12
+        g0 = HermitianField(spec, entries[..., None, None].astype(complex))
+        with pytest.raises(PositivityLost) as err:
+            initial_state(g0)
+        assert (err.value.min_eigenvalue, err.value.location) == (-0.5, (3, 5))
+        with pytest.raises(NonPositiveDeterminant):
+            build_volume_form(g0, HermitianField.zeros(spec))
 
 
 class TestMaRhs:

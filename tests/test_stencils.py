@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -943,7 +944,7 @@ def test_extended_run_calls_every_public_function_on_the_calling_thread(monkeypa
     threads = _threads_of_public_calls(_lane_state, FlowConfig(extended=True), monkeypatch)
     lanes = threads.pop("lanes")
     assert len(lanes) == 2  # the sweep did run on a second thread
-    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.log_det"} <= set(threads)
+    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.integrate"} <= set(threads)
     assert {key: ids for key, ids in threads.items() if ids != {threading.get_ident()}} == {}
 
 
@@ -951,7 +952,7 @@ def test_n2_run_calls_every_public_function_on_the_calling_thread(monkeypatch):
     """The same holds for an n = 2 sweep of two lanes."""
     threads = _threads_of_public_calls(_n2_lane_state, FlowConfig(class_k=-1), monkeypatch)
     assert len(threads.pop("lanes")) == 2
-    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.log_det"} <= set(threads)
+    assert {"vaisflow.flow.run", "vaisflow.flow.step", "vaisflow.flow.integrate"} <= set(threads)
     assert {key: ids for key, ids in threads.items() if ids != {threading.get_ident()}} == {}
 
 
@@ -983,7 +984,12 @@ def test_run_matches_public_steps(case):
 
 @pytest.mark.parametrize("case", sorted(STAGE_CASES))
 def test_progress_states_stay_valid(case):
-    """No array attached to a state that ``run`` hands out is written again."""
+    """A state that ``run`` hands out keeps its phi and, stepped after the run, the reference bits.
+
+    Its stage lives in the run's workspace: once a later pass has run
+    there, it is no longer handed out, and a step evaluates it afresh.  The
+    final state's stage stands.
+    """
     make_state, config = STAGE_CASES[case]
     seen = []
 
@@ -992,11 +998,85 @@ def test_progress_states_stay_valid(case):
         assert stage is not None
         seen.append((current, current.phi.values.copy(), stage.copy()))
 
-    flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=6), progress=keep)
-    assert len(seen) == 7
+    report = flow.run(
+        make_state(), replace(config, ricci_tolerance=1e-30, max_steps=6), progress=keep
+    )
+    assert len(seen) == 7 and seen[-1][0] is report.final_state
     for current, phi, stage in seen:
         assert np.array_equal(current.phi.values, phi)
-        assert np.array_equal(flow._attached_stage(current, config), stage)
+        attached = flow._attached_stage(current, config)
+        assert (attached is None) == (current is not report.final_state)
+        assert attached is None or np.array_equal(attached, stage)
+        new = flow.step(current, config)
+        t1, phi1, dphidt_sup = reference_step(current, config)
+        assert (new.t, new.diagnostics.dphidt_sup) == (t1, dphidt_sup)
+        assert np.array_equal(new.phi.values, phi1)
+
+
+def _workspace_buffers(ws):
+    """Every array a workspace holds: its invariants, stage buffers, sweeps and block temporaries."""
+    yield ws.log_density
+    yield ws._ref
+    yield from ws._stages.values()
+    for sweep in ws._sweeps.values():
+        yield from (sweep.phi.base, sweep.ld.base, sweep.g)
+        for block in sweep.blocks:
+            yield from (block.parts, block.tmp)
+
+
+@pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n1_leaf_constant_rescaled", "n2"])
+def test_a_returned_phi_is_its_own_read_only_array(case):
+    """After the next step, a phi that ``run`` handed out shares memory with no workspace buffer.
+
+    The step sums its stages into a buffer that the new phi takes over
+    without a copy, and the workspace makes the next step's afresh.
+    """
+    make_state, config = STAGE_CASES[case]
+    states = []
+
+    def check(k, row, current):
+        states.append(current)
+        if k < 2:
+            return
+        values = states[-2].phi.values  # the phi of step k - 1
+        assert values.flags.owndata and not values.flags.writeable
+        assert not np.shares_memory(values, current.phi.values)
+        buffers = list(_workspace_buffers(current._stage.workspace()))
+        assert len(buffers) > 5
+        assert not any(np.shares_memory(values, buffer) for buffer in buffers)
+
+    config = replace(config, ricci_tolerance=1e-30, max_steps=4)
+    report = flow.run(make_state(), config, progress=check)
+    assert report.steps == 4 and len(states) == 5
+
+
+def test_a_criterion_3_run_holds_at_most_seven_grids():
+    """Two leaf-varying extended steps on 64^2 x 16^2 peak at under seven float64 grids.
+
+    Above the inputs, traced: the sweep's operand, log det g and metric
+    (each of the first two with 4 halo planes), the workspace's stage
+    buffer, the previous phi and the step's sum, which the new phi takes
+    over, are 6.125 grids; the block temporaries of the two lanes and the
+    leaf-constancy test add about 0.6.  A step that copied its sum into
+    the new phi, with a first-stage array per state, held 8.7.
+    """
+    spec = GridSpec(
+        1, (64, 64), (TWO_PI, TWO_PI), leaf_resolution=(16, 16), leaf_periods=(TWO_PI, TWO_PI)
+    )
+    h = ScalarField.from_function(spec, lambda x, y: -0.4 * np.cos(x))
+    phi = ScalarField.from_function(
+        spec, lambda x, y, u, v: 0.01 * np.cos(u) * np.sin(x + v), basic=False
+    )
+    state = initial_state(metric_from_potential(h, HermitianField.identity(spec)), phi=phi)
+    grid_bytes = 8 * phi.values.size
+    tracemalloc.start()
+    try:
+        report = flow.run(state, FlowConfig(extended=True, ricci_tolerance=1e-30, max_steps=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.steps == 2
+    assert peak <= 7 * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
 
 
 def _with_chi(make_state):
