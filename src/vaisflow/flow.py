@@ -21,6 +21,7 @@ onto the unrescaled one.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -116,6 +117,8 @@ class FlowConfig:
             raise GridError(f"dt_initial: must be positive, got {self.dt_initial}")
         if not 0 < self.dt_safety <= 1:
             raise GridError(f"dt_safety: must lie in (0, 1], got {self.dt_safety}")
+        if not isinstance(self.max_steps, numbers.Integral):
+            raise GridError(f"max_steps: must be an integer, got {self.max_steps!r}")
         if self.max_steps < 1:
             raise GridError(f"max_steps: must be >= 1, got {self.max_steps}")
         if not self.ricci_tolerance > 0:
@@ -335,17 +338,24 @@ def _reference_matrices(state: FlowState, t: float, rescaled: bool) -> np.ndarra
 
 
 class _Block(NamedTuple):
-    """The rows of one axis-0 block of a :class:`_Sweep`, and its programs, bound once.
+    """The rows of one axis-0 block of a :class:`_Sweep`, and its views and programs, bound once.
 
-    ``metric`` and ``ricci`` are the ddbar programs
-    (:func:`transverse._ddbar_program`) of phi and of log det g into the
-    lane's ``parts``; ``leaf2`` and ``leaf1`` the leaf-axis second and first
-    derivatives of phi into ``tmp`` (none on a transverse grid).
+    ``g`` and ``ld`` are the block's rows of the sweep's, ``ref`` and
+    ``log_density`` those of its workspace's reference parts and log
+    density, broadcast over the leaf axes of a full grid.  ``metric`` and
+    ``ricci`` are the ddbar programs (:func:`transverse._ddbar_program`) of
+    phi and of log det g into the lane's ``parts``; ``leaf2`` and ``leaf1``
+    the leaf-axis derivatives 0.5 phi_aa and phi_a into ``tmp`` (none on a
+    transverse grid).
     """
 
     rows: slice
     parts: np.ndarray
     tmp: np.ndarray
+    g: np.ndarray
+    ld: np.ndarray
+    ref: np.ndarray
+    log_density: np.ndarray
     metric: Callable[[], None]
     ricci: Callable[[], None]
     leaf2: tuple
@@ -353,20 +363,26 @@ class _Block(NamedTuple):
 
 
 class _Sweep:
-    """The evaluation of one grid shape, in axis-0 blocks whose stencils are bound once.
+    """The evaluation of one grid shape, in axis-0 blocks whose stencils and views are bound once.
 
     The operand ``phi`` and ``ld`` (log det g) are the cores of buffers with
     ``_HALO`` more axis-0 planes at each end, copied from the other end
     before a sweep, so a block reads its neighbours' planes through a view.
     ``g`` holds the parts of the metric, shape (n, n) + ``shape``, laid out
-    as by :func:`transverse._ddbar_parts`.  The blocks alternate between two
-    ``lanes`` (even and odd blocks), each with its own block-sized
-    temporaries, and :meth:`in_lanes` sweeps the second lane on a pool
-    worker; a one-block sweep has one lane.
+    as by :func:`transverse._ddbar_parts`.  ``ref`` and ``log_density`` are
+    the workspace's buffers of the reference parts and the log density,
+    which the blocks view.  The blocks alternate between two ``lanes``
+    (even and odd blocks), each with its own block-sized temporaries, and
+    :meth:`in_lanes` sweeps the second lane on a pool worker; a one-block
+    sweep has one lane.
     """
 
-    def __init__(self, shape: tuple[int, ...], hs: tuple[float, ...], n: int):
-        n0, plane = shape[0], shape[1:]
+    def __init__(
+        self, shape: tuple[int, ...], hs: tuple[float, ...], ref: np.ndarray, log_density: np.ndarray
+    ):
+        n, n0, plane = ref.shape[0], shape[0], shape[1:]
+        leaf = (1,) * (len(shape) - log_density.ndim)  # views broadcast over the leaf axes
+        ref, log_density = ref.reshape(ref.shape + leaf), log_density.reshape(log_density.shape + leaf)
         padded_phi, padded_ld = (np.empty((n0 + 2 * _HALO,) + plane) for _ in range(2))
         self.phi, self.ld = padded_phi[_HALO:-_HALO], padded_ld[_HALO:-_HALO]
         # (padding, the planes at the other end of the core that it holds)
@@ -394,31 +410,34 @@ class _Sweep:
                 tmp, tmp1, tmp2 = temps[:3]
                 phi = self.phi[rows]
                 lane.append(_Block(
-                    rows, parts, tmp,
+                    rows, parts, tmp, self.g[:, :, rows], self.ld[rows], ref[:, :, rows],
+                    log_density[rows],
                     metric=_ddbar_program(padded_phi[padded], _HALO, hs, parts, temps),
                     ricci=_ddbar_program(padded_ld[padded], _HALO, hs, parts, temps),
-                    leaf2=tuple(_Stencil(2, phi, a, hs[a], tmp, tmp1, tmp2) for a in leaf_axes),
+                    leaf2=tuple(
+                        _Stencil(2, phi, a, 2.0 * (hs[a] * hs[a]), tmp, tmp1, tmp2) for a in leaf_axes
+                    ),
                     leaf1=tuple(_Stencil(1, phi, a, hs[a], tmp, tmp1) for a in leaf_axes),
                 ))
             self.lanes.append(lane)
         self.blocks = [block for lane in self.lanes for block in lane]
 
-    def in_lanes(self, body: Callable[[list], list]) -> list:
-        """The lists ``body(blocks)`` of each lane, concatenated in lane order.
+    def in_lanes(self, body: Callable[..., list], *args) -> list:
+        """The lists ``body(blocks, *args)`` of each lane, concatenated in lane order.
 
         The first lane runs here, a second one on the pool worker.  Both have
         finished before this returns or re-raises an exception of either
         (the calling lane's first), so the caller reads and writes the
         sweep's buffers alone again.  ``body`` runs only bound stencils and
-        numpy; callers merge its per-block results in a way that lane order
-        cannot change (``np.min``, ``np.max``, ``all``).
+        numpy; callers merge its per-block results with :func:`_merged`,
+        which lane order cannot change.
         """
         if len(self.lanes) == 1:
-            return body(self.lanes[0])
+            return body(self.lanes[0], *args)
         first, second = self.lanes
-        future = _lane_worker().submit(body, second)
+        future = _lane_worker().submit(body, second, *args)
         try:
-            mine = body(first)
+            mine = body(first, *args)
         finally:
             future.exception()  # waits for the worker's lane, without raising
         return mine + future.result()
@@ -434,38 +453,51 @@ class _Sweep:
         """sup |Ric - k g| with Ric = -ddbar log det g, from a kept :func:`_evaluate`."""
         for padding, planes in self._ld_halo:
             padding[...] = planes
-        g = self.g
-
-        def lane(blocks):
-            sups = []
-            for block in blocks:
-                ddbar_ld, tmp = block.parts, block.tmp
-                block.ricci()
-                # |Ric - k g| = |ddbar ld + k g| bit for bit: a negation is exact.
-                if class_k:
-                    for jk in np.ndindex(ddbar_ld.shape[:2]):
-                        np.multiply(g[jk][block.rows], class_k, out=tmp)
-                        ddbar_ld[jk] += tmp
-                sups.append(_sup_norm(ddbar_ld))
-            return sups
-
-        return float(np.max(self.in_lanes(lane)))
+        return _merged(max, self.in_lanes(_ricci_sups, class_k))
 
     def leaf_defect(self) -> float:
         """sup |phi_x| + sup |phi_y| along the leaves of the loaded operand of a full grid."""
+        dxs, dys = zip(*self.in_lanes(_leaf_sups))
+        return float(_merged(max, dxs) + _merged(max, dys))
 
-        def lane(blocks):
-            sups = []
-            for block in blocks:
-                tmp, row = block.tmp, []
-                for derivative in block.leaf1:
-                    derivative()
-                    row.append(np.max(np.abs(tmp, out=tmp)))
-                sups.append(row)
-            return sups
 
-        dx, dy = np.max(self.in_lanes(lane), axis=0)
-        return float(dx + dy)
+def _merged(reduce: Callable, values) -> float:
+    """``reduce`` (min or max) of the per-block floats ``values``, NaN if one is, as np.min or np.max.
+
+    The builtins keep a NaN only where it comes first, and numpy's wrappers
+    cost some 20 times as much on a few Python floats.
+    """
+    for value in values:
+        if value != value:
+            return value
+    return reduce(values)
+
+
+def _ricci_sups(blocks: list, class_k: int) -> list:
+    """sup |Ric - k g| on each of ``blocks`` of one lane (see :meth:`_Sweep.ricci_sup`)."""
+    sups = []
+    for block in blocks:
+        ddbar_ld, tmp = block.parts, block.tmp
+        block.ricci()
+        # |Ric - k g| = |ddbar ld + k g| bit for bit: a negation is exact.
+        if class_k:
+            for jk in np.ndindex(ddbar_ld.shape[:2]):
+                np.multiply(block.g[jk], class_k, out=tmp)
+                ddbar_ld[jk] += tmp
+        sups.append(_sup_norm(ddbar_ld, tmp))
+    return sups
+
+
+def _leaf_sups(blocks: list) -> list:
+    """[sup |phi_x|, sup |phi_y|] on each of ``blocks`` of one lane (see :meth:`_Sweep.leaf_defect`)."""
+    sups = []
+    for block in blocks:
+        tmp, row = block.tmp, []
+        for derivative in block.leaf1:
+            derivative()
+            row.append(np.abs(tmp, out=tmp).max())
+        sups.append(row)
+    return sups
 
 
 _lane_workers: dict = {}  # process id -> its lane worker
@@ -540,7 +572,7 @@ class _Workspace:
     def sweep(self, shape: tuple[int, ...]) -> _Sweep:
         """The sweep of ``shape``, built on the first call for it."""
         if shape not in self._sweeps:
-            self._sweeps[shape] = _Sweep(shape, self.hs, self.spec.n)
+            self._sweeps[shape] = _Sweep(shape, self.hs, self._ref, self.log_density)
         return self._sweeps[shape]
 
     def stage(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -594,9 +626,12 @@ class _Workspace:
 
 
 def _calibrate(f: np.ndarray, phi: np.ndarray) -> None:
-    """f -= phi, then f -= mean(f), in place: the rescaled flow's calibrated right-hand side."""
+    """f -= phi, then f -= mean(f), in place: the rescaled flow's calibrated right-hand side.
+
+    The mean is np.mean's sum and division without its wrapper.
+    """
     f -= phi
-    f -= np.mean(f)
+    f -= np.add.reduce(f, axis=None) / f.size
 
 
 def _evaluate(phi, t, ws, floor, out, keep=False):
@@ -607,58 +642,67 @@ def _evaluate(phi, t, ws, floor, out, keep=False):
     over the whole grid.  f = log det g - log density, plus 0.5 (phi_xx +
     phi_yy) along the leaves of a full phi (one with leaf axes), goes into
     ``out``.  phi is swept block by block in the lanes of the workspace's
-    sweep of its shape, bit-identical to a whole grid.  ``keep`` (the
-    diagnostics) puts g and log det g into the sweep's ``g`` and ``ld``,
-    where its Ricci sweep reads them.  Returns ``(lows, highs)``, the least
-    and (with ``keep``) the largest eigenvalue of each block.
+    sweep of its shape (:func:`_evaluate_lane`), bit-identical to a whole
+    grid.  ``keep`` (the diagnostics) puts g and log det g into the sweep's
+    ``g`` and ``ld``, where its Ricci sweep reads them.  Returns
+    ``(lo, hi)``: the least eigenvalue over the grid and, with ``keep``,
+    the largest (None without).
     """
     ws.passes.count += 1
-    ref, log_density = ws.reference(t), ws.log_density
-    n = ws.spec.n
-    if phi.ndim > 2 * n:  # full: broadcast both over the leaf axes
-        ref, log_density = ref[..., None, None], log_density[..., None, None]
+    ws.reference(t)  # into the buffer that the sweep's blocks view
     sweep = ws.sweep(phi.shape)
     sweep.load(phi)
-
-    def metric(block, g, floor):
-        """g = ref + ddbar phi on the block's rows, and its (lows, highs, log det or None)."""
-        block.metric()
-        np.add(block.parts, ref[:, :, block.rows], out=g)
-        if n == 1:
-            return g[0, 0], g[0, 0], None
-        if n == 2:
-            return _spectrum_2x2(g[0, 0], g[1, 1], g[0, 1], g[1, 0], floor)
-        return _spectrum(_assemble(g), n, floor)
-
-    def lane(blocks):
-        bounds = []
-        for block in blocks:
-            rows = block.rows
-            lows, highs, ld = metric(block, sweep.g[:, :, rows] if keep else block.parts, floor)
-            bounds.append((float(np.min(lows)), float(np.max(highs)) if keep else None))
-            if not bounds[-1][0] > floor:
-                break  # no log of a breach; the whole grid locates it below
-            fb = out[rows]
-            if n == 1:
-                ld = np.log(lows, out=sweep.ld[rows] if keep else fb)
-            elif keep:
-                np.copyto(sweep.ld[rows], ld)
-            np.subtract(ld, log_density[rows], out=fb)
-            tmp = block.tmp
-            for leaf in block.leaf2:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
-                leaf()
-                tmp *= 0.5
-                fb += tmp
-        return bounds
-
-    bounds = sweep.in_lanes(lane)
-    if not all(low > floor for low, _ in bounds):
+    lows, highs = zip(*sweep.in_lanes(_evaluate_lane, floor, out, keep))
+    lo = _merged(min, lows)
+    if not lo > floor:
         # Report the minimum and its location over the whole grid, as an
         # unblocked evaluation would.
         for block in sweep.blocks:
-            out[block.rows] = metric(block, block.parts, None)[0]
+            out[block.rows] = _block_metric(block, block.parts, None)[0]
         _check_floor(out, floor)
-    return tuple(zip(*bounds))
+    return lo, _merged(max, highs) if keep else None
+
+
+def _evaluate_lane(blocks: list, floor: float, out: np.ndarray, keep: bool) -> list:
+    """:func:`_evaluate` on ``blocks`` of one lane: (least, largest or None) eigenvalue of each.
+
+    A block whose least eigenvalue is not above ``floor`` ends the lane
+    before any log of it is taken.
+    """
+    bounds = []
+    for block in blocks:
+        g = block.g if keep else block.parts
+        lows, highs, ld = _block_metric(block, g, floor)
+        low = float(lows.min())
+        bounds.append((low, float(highs.max()) if keep else None))
+        if not low > floor:
+            break  # no log of a breach; _evaluate locates it over the whole grid
+        fb = out[block.rows]
+        if len(g) == 1:  # n = 1: log det g is the log of the one entry
+            ld = np.log(lows, out=block.ld if keep else fb)
+        elif keep:
+            np.copyto(block.ld, ld)
+        np.subtract(ld, block.log_density, out=fb)
+        for leaf in block.leaf2:  # 0.5 phi_xx, then 0.5 phi_yy along the leaves
+            leaf()
+            fb += block.tmp
+    return bounds
+
+
+def _block_metric(block: _Block, g: np.ndarray, floor: float | None):
+    """g = ref + ddbar phi on the block's rows, and its (lows, highs, log det or None).
+
+    The one place in the flow that takes the metric's spectrum.
+    """
+    block.metric()
+    np.add(block.parts, block.ref, out=g)
+    n = len(g)
+    if n == 1:
+        lows = g[0, 0]
+        return lows, lows, None
+    if n == 2:
+        return _spectrum_2x2(g[0, 0], g[1, 1], g[0, 1], g[1, 0], floor)
+    return _spectrum(_assemble(g), n, floor)
 
 
 def ma_rhs(state: FlowState, t: float | None = None, positivity_floor: float = 1e-10) -> ScalarField:
@@ -851,22 +895,21 @@ def step(
     # has let go of the state before this one, whose phi's memory it reuses.
     k2, k3, k4, arg = np.empty(phi0.shape), ws.k3, ws.k4, ws.arg
 
-    def stage_argument(k: np.ndarray, c: float) -> np.ndarray:
-        np.multiply(k, c, out=arg)
-        return np.add(arg, phi0, out=arg)
-
     while True:
+        half = 0.5 * dt
         try:
-            k2 = ws.rhs(stage_argument(k1, 0.5 * dt), t0 + 0.5 * dt, k2)
-            k3 = ws.rhs(stage_argument(k2, 0.5 * dt), t0 + 0.5 * dt, k3)
-            k4 = ws.rhs(stage_argument(k3, dt), t0 + dt, k4)
+            for k, c, stage in ((k1, half, k2), (k2, half, k3), (k3, dt, k4)):
+                # The stage's argument phi0 + c k, written into the sweep's operand.
+                np.multiply(k, c, out=arg)
+                np.add(arg, phi0, out=arg)
+                ws.rhs(arg, t0 + c, stage)
             break
         except PositivityLost:
             dt *= 0.5
             if dt < DT_FLOOR:
                 raise StepFloor(f"time step fell below {DT_FLOOR:.0e} while retrying")
 
-    dphidt_sup = float(np.max(np.abs(k1, out=arg)))
+    dphidt_sup = float(np.abs(k1, out=arg).max())
     # phi0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), in that order of operations,
     # summed into k2 so that k1 stays as it is.
     k2 *= 2.0
@@ -876,8 +919,8 @@ def step(
     k2 += k4
     k2 *= dt / 6.0
     k2 += phi0
-    mean = np.mean(k2)
-    if not np.isfinite(mean):  # as is any mean over a NaN or an infinity
+    mean = np.add.reduce(k2, axis=None) / k2.size  # np.mean's sum and division
+    if not math.isfinite(mean):  # as is any mean over a NaN or an infinity
         raise NonFinitePotential(f"the step to t = {t0 + dt!r} made the potential non-finite")
     k2 -= mean
     new_phi = ScalarField._adopted(state.phi.spec, k2, basic=not extended and state.phi.basic)
@@ -895,11 +938,14 @@ def ricci_residual(state: FlowState, config: FlowConfig) -> float:
     return _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0).diagnostics.ricci_sup
 
 
-def _sup_norm(parts: np.ndarray) -> float:
-    """max |entry| of the Hermitian field with these parts; off the diagonal |b| = hypot(Re b, Im b)."""
+def _sup_norm(parts: np.ndarray, out: np.ndarray | None = None) -> float:
+    """max |entry| of the Hermitian field with these parts; off the diagonal |b| = hypot(Re b, Im b).
+
+    Each entry's magnitudes are written into ``out``, or into a new array when it is None.
+    """
     n = parts.shape[0]
     return float(max(
-        np.max(np.abs(parts[j, j]) if j == k else np.hypot(parts[j, k], parts[k, j]))
+        (np.abs(parts[j, j], out=out) if j == k else np.hypot(parts[j, k], parts[k, j], out=out)).max()
         for j in range(n) for k in range(j, n)
     ))
 
@@ -944,11 +990,10 @@ def _with_diagnostics(
     if leaf_varying:
         values = state.phi.values
     k1 = ws.stage(values.shape)
-    lows, highs = _evaluate(values, state.t, ws, 0.0, k1, keep=True)
+    lo, hi = _evaluate(values, state.t, ws, 0.0, k1, keep=True)
     sweep = ws.sweep(values.shape)
     ric_sup = sweep.ricci_sup(config.class_k)
     defect = sweep.leaf_defect() if leaf_varying else 0.0
-    lo, hi = float(np.min(lows)), float(np.max(highs))
 
     stage = None
     if lo > config.positivity_floor and (config.extended or state.phi.basic):
@@ -962,7 +1007,7 @@ def _with_diagnostics(
         stage = k1
     if dphidt_sup is None:
         rhs = stage if stage is not None else ws.rhs(_phi_operand(state, config.extended), state.t)
-        dphidt_sup = float(np.max(np.abs(rhs)))
+        dphidt_sup = float(np.abs(rhs).max())
 
     diagnostics = FlowDiagnostics(
         ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,

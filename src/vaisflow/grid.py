@@ -291,10 +291,13 @@ def _check_same_layout(a: ScalarField, b: ScalarField):
 # Stencils.  Difference form: constants drop out exactly, not just to O(eps).
 # ---------------------------------------------------------------------------
 
-_C1_NEAR = 2.0 / 3.0   # first derivative, +-1 neighbours
-_C1_FAR = -1.0 / 12.0  # first derivative, +-2 neighbours
-_C2_NEAR = 4.0 / 3.0   # second derivative, +-1 neighbours
-_C2_FAR = -1.0 / 12.0  # second derivative, +-2 neighbours
+# The coefficients, and every bound divisor, are read-only 0-d float64 arrays:
+# a ufunc takes one without converting a Python float on each call, and the
+# products and quotients are the same bits.
+_C1_NEAR = _freeze(2.0 / 3.0, np.float64)   # first derivative, +-1 neighbours
+_C1_FAR = _freeze(-1.0 / 12.0, np.float64)  # first derivative, +-2 neighbours
+_C2_NEAR = _freeze(4.0 / 3.0, np.float64)   # second derivative, +-1 neighbours
+_C2_FAR = _freeze(-1.0 / 12.0, np.float64)  # second derivative, +-2 neighbours
 _MIN_STENCIL_POINTS = 5
 
 
@@ -354,43 +357,45 @@ def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
     return _Plan((outer, n_src, inner), (outer, n, inner), steps)
 
 
-def _subtract(views: list) -> None:
-    """out = f(i + a) - f(i + b) from the bound views of one shift difference."""
-    for a, b, out in views:
-        np.subtract(a, b, out=out)
-
-
 # The operands and their order below are the stencils' contract: every
 # caller's result must be bit-identical to every other's, so do not regroup.
-def _first_difference(diffs, out, tmp, h):
-    near, far = diffs
-    _subtract(near)
-    _subtract(far)
+# Each loop runs the bound subtracts of two shift differences, one after the
+# other.  The last operation divides by the bound divisor: h (first
+# difference) or h * h (second) for diff1 and diff2.  A caller may fold an
+# exact power of two 2^k into it in place of scaling the result, or a sum of
+# results, by 2^-k afterwards.  That is bit-identical, because scaling by 2^k
+# commutes with round-to-nearest, except where a value lies within a factor
+# 2^k of the subnormal range or a sum overflows only unscaled.
+def _first_difference(diffs, out, tmp, divisor):
+    for a, b, difference in diffs[0]:  # out = f(i+1) - f(i-1), then tmp = f(i+2) - f(i-2)
+        np.subtract(a, b, out=difference)
     out *= _C1_NEAR
     tmp *= _C1_FAR
     out += tmp
-    out /= h
+    out /= divisor
 
 
-def _second_difference(diffs, out, tmp1, tmp2, h):
-    up, down, up2, down2 = diffs
-    _subtract(up)
-    _subtract(down)
+def _second_difference(diffs, out, tmp1, tmp2, divisor):
+    near, far = diffs
+    for a, b, difference in near:  # out = f(i+1) - f(i), then tmp1 = f(i-1) - f(i)
+        np.subtract(a, b, out=difference)
     out += tmp1
-    _subtract(up2)
-    _subtract(down2)
+    for a, b, difference in far:  # tmp1 = f(i+2) - f(i), then tmp2 = f(i-2) - f(i)
+        np.subtract(a, b, out=difference)
     tmp1 += tmp2
     out *= _C2_NEAR
     tmp1 *= _C2_FAR
     out += tmp1
-    out /= h * h
+    out /= divisor
 
 
 class _Stencil:
     """One stencil sweep bound to its arrays, run by calling it.
 
     ``order`` 1 is :func:`diff1` (one scratch array ``tmp1``), ``order`` 2
-    is :func:`diff2` (scratch ``tmp1`` and ``tmp2``).  ``src`` wraps
+    is :func:`diff2` (scratch ``tmp1`` and ``tmp2``); the sweep ends by
+    dividing by ``divisor``, h or h * h for them, and a caller may fold a
+    power of two into it (see the stencils' contract).  ``src`` wraps
     periodically when ``halo`` is 0; otherwise it carries ``halo`` >= 2
     extra planes at each end of ``axis``, and ``out`` receives the
     derivative on the planes between them.  Binding builds every view of the
@@ -401,7 +406,7 @@ class _Stencil:
 
     __slots__ = ("_sweep", "_args")
 
-    def __init__(self, order, src, axis, h, out, tmp1, tmp2=None, halo=0):
+    def __init__(self, order, src, axis, divisor, out, tmp1, tmp2=None, halo=0):
         if 0 < halo < 2:
             raise GridError(f"a halo must hold at least the stencil's 2 planes, got {halo}")
         for a in (src, out, tmp1) if order == 1 else (src, out, tmp1, tmp2):
@@ -410,19 +415,22 @@ class _Stencil:
         plan = _plan(src.shape, axis, halo)
         if order == 1:
             self._sweep, arrays = _first_difference, (out, tmp1)
-            shifts = ((1, -1, out), (2, -2, tmp1))
+            phases = (((1, -1, out), (2, -2, tmp1)),)
         else:
             self._sweep, arrays = _second_difference, (out, tmp1, tmp2)
-            shifts = ((1, 0, out), (-1, 0, tmp1), (2, 0, tmp1), (-2, 0, tmp2))
+            phases = (((1, 0, out), (-1, 0, tmp1)), ((2, 0, tmp1), (-2, 0, tmp2)))
         srcs = (src.reshape(plan.src_shape), src.reshape(-1))
         diffs = []
-        for a, b, target in shifts:
-            targets = (target.reshape(plan.out_shape), target.reshape(-1))
-            diffs.append([
-                (srcs[flat][ia], srcs[flat][ib], targets[flat][io])
-                for flat, ia, ib, io in plan.steps[a, b]
-            ])
-        self._args = (diffs, *arrays, h)
+        for shifts in phases:
+            views = []
+            for a, b, target in shifts:
+                targets = (target.reshape(plan.out_shape), target.reshape(-1))
+                views += [
+                    (srcs[flat][ia], srcs[flat][ib], targets[flat][io])
+                    for flat, ia, ib, io in plan.steps[a, b]
+                ]
+            diffs.append(views)
+        self._args = (diffs, *arrays, _freeze(divisor, np.float64))
 
     def __call__(self) -> None:
         self._sweep(*self._args)
@@ -452,7 +460,7 @@ def diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 def diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Fourth-order periodic second derivative along an array axis."""
     src, axis, out = _prepare(values, axis)
-    _Stencil(2, src, axis, h, out, np.empty_like(out), np.empty_like(out))()
+    _Stencil(2, src, axis, h * h, out, np.empty_like(out), np.empty_like(out))()
     return out
 
 

@@ -251,23 +251,29 @@ def _ddbar_program(
     wraps); ``temps`` are three arrays of a C-contiguous ``parts[j, k]``'s
     shape and, for n >= 2, three of ``src``'s.  A mixed part takes first
     differences along the k axes on every plane of ``src``, then along the
-    j axes, so any halo gives the same operations in the same order.
+    j axes, so any halo gives the same operations in the same order.  The
+    factor 1/4 of every part is folded into the divisors of the stencils
+    whose results are summed, 4 h^2 and 4 h, bit-identical to scaling the
+    sum (see the stencils' contract in :mod:`grid`).
     """
     n = parts.shape[0]
     tmp, tmp1, tmp2 = temps[:3]
     steps = []
 
-    def stencil(order, operand, axis, out):
+    def quarter(order, operand, axis, out):
+        """The stencil of ``order`` along ``axis``, divided by 4 h^order."""
+        h = hs[axis]
+        divisor = 4.0 * (h if order == 1 else h * h)
         if halo and axis == 0:
-            return _Stencil(order, operand, 0, hs[0], out, tmp1, tmp2, halo)
-        return _Stencil(order, operand[halo:len(operand) - halo], axis, hs[axis], out, tmp1, tmp2)
+            return _Stencil(order, operand, 0, divisor, out, tmp1, tmp2, halo)
+        return _Stencil(order, operand[halo:len(operand) - halo], axis, divisor, out, tmp1, tmp2)
 
-    def combine(op, part):  # part op= tmp, then part *= 0.25
-        steps.extend((partial(op, part, tmp, part), partial(np.multiply, part, 0.25, part)))
+    def combine(op, part):  # part op= tmp
+        steps.append(partial(op, part, tmp, part))
 
     for k in range(n):
         kx, ky = 2 * k, 2 * k + 1
-        steps += stencil(2, src, kx, parts[k, k]), stencil(2, src, ky, tmp)
+        steps += quarter(2, src, kx, parts[k, k]), quarter(2, src, ky, tmp)
         combine(np.add, parts[k, k])
         if k == 0:
             continue
@@ -275,9 +281,9 @@ def _ddbar_program(
         steps += _Stencil(1, src, kx, hs[kx], f_x, scratch), _Stencil(1, src, ky, hs[ky], f_y, scratch)
         for j in range(k):
             jx, jy = 2 * j, 2 * j + 1
-            steps += stencil(1, f_x, jx, parts[j, k]), stencil(1, f_y, jy, tmp)
+            steps += quarter(1, f_x, jx, parts[j, k]), quarter(1, f_y, jy, tmp)
             combine(np.add, parts[j, k])
-            steps += stencil(1, f_y, jx, parts[k, j]), stencil(1, f_x, jy, tmp)
+            steps += quarter(1, f_y, jx, parts[k, j]), quarter(1, f_x, jy, tmp)
             combine(np.subtract, parts[k, j])
 
     def program() -> None:

@@ -46,6 +46,8 @@ class TestFlowConfig:
             ("dt_initial", -1.0),
             ("dt_safety", 0.0),
             ("max_steps", 0),
+            ("max_steps", 2.5),
+            ("max_steps", float("nan")),
             ("ricci_tolerance", 0.0),
             ("positivity_floor", 0.0),
         ):

@@ -75,33 +75,29 @@ def _scoped_references(source: str, names):
     return sorted(set(_references(ast.parse(source), names)))
 
 
-def _metric_references(source: str):
-    """The scoped metric references; one in a function nested in _evaluate counts as _evaluate's."""
-    return sorted({
-        ("_evaluate" if scope.startswith("_evaluate.") else scope, name)
-        for scope, name in _references(ast.parse(source), _METRIC_NAMES)
-    })
-
-
 def test_one_metric_evaluation_routine():
-    """In flow.py the metric is formed and its spectrum taken only inside flow._evaluate.
+    """In flow.py the metric is formed and its spectrum taken only in flow._block_metric.
 
-    The block metric, a function nested in _evaluate, is inside it; a
-    function nested anywhere else is not.
+    flow._evaluate runs it on every block and, to locate a breach, on the
+    whole grid; a function nested anywhere else counts as its own.
     """
     source = Path(vaisflow.flow.__file__).read_text()
     expected = [
         ("", "_spectrum"), ("", "_spectrum_2x2"),
-        ("_evaluate", "_spectrum"), ("_evaluate", "_spectrum_2x2"),
+        ("_block_metric", "_spectrum"), ("_block_metric", "_spectrum_2x2"),
     ]
-    assert _metric_references(source) == expected
+    assert _scoped_references(source, _METRIC_NAMES) == expected
     planted = source + "\n\ndef _second_metric(g):\n    return _spectrum(g, 1)\n"
-    assert _metric_references(planted) == sorted(expected + [("_second_metric", "_spectrum")])
+    assert _scoped_references(planted, _METRIC_NAMES) == sorted(
+        expected + [("_second_metric", "_spectrum")]
+    )
     nested = source + (
         "\n\ndef _outer(block, g):\n    def lane():\n"
         "        return _spectrum_2x2(g, g, g, g)\n    return lane\n"
     )
-    assert _metric_references(nested) == sorted(expected + [("_outer.lane", "_spectrum_2x2")])
+    assert _scoped_references(nested, _METRIC_NAMES) == sorted(
+        expected + [("_outer.lane", "_spectrum_2x2")]
+    )
 
 
 _PUBLIC_METRIC_NAMES = {"checked_positive", "transverse_metric"}
@@ -177,13 +173,13 @@ def test_complex_ddbar_only_for_the_public_metric():
 
     flow.transverse_metric assembles its parts once: the parts a
     diagnostics pass kept, or those of transverse._metric_with_ddbar;
-    flow._evaluate's block metric assembles only for the n >= 3 spectrum.
+    flow._block_metric assembles only for the n >= 3 spectrum.
     transverse._ddbar_matrices is reached from no flow routine.
     """
     source = Path(vaisflow.flow.__file__).read_text()
     expected = [
         ("", "_assemble"), ("", "_metric_with_ddbar"),
-        ("_evaluate.metric", "_assemble"),
+        ("_block_metric", "_assemble"),
         ("transverse_metric", "_assemble"), ("transverse_metric", "_metric_with_ddbar"),
     ]
     assert _scoped_references(source, _COMPLEX_NAMES) == expected

@@ -28,7 +28,7 @@ import pytest
 
 import vaisflow
 from conftest import TWO_PI, basic_spec, full_spec
-from vaisflow import flow, grid
+from vaisflow import flow, grid, transverse
 from vaisflow.exceptions import GridError, PositivityLost
 from vaisflow.flow import FlowConfig, FlowState, initial_state, ma_rhs, ma_rhs_extended
 from vaisflow.grid import GridSpec, ScalarField, _Stencil, diff1, diff2
@@ -271,20 +271,22 @@ def test_engine_matches_roll_stencils(shape, dtype, layout, with_out):
             expected = reference(values, axis, h)
             if with_out:
                 result, tmp1, tmp2 = (np.full(shape, np.nan, dtype=expected.dtype) for _ in range(3))
-                _Stencil(order, np.ascontiguousarray(values), axis, h, result, tmp1, tmp2)()
+                divisor = h if order == 1 else h * h
+                _Stencil(order, np.ascontiguousarray(values), axis, divisor, result, tmp1, tmp2)()
             else:
                 result = engine(values, axis, h)
             assert result.dtype == expected.dtype
-            assert np.array_equal(result, expected), (engine.__name__, axis)
+            assert np.array_equal(result.view(np.uint64), expected.view(np.uint64)), (order, axis)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("c", [3.7182, -1.0e6 + 0.1, 1.0e-300, 2.5 - 7.25j])
 def test_constants_annihilated_exactly(shape, c):
+    """Into +0.0: no bit of the result is set."""
     values = np.full(shape, c)
     for axis in range(len(shape)):
-        assert np.all(diff1(values, axis, 0.3) == 0.0)
-        assert np.all(diff2(values, axis, 0.3) == 0.0)
+        assert not diff1(values, axis, 0.3).view(np.uint64).any()
+        assert not diff2(values, axis, 0.3).view(np.uint64).any()
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -300,7 +302,7 @@ def test_halo_blocks_match_the_periodic_sweep(axis):
             block_shape = list(values.shape)
             block_shape[axis] = planes
             out, tmp1, tmp2 = (np.empty(block_shape) for _ in range(3))
-            _Stencil(2, window, axis, h, out, tmp1, tmp2, halo=2)()
+            _Stencil(2, window, axis, h * h, out, tmp1, tmp2, halo=2)()
             assert np.array_equal(out, np.take(expected, range(i0, i0 + planes), axis=axis))
 
 
@@ -312,7 +314,7 @@ def test_bound_stencil_matches_diff(shape):
     for axis in range(len(shape)):
         h = 0.1 + 0.01 * axis
         for order, engine, reference in ((1, diff1, reference_diff1), (2, diff2, reference_diff2)):
-            bound = _Stencil(order, src, axis, h, out, tmp1, tmp2)
+            bound = _Stencil(order, src, axis, h if order == 1 else h * h, out, tmp1, tmp2)
             for scale in (1.0, -3.5):
                 np.copyto(src, scale * values)
                 bound()
@@ -423,10 +425,10 @@ def test_rhs_step_and_residual_bit_identical(case):
         else:
             got = ma_rhs(state, t=t).values
         expected = reference_rhs(phi_values, t, state, extended=config.extended, rescaled=False)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(_bits(got), _bits(expected))
     assert np.array_equal(
-        flow._Workspace(state, config).rhs(phi_values, 0.3),
-        reference_rhs(phi_values, 0.3, state, extended=config.extended, rescaled=config.rescaled),
+        _bits(flow._Workspace(state, config).rhs(phi_values, 0.3)),
+        _bits(reference_rhs(phi_values, 0.3, state, extended=config.extended, rescaled=config.rescaled)),
     )
 
     new = flow.step(state, config)
@@ -438,6 +440,59 @@ def test_rhs_step_and_residual_bit_identical(case):
     ric_sup, lo, hi, defect = reference_diagnostics(phi1, t1, state, config)
     assert (d.ricci_sup, d.min_eig, d.max_eig, d.leafwise_defect) == (ric_sup, lo, hi, defect)
     assert flow.ricci_residual(new, config) == ric_sup
+
+
+# ---------------------------------------------------------------------------
+# Folded divisors: a power of two in a stencil's divisor, not a scaling after it
+# ---------------------------------------------------------------------------
+
+def reference_parts(values, spec):
+    """The parts of ddbar from the reference stencils, each sum scaled by 0.25 after it is formed."""
+    n, hs = spec.n, spec.spacings
+    parts = np.empty((n, n) + values.shape)
+    for k in range(n):
+        kx, ky = 2 * k, 2 * k + 1
+        parts[k, k] = 0.25 * (reference_diff2(values, kx, hs[kx]) + reference_diff2(values, ky, hs[ky]))
+        f_x, f_y = reference_diff1(values, kx, hs[kx]), reference_diff1(values, ky, hs[ky])
+        for j in range(k):
+            jx, jy = 2 * j, 2 * j + 1
+            parts[j, k] = 0.25 * (reference_diff1(f_x, jx, hs[jx]) + reference_diff1(f_y, jy, hs[jy]))
+            parts[k, j] = 0.25 * (reference_diff1(f_y, jx, hs[jx]) - reference_diff1(f_x, jy, hs[jy]))
+    return parts
+
+
+_FOLD_SPECS = {
+    1: GridSpec(1, (12, 10), (TWO_PI, 3.0)),
+    2: GridSpec(2, (8, 10, 12, 8), (TWO_PI, 3.0, 5.0, 0.7)),
+    3: GridSpec(3, (8, 8, 10, 8, 8, 8), (TWO_PI, 3.0, 5.0, 0.7, 1.1, TWO_PI)),
+}
+
+
+def _fold_operands(spec):
+    """A random operand, and one that varies along axis 0 only, whose other parts are signed zeros."""
+    rng = np.random.default_rng(spec.n)
+    shape = spec.transverse_shape
+    ramp = np.broadcast_to(
+        rng.standard_normal(shape[:1] + (1,) * (len(shape) - 1)), shape
+    )
+    return rng.standard_normal(shape), np.ascontiguousarray(ramp)
+
+
+@pytest.mark.parametrize("n", sorted(_FOLD_SPECS))
+def test_ddbar_parts_fold_keeps_every_bit(n):
+    """On the whole grid and on 2-plane blocks read from a halo, every part as the reference's."""
+    spec = _FOLD_SPECS[n]
+    for values in _fold_operands(spec):
+        expected = _bits(reference_parts(values, spec))
+        assert np.array_equal(_bits(transverse._ddbar_parts(values, spec)), expected)
+        planes, rows = 2, values.shape[0]
+        for i0 in range(0, rows, planes):
+            window = np.take(values, range(i0 - 2, i0 + planes + 2), axis=0, mode="wrap")
+            parts = np.empty((n, n, planes) + values.shape[1:])
+            temps = [np.empty(parts.shape[2:]) for _ in range(3)]
+            temps += [np.empty(window.shape) for _ in range(3 if n > 1 else 0)]
+            transverse._ddbar_program(window, 2, spec.spacings, parts, temps)()
+            assert np.array_equal(_bits(parts), expected[:, :, i0:i0 + planes]), i0
 
 
 def _n1_leaf_constant_state():
@@ -756,6 +811,23 @@ def test_a_breach_in_the_worker_lane_is_located():
             ma_rhs_extended(state)
     assert err.value.min_eigenvalue == float(np.min(w))
     assert err.value.location == location == (30, 5, 3, 2)
+
+
+def test_a_nan_metric_in_the_last_block_merged_is_a_breach():
+    """A NaN only in the worker's block, whose bound is merged after the calling lane's, is located.
+
+    The builtin min keeps a NaN only where it comes first; the NaN must
+    still end the evaluation as a breach before any log.
+    """
+    values = _lane_state().phi.values.copy()
+    values[30, 5, 3, 2] = np.nan  # the metric is NaN on rows 28-32 at (5, 3, 2)
+    state = _lane_state(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log of a breach
+        with pytest.raises(PositivityLost) as err:
+            ma_rhs_extended(state)
+    assert np.isnan(err.value.min_eigenvalue)
+    assert err.value.location == (28, 5, 3, 2)
 
 
 def test_an_n2_breach_in_the_worker_lane_is_located():
