@@ -58,7 +58,7 @@ from .exceptions import (
 )
 from .presets import chi_field, potential_field
 from .snapshots import load_metric_bundle, save_snapshot
-from .transverse import HermitianField, metric_from_potential, ricci
+from .transverse import HermitianField, _metric_with_ddbar, ricci
 
 log = logging.getLogger("vaisflow")
 
@@ -126,13 +126,15 @@ def main(argv=None) -> int:
 def _build_initial_state(cfg: ExperimentConfig) -> fl.FlowState:
     spec = cfg.chart.grid_spec()
     h = potential_field(spec, cfg.chart.potential, cfg.chart.amplitude)
-    base = HermitianField.identity(spec)
     try:
-        g0 = metric_from_potential(h, base)
-    except (GridError, PositivityLost) as exc:  # GridError: non-finite coefficients
+        # Not checked positive here: the one spectrum of initial_state checks it.
+        g0 = _metric_with_ddbar(spec, HermitianField.identity(spec).matrices, h.values, True)
+    except GridError as exc:  # non-finite coefficients
         raise ConfigError(f"chart.potential: inadmissible potential ({exc})") from exc
     try:
         return fl.initial_state(g0, chi_field(spec, cfg.chi, cfg.chi_amplitude))
+    except PositivityLost as exc:
+        raise ConfigError(f"chart.potential: inadmissible potential ({exc})") from exc
     except (GridError, InexactClass) as exc:
         # e.g. a non-finite chi, or a volume density that under- or overflows
         raise ConfigError(f"chart, flow.chi: no admissible initial state ({exc})") from exc

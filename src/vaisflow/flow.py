@@ -393,8 +393,10 @@ class _Sweep:
         self.g = np.empty((n, n) + shape)
         planes = max(1, min(n0, _BLOCK_BYTES // (8 * math.prod(plane))))
         leaf_axes = range(2 * n, len(shape))
-        # Program temporaries: three of a block's rows, for n >= 2 three with its halo too.
-        pads = (0,) * 3 + ((2 * _HALO,) * 3 if n > 1 else ())
+        # Program temporaries: three of a block's rows, the second and third with the one
+        # and two more planes a halo second difference reaches, for n >= 2 three with its
+        # halo too.
+        pads = (0, 1, 2) + ((2 * _HALO,) * 3 if n > 1 else ())
         self.lanes = []
         for first in range(0, min(n0, 2 * planes), planes):
             # The lane's first block is its largest: only the last block of the axis is short.

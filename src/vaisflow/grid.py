@@ -8,8 +8,15 @@ fields are stored on the transverse grid only and broadcast on demand, which
 makes leaf-constancy structural rather than numerical.
 
 All derivative stencils are fourth-order central differences with periodic
-wraparound, written in difference form (weighted sums of f(i+k) - f(i)) so
-that constant fields are annihilated exactly in floating point.
+wraparound, written in difference form (weighted sums of differences of
+samples) so that constant fields are annihilated exactly in floating point.
+A first difference is (f(i+1) - f(i-1)) c1/d + (f(i+2) - f(i-2)) c2/d, five
+array passes.  A second difference is built from the first differences
+D(i) = f(i+1) - f(i) and E(i) = f(i+2) - f(i) as
+(D(i) - D(i-1)) c1/d + (E(i) - E(i-2)) c2/d, seven passes.  Each
+coefficient c is divided by the stencil's divisor d (h or h^2, with any
+power of two a caller folds in) once, when the stencil is bound, so no
+pass divides.
 
 One slice engine evaluates them.  It views an array as (outer, N, inner)
 with the differentiated axis in the middle; each shifted difference is one
@@ -291,9 +298,9 @@ def _check_same_layout(a: ScalarField, b: ScalarField):
 # Stencils.  Difference form: constants drop out exactly, not just to O(eps).
 # ---------------------------------------------------------------------------
 
-# The coefficients, and every bound divisor, are read-only 0-d float64 arrays:
-# a ufunc takes one without converting a Python float on each call, and the
-# products and quotients are the same bits.
+# The coefficients are read-only 0-d float64 arrays, and so is each one
+# divided by a stencil's divisor, bound once: a ufunc takes one without
+# converting a Python float on each call.
 _C1_NEAR = _freeze(2.0 / 3.0, np.float64)   # first derivative, +-1 neighbours
 _C1_FAR = _freeze(-1.0 / 12.0, np.float64)  # first derivative, +-2 neighbours
 _C2_NEAR = _freeze(4.0 / 3.0, np.float64)   # second derivative, +-1 neighbours
@@ -302,18 +309,13 @@ _MIN_STENCIL_POINTS = 5
 
 
 class _Plan(NamedTuple):
-    """How one stencil sweep indexes its operands; see :func:`_plan`."""
+    """How one shift difference indexes its operands; see :func:`_plan`."""
 
     src_shape: tuple[int, int, int]
     out_shape: tuple[int, int, int]
-    # (a, b) -> the steps (flat, src a, src b, out) of f(i + a) - f(i + b):
-    # indices into the flattened arrays when flat is 1, into the 3-D views
-    # when it is 0.  A flat step comes first.
-    steps: dict
-
-
-# The (a, b) pairs of f(i + a) - f(i + b) that the two stencils use.
-_SHIFTS = ((1, -1), (2, -2), (1, 0), (-1, 0), (2, 0), (-2, 0))
+    # The steps (flat, src a, src b, out): indices into the flattened arrays
+    # when flat is 1, into the 3-D views when it is 0.  A flat step comes first.
+    steps: tuple
 
 
 def _wrapped(offset: int, plane: int, n: int) -> slice:
@@ -322,35 +324,34 @@ def _wrapped(offset: int, plane: int, n: int) -> slice:
     return slice(first, first + 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
-    """The plan of every shift difference f(i + a) - f(i + b) along ``axis``.
+@functools.lru_cache(maxsize=128)
+def _plan(shape: tuple[int, ...], axis: int, shift: tuple[int, int], pad=None) -> _Plan:
+    """The plan of the shift difference f(i + a) - f(i + b) along ``axis``, ``shift`` = (a, b).
 
     Operands are viewed as (outer, N, inner) with ``axis`` in the middle, so
     each plane of the axis is one contiguous run of ``inner`` elements and a
     shift by k planes is a shift by ``k * inner`` in the flattened array.
-    One contiguous subtract over the flattened arrays then covers every
-    plane; the few planes whose neighbours wrap, which that subtract filled
-    from the adjacent outer block, are overwritten by one subtract per plane,
-    a strided loop over ``outer``.  With ``halo > 0`` the source carries
-    ``halo`` extra planes at both ends of the axis (``shape`` is the
-    source's shape) and nothing wraps.  The plan holds only index objects,
-    never array data.
+    With ``pad`` None the source wraps: one contiguous subtract over the
+    flattened arrays covers every plane, and the few planes whose neighbours
+    wrap, which that subtract filled from the adjacent outer block, are
+    overwritten by one subtract per plane, a strided loop over ``outer``.
+    With ``pad`` = (low, high) the source (of shape ``shape``) carries
+    ``low`` planes before the output's first and ``high`` after its last,
+    and nothing wraps.  The plan holds only index objects, never array data.
     """
+    a, b = shift
     outer, n_src, inner = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
-    n = n_src - 2 * halo
+    n = n_src if pad is None else n_src - sum(pad)
     every = slice(None)
-    steps = {}
-    for a, b in _SHIFTS:
-        if halo:
-            at_a, at_b = slice(halo + a, halo + a + n), slice(halo + b, halo + b + n)
-            steps[a, b] = ((0, (every, at_a), (every, at_b), every),)
-            continue
+    if pad is not None:
+        at_a, at_b = slice(pad[0] + a, pad[0] + a + n), slice(pad[0] + b, pad[0] + b + n)
+        steps = ((0, (every, at_a), (every, at_b), every),)
+    else:
         low, high = max(0, -a, -b), max(0, a, b)
         start, stop = low * inner, (outer * n - high) * inner
         flat = (1, slice(start + a * inner, stop + a * inner),
                 slice(start + b * inner, stop + b * inner), slice(start, stop))
-        steps[a, b] = (flat,) + tuple(
+        steps = (flat,) + tuple(
             (0, (every, _wrapped(a, i, n)), (every, _wrapped(b, i, n)), (every, slice(i, i + 1)))
             for i in (*range(low), *range(n - high, n))
         )
@@ -359,52 +360,46 @@ def _plan(shape: tuple[int, ...], axis: int, halo: int) -> _Plan:
 
 # The operands and their order below are the stencils' contract: every
 # caller's result must be bit-identical to every other's, so do not regroup.
-# Each loop runs the bound subtracts of two shift differences, one after the
-# other.  The last operation divides by the bound divisor: h (first
+# A first difference is
+#     out = (f(i+1) - f(i-1)) * (c1/d) + (f(i+2) - f(i-2)) * (c2/d),
+# two shift differences and three passes.  A second difference forms
+# D(i) = f(i+1) - f(i) and E(i) = f(i+2) - f(i), then
+#     out = (D(i) - D(i-1)) * (c1/d) + (E(i) - E(i-2)) * (c2/d),
+# four shift differences and three passes.  Each c/d is one coefficient
+# divided by the stencil's divisor d (numpy division, so d = 0 gives inf or
+# nan, never an exception), bound once as a 0-d array; d is h (first
 # difference) or h * h (second) for diff1 and diff2.  A caller may fold an
-# exact power of two 2^k into it in place of scaling the result, or a sum of
+# exact power of two 2^k into d in place of scaling the result, or a sum of
 # results, by 2^-k afterwards.  That is bit-identical, because scaling by 2^k
 # commutes with round-to-nearest, except where a value lies within a factor
 # 2^k of the subnormal range or a sum overflows only unscaled.
-def _first_difference(diffs, out, tmp, divisor):
-    for a, b, difference in diffs[0]:  # out = f(i+1) - f(i-1), then tmp = f(i+2) - f(i-2)
-        np.subtract(a, b, out=difference)
-    out *= _C1_NEAR
-    tmp *= _C1_FAR
-    out += tmp
-    out /= divisor
-
-
-def _second_difference(diffs, out, tmp1, tmp2, divisor):
-    near, far = diffs
-    for a, b, difference in near:  # out = f(i+1) - f(i), then tmp1 = f(i-1) - f(i)
-        np.subtract(a, b, out=difference)
-    out += tmp1
-    for a, b, difference in far:  # tmp1 = f(i+2) - f(i), then tmp2 = f(i-2) - f(i)
-        np.subtract(a, b, out=difference)
-    tmp1 += tmp2
-    out *= _C2_NEAR
-    tmp1 *= _C2_FAR
-    out += tmp1
-    out /= divisor
+def _scratch(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of the C-contiguous ``buffer``, viewed as ``shape``."""
+    size = math.prod(shape)
+    if buffer.size < size:
+        raise GridError(f"a stencil scratch array needs {size} elements, got {buffer.size}")
+    return buffer.reshape(-1)[:size].reshape(shape)
 
 
 class _Stencil:
     """One stencil sweep bound to its arrays, run by calling it.
 
-    ``order`` 1 is :func:`diff1` (one scratch array ``tmp1``), ``order`` 2
-    is :func:`diff2` (scratch ``tmp1`` and ``tmp2``); the sweep ends by
-    dividing by ``divisor``, h or h * h for them, and a caller may fold a
-    power of two into it (see the stencils' contract).  ``src`` wraps
-    periodically when ``halo`` is 0; otherwise it carries ``halo`` >= 2
-    extra planes at each end of ``axis``, and ``out`` receives the
-    derivative on the planes between them.  Binding builds every view of the
-    sweep once, so a call makes only the sweep's ufunc calls.  All arrays
-    are C-contiguous, ``axis`` is non-negative and the caller writes the
-    operand into ``src`` in place between calls.
+    ``order`` 1 is :func:`diff1`, ``order`` 2 is :func:`diff2`, each divided
+    by ``divisor``: h or h * h for them, and a caller may fold a power of two
+    into it (see the stencils' contract).  ``src`` wraps periodically when
+    ``halo`` is 0; otherwise it carries ``halo`` >= 2 extra planes at each
+    end of ``axis``, and ``out`` receives the derivative on the planes
+    between them.  ``tmp1`` (and, for order 2, ``tmp2``) are scratch, of
+    which the stencil uses the leading elements: each holds at least
+    ``out``'s elements, and for order 2 with a halo ``tmp1`` one and ``tmp2``
+    two more planes of ``axis`` (D and E of the contract reach past the
+    output by that much).  Binding builds every view of the sweep once, so
+    a call makes only the sweep's ufunc calls.  All arrays are C-contiguous,
+    ``axis`` is non-negative and the caller writes the operand into ``src``
+    in place between calls.
     """
 
-    __slots__ = ("_sweep", "_args")
+    __slots__ = ("_args",)
 
     def __init__(self, order, src, axis, divisor, out, tmp1, tmp2=None, halo=0):
         if 0 < halo < 2:
@@ -412,28 +407,42 @@ class _Stencil:
         for a in (src, out, tmp1) if order == 1 else (src, out, tmp1, tmp2):
             if not a.flags.c_contiguous:
                 raise GridError("stencil operands must be C-contiguous arrays")
-        plan = _plan(src.shape, axis, halo)
+
+        def reaching(extra):  # out's shape with ``extra`` more planes of ``axis``
+            return out.shape[:axis] + (out.shape[axis] + extra,) + out.shape[axis + 1:]
+
+        tmp = _scratch(tmp1, out.shape)
+        # (source, shift, the source's (low, high) planes around the target's, target)
         if order == 1:
-            self._sweep, arrays = _first_difference, (out, tmp1)
-            phases = (((1, -1, out), (2, -2, tmp1)),)
+            c_near, c_far = _C1_NEAR, _C1_FAR
+            differences = ((src, (1, -1), (halo, halo), out), (src, (2, -2), (halo, halo), tmp))
         else:
-            self._sweep, arrays = _second_difference, (out, tmp1, tmp2)
-            phases = (((1, 0, out), (-1, 0, tmp1)), ((2, 0, tmp1), (-2, 0, tmp2)))
-        srcs = (src.reshape(plan.src_shape), src.reshape(-1))
-        diffs = []
-        for shifts in phases:
-            views = []
-            for a, b, target in shifts:
-                targets = (target.reshape(plan.out_shape), target.reshape(-1))
-                views += [
-                    (srcs[flat][ia], srcs[flat][ib], targets[flat][io])
-                    for flat, ia, ib, io in plan.steps[a, b]
-                ]
-            diffs.append(views)
-        self._args = (diffs, *arrays, _freeze(divisor, np.float64))
+            c_near, c_far = _C2_NEAR, _C2_FAR
+            d = _scratch(tmp1, reaching(1 if halo else 0))
+            e = _scratch(tmp2, reaching(2 if halo else 0))
+            differences = (
+                (src, (1, 0), (halo - 1, halo), d), (d, (0, -1), (1, 0), out),
+                (src, (2, 0), (halo - 2, halo), e), (e, (0, -2), (2, 0), tmp),
+            )
+        steps = []
+        for source, shift, pad, target in differences:
+            plan = _plan(source.shape, axis, shift, pad if halo else None)
+            srcs = (source.reshape(plan.src_shape), source.reshape(-1))
+            targets = (target.reshape(plan.out_shape), target.reshape(-1))
+            steps += [
+                (srcs[flat][ia], srcs[flat][ib], targets[flat][io])
+                for flat, ia, ib, io in plan.steps
+            ]
+        near, far = (_freeze(np.divide(c, divisor), np.float64) for c in (c_near, c_far))
+        self._args = (steps, out, tmp, near, far)
 
     def __call__(self) -> None:
-        self._sweep(*self._args)
+        steps, out, tmp, near, far = self._args
+        for a, b, difference in steps:
+            np.subtract(a, b, out=difference)
+        out *= near
+        tmp *= far
+        out += tmp
 
 
 def _prepare(values: np.ndarray, axis: int) -> tuple[np.ndarray, int, np.ndarray]:

@@ -248,8 +248,10 @@ def _ddbar_program(
     """ddbar of ``src`` into ``parts`` (laid out as by :func:`_ddbar_parts`), as one callable.
 
     ``src`` carries ``halo`` extra axis-0 planes at each end (with none it
-    wraps); ``temps`` are three arrays of a C-contiguous ``parts[j, k]``'s
-    shape and, for n >= 2, three of ``src``'s.  A mixed part takes first
+    wraps); ``temps`` are three C-contiguous arrays of ``parts[j, k]``'s
+    shape, of which, with a halo, the second holds one and the third two
+    more axis-0 planes (the scratch of a halo :class:`grid._Stencil`), and,
+    for n >= 2, three of ``src``'s.  A mixed part takes first
     differences along the k axes on every plane of ``src``, then along the
     j axes, so any halo gives the same operations in the same order.  The
     factor 1/4 of every part is folded into the divisors of the stencils

@@ -9,6 +9,7 @@ import pytest
 
 import vaisflow.cli as cli_module
 import vaisflow.flow as flow_module
+import vaisflow.transverse as transverse_module
 import vaisflow.vaisman as vm
 from conftest import ENCODED_FAULTS, basic_spec, encoded_fault, list_dict
 from vaisflow.cli import main
@@ -104,6 +105,46 @@ class TestCmdFlow:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["final_ricci_sup"] < 1e-5
         assert (tmp_path / "out" / "metric_final.json").exists()
+
+    @pytest.mark.parametrize("template, message", [
+        (BUMP_FLOW, "-9.999671e-01 <= 1.0e-10 at grid index (0, 0))"),
+        (N2_FLOW, "-2.983994e+00 <= 1.0e-10 at grid index (0, 0, 0, 0))"),
+    ], ids=["n1", "n2"])
+    def test_inadmissible_potential_is_a_config_error(self, tmp_path, capsys, template, message):
+        """Amplitude 8 makes the metric negative near x^1 = 0; the message locates the minimum."""
+        body = template.format(out=tmp_path / "out")
+        body = body.replace("amplitude = -0.4", "amplitude = 8").replace("amplitude = -0.2", "amplitude = 8")
+        assert main(["flow", write_config(tmp_path / "neg.cfg", body)]) == 1
+        expected = "config error: chart.potential: inadmissible potential (minimum eigenvalue "
+        assert expected + message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "template, chi", [(BUMP_FLOW, "none"), (N2_FLOW, "cos_bump")], ids=["n1", "n2_chi"]
+    )
+    def test_a_set_up_forms_one_spectrum(self, tmp_path, monkeypatch, template, chi):
+        """The state is initial_state of the checked metric, bit for bit, from one spectrum of it."""
+        body = template.format(out=tmp_path / "out")
+        body = body.replace("class_k = 0", f"class_k = 0\nchi = {chi}\nchi_amplitude = 0.1")
+        cfg = load_config(write_config(tmp_path / "c.cfg", body))
+        spec = cfg.chart.grid_spec()
+        h = potential_field(spec, cfg.chart.potential, cfg.chart.amplitude)
+        expected = flow_module.initial_state(
+            metric_from_potential(h, HermitianField.identity(spec)), chi_field(spec, chi, 0.1)
+        )
+        calls = []
+        spectrum = transverse_module._spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(transverse_module, "_spectrum", counted)
+        state = cli_module._build_initial_state(cfg)
+        assert calls == [spec.n]
+        for name in ("omega_hat_0", "chi"):
+            assert getattr(state, name).matrices.tobytes() == getattr(expected, name).matrices.tobytes()
+        assert state.volume_density.values.tobytes() == expected.volume_density.values.tobytes()
+        assert state.phi.values.tobytes() == expected.phi.values.tobytes()
 
     def test_invalid_dt_names_key(self, tmp_path, capsys):
         body = FLAT_FLOW.format(out=tmp_path / "out").replace(
