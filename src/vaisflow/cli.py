@@ -155,18 +155,19 @@ def cmd_flow(config_path: Path) -> int:
     state = _build_initial_state(cfg)
 
     cadence = cfg.output.checkpoint_every
-    last_checkpoint = {}  # the state and the file of the last checkpoint written
+    last = {}  # the metric of the last progress call, and the checkpoint it wrote or None
 
-    def progress(k: int, row: dict, current: fl.FlowState):
+    def progress(k: int, row: dict, current: fl.FlowState, metric):
         if k % 500 == 0:
             log.info(
                 "step %d  t=%.6g  ricci_sup=%.3e  dt=%.3e",
                 k, row["t"], row["ricci_sup"], row["dt"],
             )
+        last.update(metric=metric, path=None)
         if cadence > 0 and k % cadence == 0:
             path = outdir / f"metric_{k:06d}.json"
-            save_snapshot(fl.transverse_metric(current, rescaled=cfg.flow.rescaled), path)
-            last_checkpoint.update(state=current, path=path)
+            save_snapshot(metric(), path)
+            last["path"] = path
 
     report = fl.run(state, cfg.flow, t_final=cfg.t_final, progress=progress)
 
@@ -174,12 +175,14 @@ def cmd_flow(config_path: Path) -> int:
     history_path.write_text("\n".join(report.history_csv_lines()) + "\n")
 
     final_metric = outdir / "metric_final.json"
-    if last_checkpoint.get("state") is report.final_state:  # encoded already
-        shutil.copyfile(last_checkpoint["path"], final_metric)
-    else:
+    if not last:  # the run returned before its step-0 call
         save_snapshot(
             fl.transverse_metric(report.final_state, rescaled=cfg.flow.rescaled), final_metric
         )
+    elif last["path"] is not None:  # encoded already
+        shutil.copyfile(last["path"], final_metric)
+    else:
+        save_snapshot(last["metric"](), final_metric)
     save_snapshot(report.final_state.phi, outdir / "phi_final.json")
 
     payload = {

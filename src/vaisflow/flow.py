@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -152,50 +151,16 @@ class FlowState:
     chi: HermitianField
     volume_density: ScalarField
     diagnostics: FlowDiagnostics | None = None
-    # The _Record of the diagnostics pass, which attaches it; ``replace`` and
-    # the constructor leave it None.
-    _stage: _Record | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.volume_density.values <= 0):
             raise GridError("volume density must be strictly positive")
 
 
-class _Passes:
-    """The number of :func:`_evaluate` passes run on one workspace.
-
-    The workspace and the records of the states diagnosed on it share it.
-    It refers to no workspace, so a record keeps none alive; once the
-    workspace is gone, its count stands for good.
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-
-class _Record(NamedTuple):
-    """What a diagnostics pass (:func:`_with_diagnostics`) attaches to the state it diagnosed."""
-
-    phi: ScalarField
-    t: float
-    extended: bool
-    rescaled: bool
-    stage: np.ndarray | None  # f(phi, t) in its workspace's stage buffer, or None
-    workspace: weakref.ref
-    passes: _Passes  # the workspace's
-    count: int  # passes.count right after the pass
-    shape: tuple[int, ...]  # the swept shape
-
-
 def _derived(state: FlowState, **changes) -> FlowState:
-    """``replace(state, **changes)`` without rescanning the density ``state`` validated.
-
-    The copy carries no attached stage unless ``changes`` names one.
-    """
+    """``replace(state, **changes)`` without rescanning the density ``state`` validated."""
     new = object.__new__(FlowState)
-    new.__dict__.update({**vars(state), "_stage": None, **changes})
+    new.__dict__.update({**vars(state), **changes})
     return new
 
 
@@ -541,10 +506,13 @@ class _Workspace:
     ``symbol_sup`` is max |S_T| of :func:`_transverse_fft_symbol`, and
     ``symbol_shift`` what the config's flow adds to the spectral radius
     of its linearization: 0.5 max |S_leaf| when extended, 1 when
-    rescaled (see :func:`step`).  ``passes`` counts the :func:`_evaluate`
-    calls on it.  Every write to a sweep's ``g`` (the step's ``k3``
-    included) or to a stage buffer happens in such a call or after one,
-    so while the count stands they are as the last pass left them.
+    rescaled (see :func:`step`).  ``diagnosed`` is the state whose
+    diagnostics pass (:func:`_with_diagnostics`) last ran here, and
+    ``swept`` the shape that pass swept.  It left the state's first stage
+    in the stage buffer of the shape :func:`step` steps, and the parts of
+    its metric in the ``g`` of the sweep of ``swept``.  Only such a pass
+    and :func:`step`, whose ``k3`` is a sweep's ``g``, write them, and
+    both set ``diagnosed`` to None first.
     """
 
     def __init__(self, state: FlowState, config: FlowConfig):
@@ -567,7 +535,7 @@ class _Workspace:
         self._ref = np.empty(p0.shape)
         self._ref_t = None
         self._sweeps, self._stages = {}, {}
-        self.passes = _Passes()
+        self.diagnosed, self.swept = None, None
         sweep = self.sweep(spec.full_shape if config.extended else spec.transverse_shape)
         self.k3, self.k4, self.arg = sweep.g[0, 0], sweep.ld, sweep.phi
 
@@ -650,7 +618,6 @@ def _evaluate(phi, t, ws, floor, out, keep=False):
     ``(lo, hi)``: the least eigenvalue over the grid and, with ``keep``,
     the largest (None without).
     """
-    ws.passes.count += 1
     ws.reference(t)  # into the buffer that the sweep's blocks view
     sweep = ws.sweep(phi.shape)
     sweep.load(phi)
@@ -746,7 +713,7 @@ def _rhs_once(state: FlowState, t: float | None, floor: float, extended: bool) -
     if not floor >= 0:
         raise GridError(f"positivity_floor: must be >= 0, got {floor}")
     ws = _Workspace(state, FlowConfig(extended=extended))
-    return ws.rhs(_phi_operand(state, extended), state.t if t is None else t, floor=floor)
+    return ws.rhs(_phi_operand(state.phi, extended), state.t if t is None else t, floor=floor)
 
 
 def transverse_metric(
@@ -756,35 +723,10 @@ def transverse_metric(
 
     As in :func:`transverse.metric_from_potential`, the parts of the two are
     summed and assembled once, so the matrices are Hermitian by construction
-    and their parts are exactly the sums.  At the state's own t, and for
-    the flow variant (``rescaled``) whose diagnostics pass it got, the parts
-    that pass left in its workspace are assembled, while no pass has run
-    there since: the same sums, bit for bit.
+    and their parts are exactly the sums.
     """
-    tt = state.t if t is None else t
-    kept = _kept_metric(state, tt, rescaled)
-    if kept is not None:
-        return HermitianField._assembled(state.phi.spec, _assemble(kept), basic=state.phi.basic)
-    ref = _reference_matrices(state, tt, rescaled)
+    ref = _reference_matrices(state, state.t if t is None else t, rescaled)
     return _metric_with_ddbar(state.phi.spec, ref, state.phi.values, state.phi.basic)
-
-
-def _kept_metric(state: FlowState, t: float, rescaled: bool) -> np.ndarray | None:
-    """The parts of g(t) that the state's diagnostics pass left in its sweep, or None.
-
-    None unless ``t`` is the state's t, ``rescaled`` the variant of that
-    pass, its workspace is alive with no pass run since, and the sweep was
-    of phi's own shape (a leaf-constant full phi is swept on its slice).
-    """
-    record = state._stage
-    if record is None or t != state.t or record.rescaled != rescaled:
-        return None
-    ws = record.workspace()
-    if ws is None or record.passes.count != record.count:
-        return None
-    if record.shape != state.phi.values.shape:
-        return None
-    return ws.sweep(record.shape).g
 
 
 def leafwise_defect(state: FlowState) -> float:
@@ -805,39 +747,15 @@ def leafwise_defect(state: FlowState) -> float:
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _phi_operand(state: FlowState, extended: bool) -> np.ndarray:
+def _phi_operand(phi: ScalarField, extended: bool) -> np.ndarray:
     """The array the flow steps: phi, on the full grid (C-contiguous) when extended."""
-    return np.ascontiguousarray(state.phi.as_full_values()) if extended else state.phi.values
+    return np.ascontiguousarray(phi.as_full_values()) if extended else phi.values
 
 
 def _check_steppable(state: FlowState, config: FlowConfig) -> None:
     """Raise :class:`GridError` when ``config`` cannot step ``state``'s phi."""
     if not (config.extended or state.phi.basic):
         raise GridError("a potential that is not basic is stepped only by the extended flow")
-
-
-def _diagnosed(state: FlowState, config: FlowConfig) -> bool:
-    """Whether the state's diagnostics come from a pass over its own phi and t for ``config``."""
-    record = state._stage
-    return record is not None and record.phi is state.phi and record.t == state.t and (
-        (record.extended, record.rescaled) == (config.extended, config.rescaled)
-    )
-
-
-def _attached_stage(state: FlowState, config: FlowConfig) -> np.ndarray | None:
-    """A read-only view of the f(phi, t) attached to ``state`` for ``config``, or None.
-
-    The stage lives in a buffer of the workspace of the pass that attached
-    it, so it is None too once a later pass has run there.
-    """
-    if not _diagnosed(state, config):
-        return None
-    record = state._stage
-    if record.stage is None or record.passes.count != record.count:
-        return None
-    stage = record.stage.view()
-    stage.flags.writeable = False
-    return stage
 
 
 def step(
@@ -862,14 +780,14 @@ def step(
     after the step (a pure additive constant, invisible to the metric); a
     NaN or infinity in it raises :class:`NonFinitePotential`.
 
-    The first stage is the one the state's diagnostics pass attached for
-    ``config``, so a step evaluates the right-hand side three times; the
-    returned state carries the first stage of the next step.  A state whose
-    diagnostics that pass did not attach for its own phi, t and flow
-    variant gets them afresh, and one whose stage a later pass on the same
-    workspace has overwritten evaluates that stage afresh.  The returned
-    phi takes over, without a copy, the array the step sums its stages
-    into.  A metric at or below the config's floor in
+    The state is diagnosed afresh, and its first stage taken from that
+    pass, unless it is the ``_workspace``'s ``diagnosed`` state: then the
+    first stage is the one its diagnostics pass left there.  So a step of
+    :func:`run`, which steps the state it diagnosed last, evaluates the
+    right-hand side three times, and a lone step makes five passes: a
+    diagnostics pass, three stages and the result's diagnostics.  The
+    returned phi takes over, without a copy, the array the step sums its
+    stages into.  A metric at or below the config's floor in
     the given state, or not positive in the result of the step, raises
     :class:`PositivityLost` from :func:`_evaluate`, with its global minimum
     eigenvalue and grid location; no log of it is taken, and the step is
@@ -881,13 +799,14 @@ def step(
     """
     _check_steppable(state, config)
     ws = _workspace or _Workspace(state, config)
-    if not _diagnosed(state, config):
+    if ws.diagnosed is not state:
         state = _with_diagnostics(state, config, dphidt_sup=0.0, dt=0.0, workspace=ws)
     extended = config.extended
-    phi0 = _phi_operand(state, extended)
+    phi0 = _phi_operand(state.phi, extended)
     t0 = state.t
-    k1 = _attached_stage(state, config)  # read-only
-    if k1 is None:  # overwritten, or none at or below the floor: this raises the breach, located
+    if state.diagnostics.min_eig > config.positivity_floor:
+        k1 = ws.stage(phi0.shape)  # the diagnostics pass's f(phi0, t0), only read here
+    else:  # no stage at or below the floor: this raises the breach, located
         k1 = ws.rhs(phi0, t0)
     rho = ws.symbol_sup / state.diagnostics.min_eig + ws.symbol_shift
     dt = min(config.dt_initial, config.dt_safety * _RK4_REAL_BOUND / rho)
@@ -896,6 +815,7 @@ def step(
     # k2 is made here, not kept: the new phi takes it over, and by now a run
     # has let go of the state before this one, whose phi's memory it reuses.
     k2, k3, k4, arg = np.empty(phi0.shape), ws.k3, ws.k4, ws.arg
+    ws.diagnosed = None  # k3 overwrites the metric the diagnostics pass kept
 
     while True:
         half = 0.5 * dt
@@ -926,9 +846,9 @@ def step(
         raise NonFinitePotential(f"the step to t = {t0 + dt!r} made the potential non-finite")
     k2 -= mean
     new_phi = ScalarField._adopted(state.phi.spec, k2, basic=not extended and state.phi.basic)
-
-    new_state = _derived(state, t=t0 + dt, phi=new_phi, diagnostics=None)
-    return _with_diagnostics(new_state, config, dphidt_sup=dphidt_sup, dt=dt, workspace=ws)
+    return _with_diagnostics(
+        state, config, dphidt_sup=dphidt_sup, dt=dt, workspace=ws, t=t0 + dt, phi=new_phi
+    )
 
 
 def ricci_residual(state: FlowState, config: FlowConfig) -> float:
@@ -968,58 +888,56 @@ def _leaf_constant_slice(phi: ScalarField) -> np.ndarray | None:
 
 def _with_diagnostics(
     state: FlowState, config: FlowConfig, dphidt_sup: float | None, dt: float,
-    workspace: _Workspace | None = None,
+    workspace: _Workspace | None = None, t: float | None = None, phi: ScalarField | None = None,
 ) -> FlowState:
-    """``state`` with its diagnostics and, from the same pass, its first RK4 stage.
+    """``state``, or a step's result at ``t`` with ``phi``, with its diagnostics.
 
-    Both come from one :func:`_evaluate` at floor 0, so a metric that is
-    not positive raises :class:`PositivityLost`, located.  The stage
-    f(phi, t) for ``config``, bit-identical to :meth:`_Workspace.rhs`, goes
-    into the workspace's stage buffer of its shape, and the :class:`_Record`
-    attaches it with the phi, t and flow variant the diagnostics belong
-    to; it is None at or below ``config``'s positivity floor and for a
-    full phi that ``config`` does not extend.  The record also holds a
-    weak reference to the workspace, its pass counter, the count after
-    this pass and the swept shape: :func:`_attached_stage` hands the stage
-    out, and :func:`transverse_metric` finds the metric this pass left in
-    the sweep, while that count stands.
+    They come from one :func:`_evaluate` at floor 0, so a metric that is
+    not positive raises :class:`PositivityLost`, located.  The same pass
+    leaves the parts of the metric in its sweep and, but at or below
+    ``config``'s positivity floor or for a full phi that ``config`` does
+    not extend, writes the first RK4 stage f(phi, t) for ``config``,
+    bit-identical to :meth:`_Workspace.rhs`, into the workspace's stage
+    buffer of the shape :func:`step` steps.  The workspace's
+    ``diagnosed`` is then the returned state.
     ``dphidt_sup=None`` (the step-0 row) takes sup |f(phi, t)| from the
     stage, or evaluates f afresh, raising :class:`PositivityLost`.
     """
     ws = workspace or _Workspace(state, config)
-    values = _leaf_constant_slice(state.phi)
+    if phi is None:
+        phi, t = state.phi, state.t
+    ws.diagnosed = None  # this pass overwrites what the last one kept
+    values = _leaf_constant_slice(phi)
     leaf_varying = values is None
     if leaf_varying:
-        values = state.phi.values
+        values = phi.values
     k1 = ws.stage(values.shape)
-    lo, hi = _evaluate(values, state.t, ws, 0.0, k1, keep=True)
+    lo, hi = _evaluate(values, t, ws, 0.0, k1, keep=True)
     sweep = ws.sweep(values.shape)
     ric_sup = sweep.ricci_sup(config.class_k)
     defect = sweep.leaf_defect() if leaf_varying else 0.0
 
     stage = None
-    if lo > config.positivity_floor and (config.extended or state.phi.basic):
+    if lo > config.positivity_floor and (config.extended or phi.basic):
         if config.extended and not leaf_varying:
             # The leaf terms of a leaf-constant phi vanish bit for bit.
-            full = ws.stage(state.phi.spec.full_shape)
+            full = ws.stage(phi.spec.full_shape)
             np.copyto(full, k1.reshape(k1.shape + (1, 1)))
             k1 = full
         if config.rescaled:
-            _calibrate(k1, _phi_operand(state, config.extended))
+            _calibrate(k1, _phi_operand(phi, config.extended))
         stage = k1
     if dphidt_sup is None:
-        rhs = stage if stage is not None else ws.rhs(_phi_operand(state, config.extended), state.t)
+        rhs = stage if stage is not None else ws.rhs(_phi_operand(phi, config.extended), t)
         dphidt_sup = float(np.abs(rhs).max())
 
     diagnostics = FlowDiagnostics(
         ricci_sup=ric_sup, dphidt_sup=dphidt_sup, min_eig=lo, max_eig=hi,
         leafwise_defect=defect, dt=dt,
     )
-    record = _Record(
-        state.phi, state.t, config.extended, config.rescaled, stage,
-        weakref.ref(ws), ws.passes, ws.passes.count, values.shape,
-    )
-    return _derived(state, diagnostics=diagnostics, _stage=record)
+    new = _derived(state, t=t, phi=phi, diagnostics=diagnostics)
+    ws.diagnosed, ws.swept = new, values.shape
+    return new
 
 
 @dataclass
@@ -1027,7 +945,10 @@ class FlowReport:
     """Outcome of a flow run, with one history row per recorded step.
 
     After ``positivity_lost``, ``failure`` holds the breach's ``min_eigenvalue``
-    and grid ``location`` (None where unknown); otherwise it is None.
+    and grid ``location`` (None where unknown); otherwise it is None.  A run
+    stopped at its ``t_final`` reports ``not_converged``, as one stopped at
+    ``max_steps`` does, with ``final_t`` the first t within ``DT_FLOOR`` of
+    ``t_final``, which can be a few ulps short of it.
     """
 
     converged: bool
@@ -1056,7 +977,7 @@ def run(
     initial: FlowState,
     config: FlowConfig,
     t_final: float | None = None,
-    progress: Callable[[int, dict, FlowState], None] | None = None,
+    progress: Callable[[int, dict, FlowState, Callable[[], HermitianField]], None] | None = None,
 ) -> FlowReport:
     """Advance the flow until convergence, breakdown, max_steps, or t_final.
 
@@ -1064,10 +985,24 @@ def run(
     accepted step.  Breakdown modes land in ``reason`` instead of raising,
     so callers can tell them apart without exception handling; a step whose
     result is not positive ends the run in ``positivity_lost`` at the last
-    positive state, with no row for the result.  Every step
-    of the run executes on one workspace built for ``initial`` and
-    ``config``.  A phi that is not basic under a config that is not
-    extended raises :class:`GridError`.
+    positive state, with no row for the result.  The run stops at the
+    first t within ``DT_FLOOR`` of ``t_final`` (its last step is capped at
+    ``t_final`` - t, but t is summed in floating point, so it can end a few
+    ulps short) and reports that as ``not_converged``.  Every step of the
+    run executes on one workspace built for ``initial`` and ``config``.  A
+    phi that is not basic under a config that is not extended raises
+    :class:`GridError`.
+
+    ``progress(k, row, state, metric)``, when given, is called after the
+    step-0 row and after each accepted step, with the step number, its
+    history row and state.  ``metric()`` returns the transverse metric of
+    that state for the config's variant, bit-identical to
+    ``transverse_metric(state, rescaled=config.rescaled)``.  Until the run
+    steps on from the state (so within ``progress``, and for the final
+    state after the run), it assembles the parts that the state's
+    diagnostics pass formed; after that, or for a leaf-constant full phi,
+    which that pass sweeps on its slice, it forms the metric afresh.  No
+    metric is assembled unless ``metric`` is called.
     """
     _check_steppable(initial, config)
     state = initial
@@ -1081,7 +1016,7 @@ def run(
     diag = state.diagnostics
     history = [_history_row(0, state)]
     if progress is not None:
-        progress(0, history[0], state)
+        progress(0, history[0], state, _metric(state, workspace))
 
     initial_max_eig = diag.max_eig
     if diag.ricci_sup < config.ricci_tolerance:
@@ -1106,13 +1041,26 @@ def run(
         row = _history_row(k, state)
         history.append(row)
         if progress is not None:
-            progress(k, row, state)
+            progress(k, row, state, _metric(state, workspace))
         if state.diagnostics.max_eig > DIVERGENCE_FACTOR * initial_max_eig:
             return FlowReport(False, "diverged", state.t, k, history, state)
         if state.diagnostics.ricci_sup < config.ricci_tolerance:
             return FlowReport(True, "converged", state.t, k, history, state)
 
     return FlowReport(False, "not_converged", state.t, config.max_steps, history, state)
+
+
+def _metric(state: FlowState, ws: _Workspace) -> Callable[[], HermitianField]:
+    """The ``metric`` that :func:`run` hands to ``progress`` with ``state`` (see there)."""
+
+    def metric() -> HermitianField:
+        phi = state.phi
+        if ws.diagnosed is state and ws.swept == phi.values.shape:
+            return HermitianField._assembled(phi.spec, _assemble(ws.sweep(ws.swept).g), basic=phi.basic)
+        ref = _reference_matrices(state, state.t, ws.config.rescaled)
+        return _metric_with_ddbar(phi.spec, ref, phi.values, phi.basic)
+
+    return metric
 
 
 def _failure(exc: PositivityLost) -> dict:

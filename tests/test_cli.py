@@ -298,6 +298,41 @@ class TestCmdFlow:
         same = (out / "metric_final.json").read_bytes() == (out / "metric_000005.json").read_bytes()
         assert same == final_is_checkpoint
 
+    def test_final_metric_off_the_cadence_is_the_one_the_run_formed(self, tmp_path, monkeypatch):
+        """6 steps, a checkpoint every 4: metric_final.json is the final pass's metric, not re-formed.
+
+        Its bytes are those of the metric formed afresh from the final state.
+        """
+        body = BUMP_FLOW.format(out=tmp_path / "out").replace(
+            "checkpoint_every = 0", "checkpoint_every = 4"
+        ).replace("class_k = 0", "class_k = 0\ndt_initial = 0.01\nt_final = 0.06")
+        cfg = write_config(tmp_path / "ck.cfg", body)
+        formed, reports = [], []
+        metric_with_ddbar, run = flow_module._metric_with_ddbar, flow_module.run
+
+        def formed_afresh(*args):
+            formed.append(args)
+            return metric_with_ddbar(*args)
+
+        def kept_report(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(flow_module, "_metric_with_ddbar", formed_afresh)
+        monkeypatch.setattr(flow_module, "run", kept_report)
+        assert main(["flow", cfg]) == 2
+        assert formed == []
+        monkeypatch.undo()
+        (report,) = reports
+        out = tmp_path / "out"
+        assert report.steps == 6
+        assert sorted(p.name for p in out.glob("metric_*.json")) == [
+            "metric_000000.json", "metric_000004.json", "metric_final.json"
+        ]
+        expected = tmp_path / "expected.json"
+        save_snapshot(flow_module.transverse_metric(report.final_state), expected)
+        assert (out / "metric_final.json").read_bytes() == expected.read_bytes()
+
     @pytest.mark.parametrize(
         "chart",
         [

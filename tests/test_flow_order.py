@@ -12,19 +12,30 @@ from conftest import TWO_PI, basic_spec
 from vaisflow.convergence import fitted_order
 from vaisflow.flow import DT_FLOOR, FlowConfig, initial_state, run
 from vaisflow.grid import GridSpec, ScalarField
-from vaisflow.transverse import HermitianField
+from vaisflow.transverse import HermitianField, ddbar
 
 # No run stops early on its Ricci residual.
 _TO_T = FlowConfig(ricci_tolerance=1e-30)
+
+
+def _final_phi(state, config, t_final):
+    report = run(state, config, t_final=t_final)
+    assert abs(report.final_t - t_final) <= DT_FLOOR  # a run ends within DT_FLOOR of t_final
+    return report.final_state.phi.values
 
 
 def _n1_phi(res, t_final, config=_TO_T):
     """Final phi of the n = 1, k = 0 flow from phi_0 = -0.4 cos x + 0.2 sin y over omega_hat_0 = I."""
     spec = basic_spec(res=res)
     phi = ScalarField.from_function(spec, lambda x, y: -0.4 * np.cos(x) + 0.2 * np.sin(y))
-    report = run(initial_state(HermitianField.identity(spec), phi=phi), config, t_final=t_final)
-    assert abs(report.final_t - t_final) <= DT_FLOOR  # a run ends within DT_FLOOR of t_final
-    return report.final_state.phi.values
+    return _final_phi(initial_state(HermitianField.identity(spec), phi=phi), config, t_final)
+
+
+def _successive_differences(finals):
+    """max |phi_N - phi_2N| on the coincident points of each pair of transverse resolutions."""
+    return [
+        np.max(np.abs(coarse - fine[::2, ::2])) for coarse, fine in zip(finals, finals[1:])
+    ]
 
 
 def test_n1_converges_at_fourth_order_in_h():
@@ -70,9 +81,7 @@ def test_n2_with_off_diagonal_metric_converges_at_fourth_order_in_h():
         phi = ScalarField.from_function(
             spec, lambda a, b, c, d: -0.4 * np.cos(a - c) + 0.1 * np.sin(b + d)
         )
-        report = run(initial_state(HermitianField.identity(spec), phi=phi), _TO_T, t_final=0.5)
-        assert abs(report.final_t - 0.5) <= DT_FLOOR
-        finals.append(report.final_state.phi.values)
+        finals.append(_final_phi(initial_state(HermitianField.identity(spec), phi=phi), _TO_T, 0.5))
     differences = [
         np.max(np.abs(coarse - fine[::2, :, ::2, :])) for coarse, fine in zip(finals, finals[1:])
     ]
@@ -80,3 +89,50 @@ def test_n2_with_off_diagonal_metric_converges_at_fourth_order_in_h():
     assert differences[0] < 3.4e-4 and differences[1] < 2.2e-5, differences
     assert 3.85 < np.log2(differences[0] / differences[1]) < 4.1
 
+
+
+def test_extended_leaf_varying_converges_at_fourth_order_in_h():
+    """The extended flow of a leaf-varying phi on (N, N) x (8, 8), N = 8/16/32, to t = 0.5.
+
+    10, 10 and 21 steps.  Only the transverse axes are refined, so the
+    error of the fixed 8-point leaf axes cancels in the successive
+    differences, as for n = 2.
+    """
+    finals = []
+    for res in (8, 16, 32):
+        spec = GridSpec(
+            1, (res, res), (TWO_PI, TWO_PI), leaf_resolution=(8, 8), leaf_periods=(TWO_PI, TWO_PI)
+        )
+        phi = ScalarField.from_function(
+            spec,
+            lambda x, y, u, v: -0.4 * np.cos(x) + 0.2 * np.sin(y) + 0.1 * np.cos(u) * np.sin(x + v),
+            basic=False,
+        )
+        config = FlowConfig(extended=True, ricci_tolerance=1e-30)
+        finals.append(_final_phi(initial_state(HermitianField.identity(spec), phi=phi), config, 0.5))
+    differences = _successive_differences(finals)
+    # Measured 2.80e-4 and 1.81e-5, order 3.96.
+    assert differences[0] < 3.1e-4 and differences[1] < 2.0e-5, differences
+    assert 3.85 < np.log2(differences[0] / differences[1]) < 4.1
+
+
+def test_rescaled_with_exact_chi_converges_at_fourth_order_in_h():
+    """The rescaled flow with chi = ddbar psi on N^2, N = 16/32/64/128, to t = 0.5.
+
+    10, 24, 94 and 374 steps, from phi_0 = -0.4 cos x + 0.2 sin y over
+    omega_hat_0 = I with psi = 0.3 cos x sin y.
+    """
+    finals = []
+    for res in (16, 32, 64, 128):
+        spec = basic_spec(res=res)
+        psi = ScalarField.from_function(spec, lambda x, y: 0.3 * np.cos(x) * np.sin(y))
+        phi = ScalarField.from_function(spec, lambda x, y: -0.4 * np.cos(x) + 0.2 * np.sin(y))
+        state = initial_state(HermitianField.identity(spec), chi=ddbar(psi), phi=phi)
+        config = FlowConfig(class_k=-1, rescaled=True, ricci_tolerance=1e-30)
+        finals.append(_final_phi(state, config, 0.5))
+    differences = _successive_differences(finals)
+    # Measured 1.22e-5, 7.68e-7 and 4.80e-8.
+    assert differences[0] < 1.35e-5 and differences[1] < 8.5e-7 and differences[2] < 5.3e-8, differences
+    # Measured 3.99 and 4.00.
+    for coarse, fine in zip(differences, differences[1:]):
+        assert 3.9 < np.log2(coarse / fine) < 4.1

@@ -10,10 +10,12 @@ The flow binds its stencils only where it builds a sweep, so a run binds
 them once, and it assembles complex matrices only for the public
 transverse metric and the n >= 3 spectrum, so its steps run on real parts.
 Every ddbar, the flow's and the public one, is one bound program, and the
-flow takes no whole-grid stencil but the public leaf defect's.
+flow takes no whole-grid stencil but the public leaf defect's.  A flow
+state is plain data: a run attaches nothing to it.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -169,10 +171,11 @@ _COMPLEX_NAMES = {"_ddbar_matrices", "_assemble", "_metric_with_ddbar"}
 
 
 def test_complex_ddbar_only_for_the_public_metric():
-    """In flow.py complex matrices are assembled only for the public metric and n >= 3 eigvalsh.
+    """In flow.py complex matrices are assembled only for the metric of a state and n >= 3 eigvalsh.
 
-    flow.transverse_metric assembles its parts once: the parts a
-    diagnostics pass kept, or those of transverse._metric_with_ddbar;
+    flow.transverse_metric forms it with transverse._metric_with_ddbar,
+    and the ``metric`` that flow.run hands to ``progress`` assembles the
+    parts its diagnostics pass kept, or forms it the same way;
     flow._block_metric assembles only for the n >= 3 spectrum.
     transverse._ddbar_matrices is reached from no flow routine.
     """
@@ -180,13 +183,37 @@ def test_complex_ddbar_only_for_the_public_metric():
     expected = [
         ("", "_assemble"), ("", "_metric_with_ddbar"),
         ("_block_metric", "_assemble"),
-        ("transverse_metric", "_assemble"), ("transverse_metric", "_metric_with_ddbar"),
+        ("_metric.metric", "_assemble"), ("_metric.metric", "_metric_with_ddbar"),
+        ("transverse_metric", "_metric_with_ddbar"),
     ]
     assert _scoped_references(source, _COMPLEX_NAMES) == expected
     planted = source + "\n\ndef _stage(phi, spec):\n    return _ddbar_matrices(phi, spec)\n"
     assert _scoped_references(planted, _COMPLEX_NAMES) == sorted(
         expected + [("_stage", "_ddbar_matrices")]
     )
+
+
+def _imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+def test_a_flow_state_is_plain_data():
+    """A FlowState holds its six fields and nothing a run attaches; flow.py imports no weakref.
+
+    What a run keeps from step to step stays on its workspace, which knows
+    the one state its last diagnostics pass ran on.
+    """
+    names = [f.name for f in dataclasses.fields(vaisflow.flow.FlowState)]
+    assert names == ["t", "phi", "omega_hat_0", "chi", "volume_density", "diagnostics"]
+    source = Path(vaisflow.flow.__file__).read_text()
+    assert "weakref" not in _imported_modules(source)
+    assert "weakref" in _imported_modules(source + "\nfrom weakref import ref\n")
 
 
 def _exports(init_source: str) -> set[str]:

@@ -18,6 +18,7 @@ sweep's two lanes are held to the same references, and to the threads
 they may use.
 """
 
+import gc
 import importlib
 import inspect
 import os
@@ -28,6 +29,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -625,29 +627,52 @@ def _full_phi(state, config):
     return np.array(state.phi.as_full_values()) if config.extended else state.phi.values
 
 
-@pytest.mark.parametrize("case", sorted(STAGE_CASES))
-def test_attached_stage_is_the_right_hand_side(case):
-    """A step's diagnostics pass attaches f(phi, t); the next steps reuse it unchanged."""
-    make_state, config = STAGE_CASES[case]
-    first = flow.step(make_state(), config)
-    stage = flow._attached_stage(first, config)
-    assert stage is not None and not stage.flags.writeable
-    expected = reference_rhs(
-        _full_phi(first, config), first.t, first,
-        extended=config.extended, rescaled=config.rescaled,
-    )
-    assert np.array_equal(stage, expected)
+def _workspaces(monkeypatch):
+    """The list of every flow._Workspace built from here on, in order."""
+    built = []
+    build = flow._Workspace.__init__
 
-    fresh = FlowState(first.t, first.phi, first.omega_hat_0, first.chi, first.volume_density)
-    t2, phi2, dphidt_sup = reference_step(fresh, config)
+    def recorded(self, state, config):
+        build(self, state, config)
+        built.append(self)
+
+    monkeypatch.setattr(flow._Workspace, "__init__", recorded)
+    return built
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_attached_stage_is_the_right_hand_side(case, monkeypatch):
+    """The first stage that a run's workspace keeps for the state it diagnosed is f(phi, t).
+
+    At each progress call the workspace has diagnosed that state, and the
+    run's next step takes the stage as its first.  Public steps of a
+    progress state, each diagnosing it afresh, give the reference bits.
+    """
+    make_state, config = STAGE_CASES[case]
+    workspaces = _workspaces(monkeypatch)
+    seen = []
+
+    def check(k, row, current, metric):
+        (ws,) = workspaces
+        assert ws.diagnosed is current
+        phi = _full_phi(current, config)
+        expected = reference_rhs(
+            phi, current.t, current, extended=config.extended, rescaled=config.rescaled
+        )
+        assert np.array_equal(ws.stage(phi.shape), expected)
+        seen.append(current)
+
+    report = flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=2), progress=check)
+    assert report.steps == 2 and len(seen) == 3
+
+    first = seen[1]
+    t2, phi2, dphidt_sup = reference_step(first, config)
     second, again = flow.step(first, config), flow.step(first, config)
-    for new in (second, again):
+    for new in (report.final_state, second, again):
         assert new.t == t2
         assert np.array_equal(new.phi.values, phi2)
         assert new.diagnostics.dphidt_sup == dphidt_sup
-    assert second.diagnostics == again.diagnostics
-    assert np.array_equal(flow._attached_stage(first, config), expected)
-    assert "_stage" not in repr(first)
+    assert report.final_state.diagnostics == second.diagnostics == again.diagnostics
 
 
 def _count_rhs_calls(monkeypatch):
@@ -670,7 +695,7 @@ def test_three_rhs_evaluations_per_accepted_step(case, monkeypatch):
     seen = []
     report = flow.run(
         state, replace(config, ricci_tolerance=1e-30, max_steps=3),
-        progress=lambda k, row, current: seen.append(len(calls)),
+        progress=lambda k, row, current, metric: seen.append(len(calls)),
     )
     assert report.steps == 3
     assert seen == [3 * k for k in range(4)]
@@ -700,25 +725,34 @@ def test_a_run_binds_its_stencils_once(case, monkeypatch):
 
 
 def test_stale_stage_is_never_reused(monkeypatch):
-    """A new phi or t, or another flow variant, gets its diagnostics and first stage afresh.
+    """A state the workspace did not diagnose last gets its diagnostics and first stage afresh.
 
-    The step's dt then comes from the state's own metric, and its first
-    stage from the new diagnostics pass, not from ``_Workspace.rhs``.
+    Stepped on the workspace of the run that diagnosed ``first``, a state
+    that is not its ``diagnosed`` one, ``first`` itself once a later pass
+    has run there included, is diagnosed again; another variant gets a
+    workspace of its own.  The step's dt then comes from the state's own
+    metric, and its first stage from the new diagnostics pass, not from
+    ``_Workspace.rhs``.
     """
-    first = flow.step(_n1_basic_state(), FlowConfig())
+    workspaces = _workspaces(monkeypatch)
+    run_config = FlowConfig(ricci_tolerance=1e-30, max_steps=1)
+    first = flow.run(_n1_basic_state(), run_config).final_state
+    (ws,) = workspaces
+    assert ws.diagnosed is first
     leaf_constant = flow.step(_n1_leaf_constant_state(), FlowConfig())
     other_phi = ScalarField(first.phi.spec, 1.5 * first.phi.values)
     cases = [
-        (replace(first, phi=other_phi), FlowConfig()),
-        (replace(first, t=first.t + 0.25), FlowConfig()),
-        (first, FlowConfig(rescaled=True)),
-        (leaf_constant, FlowConfig(extended=True)),
+        (replace(first, phi=other_phi), run_config, ws),
+        (replace(first, t=first.t + 0.25), run_config, ws),
+        (first, run_config, ws),
+        (first, FlowConfig(rescaled=True), None),
+        (leaf_constant, FlowConfig(extended=True), None),
     ]
     calls = _count_rhs_calls(monkeypatch)
-    for state, config in cases:
-        assert flow._attached_stage(state, config) is None
+    for state, config, workspace in cases:
+        assert ws.diagnosed is not state
         del calls[:]
-        new = flow.step(state, config)
+        new = flow.step(state, config, _workspace=workspace)
         assert len(calls) == 3 and state.t not in calls
         t1, phi1, dphidt_sup = reference_step(state, config)
         assert new.t == t1
@@ -1164,30 +1198,31 @@ def test_run_matches_public_steps(case):
 
 
 @pytest.mark.parametrize("case", sorted(STAGE_CASES))
-def test_progress_states_stay_valid(case):
+def test_progress_states_stay_valid(case, monkeypatch):
     """A state that ``run`` hands out keeps its phi and, stepped after the run, the reference bits.
 
-    Its stage lives in the run's workspace: once a later pass has run
-    there, it is no longer handed out, and a step evaluates it afresh.  The
-    final state's stage stands.
+    Its stage lives in the run's workspace, which has diagnosed only the
+    final state once the run returns; that state's stage stands there.
     """
     make_state, config = STAGE_CASES[case]
+    workspaces = _workspaces(monkeypatch)
     seen = []
 
-    def keep(k, row, current):
-        stage = flow._attached_stage(current, config)
-        assert stage is not None
+    def keep(k, row, current, metric):
+        (ws,) = workspaces
+        assert ws.diagnosed is current
+        stage = ws.stage(_full_phi(current, config).shape)
         seen.append((current, current.phi.values.copy(), stage.copy()))
 
     report = flow.run(
         make_state(), replace(config, ricci_tolerance=1e-30, max_steps=6), progress=keep
     )
     assert len(seen) == 7 and seen[-1][0] is report.final_state
+    ws = workspaces[0]
+    assert ws.diagnosed is report.final_state
+    assert np.array_equal(ws.stage(seen[-1][2].shape), seen[-1][2])
     for current, phi, stage in seen:
         assert np.array_equal(current.phi.values, phi)
-        attached = flow._attached_stage(current, config)
-        assert (attached is None) == (current is not report.final_state)
-        assert attached is None or np.array_equal(attached, stage)
         new = flow.step(current, config)
         t1, phi1, dphidt_sup = reference_step(current, config)
         assert (new.t, new.diagnostics.dphidt_sup) == (t1, dphidt_sup)
@@ -1206,23 +1241,25 @@ def _workspace_buffers(ws):
 
 
 @pytest.mark.parametrize("case", ["n1_basic", "n1_extended", "n1_leaf_constant_rescaled", "n2"])
-def test_a_returned_phi_is_its_own_read_only_array(case):
+def test_a_returned_phi_is_its_own_read_only_array(case, monkeypatch):
     """After the next step, a phi that ``run`` handed out shares memory with no workspace buffer.
 
     The step sums its stages into a buffer that the new phi takes over
     without a copy, and the workspace makes the next step's afresh.
     """
     make_state, config = STAGE_CASES[case]
+    workspaces = _workspaces(monkeypatch)
     states = []
 
-    def check(k, row, current):
+    def check(k, row, current, metric):
         states.append(current)
         if k < 2:
             return
         values = states[-2].phi.values  # the phi of step k - 1
         assert values.flags.owndata and not values.flags.writeable
         assert not np.shares_memory(values, current.phi.values)
-        buffers = list(_workspace_buffers(current._stage.workspace()))
+        (ws,) = workspaces
+        buffers = list(_workspace_buffers(ws))
         assert len(buffers) > 5
         assert not any(np.shares_memory(values, buffer) for buffer in buffers)
 
@@ -1287,63 +1324,89 @@ def _same_field(a, b):
     )
 
 
-@pytest.mark.parametrize("case", sorted(KEPT_CASES))
-def test_kept_metric_is_the_recomputed_one(case):
-    """At every progress call transverse_metric has the recomputed bits.
-
-    It assembles the parts the diagnostics pass kept whenever that pass
-    swept phi's own grid: always, but for a leaf-constant full phi, which
-    is swept on its slice.  Another t or flow variant is never kept.
-    """
-    make_state, config = KEPT_CASES[case]
-    kept = []
-
-    def check(k, row, current):
-        rescaled = config.rescaled
-        kept.append(flow._kept_metric(current, current.t, rescaled) is not None)
-        assert flow._kept_metric(current, current.t + 0.125, rescaled) is None
-        assert flow._kept_metric(current, current.t, not rescaled) is None
-        got = flow.transverse_metric(current, rescaled=rescaled)
-        assert _same_field(got, _recomputed_metric(current, rescaled))
-
-    report = flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=4), progress=check)
-    assert report.steps == 4
-    assert kept == [True] + [not case.startswith("n1_leaf_constant")] * 4
-
-
-def test_a_state_read_after_more_steps_is_recomputed(monkeypatch):
-    """A progress state read after the run has stepped on gets its metric recomputed, same bits.
-
-    The step lends its k3 from the sweep's metric, so a kept metric read
-    then would be wrong.  Once the run has returned, no state keeps its
-    workspace alive.
-    """
-    state = _n1_basic_state()
-    recomputed = []
+def _spy_metric_with_ddbar(monkeypatch):
+    """The list of every call of flow._metric_with_ddbar from here on."""
+    calls = []
     metric_with_ddbar = flow._metric_with_ddbar
 
     def spy(*args):
-        recomputed.append(args)
+        calls.append(args)
         return metric_with_ddbar(*args)
 
     monkeypatch.setattr(flow, "_metric_with_ddbar", spy)
-    states, metrics = [], []
+    return calls
 
-    def keep(k, row, current):
-        states.append(current)
-        metrics.append(flow.transverse_metric(current))
+
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_kept_metric_is_the_recomputed_one(case, monkeypatch):
+    """At every progress call ``metric()`` has the recomputed bits.
+
+    It assembles the parts the diagnostics pass kept whenever that pass
+    swept phi's own grid, and forms the metric afresh only for a
+    leaf-constant full phi, which is swept on its slice.
+    """
+    make_state, config = KEPT_CASES[case]
+    formed = _spy_metric_with_ddbar(monkeypatch)
+    fresh = []
+
+    def check(k, row, current, metric):
+        before = len(formed)
+        got = metric()
+        fresh.append(len(formed) - before)
+        assert _same_field(got, _recomputed_metric(current, config.rescaled))
+
+    report = flow.run(make_state(), replace(config, ricci_tolerance=1e-30, max_steps=4), progress=check)
+    assert report.steps == 4
+    assert fresh == [0] + [int(case.startswith("n1_leaf_constant"))] * 4
+
+
+def test_a_state_read_after_more_steps_is_recomputed(monkeypatch):
+    """A progress ``metric`` called after the run has stepped on forms its metric afresh, same bits.
+
+    The step lends its k3 from the sweep's metric, so kept parts read then
+    would be wrong.  The final state's ``metric``, called after the run
+    returned, still assembles the kept parts.
+    """
+    state = _n1_basic_state()
+    formed = _spy_metric_with_ddbar(monkeypatch)
+    kept, metrics = [], []
+
+    def keep(k, row, current, metric):
+        kept.append(metric)
+        metrics.append(metric())
         if k == 3:
-            assert recomputed == []
-            again = [flow.transverse_metric(earlier) for earlier in states[:-1]]
-            assert len(recomputed) == 3
+            assert formed == []
+            again = [earlier() for earlier in kept[:-1]]
+            assert len(formed) == 3
             assert all(_same_field(a, m) for a, m in zip(again, metrics))
 
     report = flow.run(state, FlowConfig(ricci_tolerance=1e-30, max_steps=3), progress=keep)
-    assert report.steps == 3 and len(states) == 4
-    assert all(s._stage[5]() is None for s in states)
-    recomputed.clear()
-    assert _same_field(flow.transverse_metric(report.final_state), metrics[-1])
-    assert len(recomputed) == 1
+    assert report.steps == 3 and len(kept) == 4
+    formed.clear()
+    assert _same_field(kept[-1](), metrics[-1])
+    assert formed == []
+    assert _same_field(kept[0](), metrics[0])
+    assert len(formed) == 1
+
+
+def test_a_finished_run_holds_no_workspace(monkeypatch):
+    """Neither a report nor its states keep the run's workspace alive; a kept ``metric`` does."""
+    refs = []
+    build = flow._Workspace.__init__
+
+    def recorded(self, state, config):
+        build(self, state, config)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(flow._Workspace, "__init__", recorded)
+    kept = []
+    config = FlowConfig(ricci_tolerance=1e-30, max_steps=2)
+    report = flow.run(_n1_basic_state(), config, progress=lambda k, row, s, metric: kept.append(metric))
+    gc.collect()
+    assert refs[0]() is not None
+    kept.clear()
+    gc.collect()
+    assert refs[0]() is None and report.steps == 2
 
 
 def test_each_run_builds_a_workspace_for_its_own_inputs(monkeypatch):
